@@ -6,9 +6,22 @@ not-sending intensity is aliased to the dimmest test intensity ``w`` on each
 side (finite extinction ratio), so each transmitter has four distinct levels:
 s, u, v, w.
 
-Transmission patterns are synthesised by fair sampling: exact per-class
-counts via largest-remainder rounding, then a seeded uniform shuffle.  This
-removes sampling fluctuations from the pulse-pair distribution.
+Transmission patterns are fair-sampled: each side's run holds exact
+per-class counts (largest-remainder rounding of probability * n_slots), in
+a uniformly random order, independently of the other side.  This removes
+sampling fluctuations from the pulse-pair distribution.
+
+The patterns are streamed, never materialised.  ``fair_sampled_classes``
+emits one batch of slots at a time as joint pair codes 5a+b.  The first n
+slots of a uniform arrangement hold a uniformly random n-subset of the
+multiset (multivariate hypergeometric counts), in uniform order given
+those counts, and what is left is again uniformly arranged; so drawing
+each batch's counts from the counts not yet placed, then a uniform order
+within the batch, reproduces the whole-run law exactly.  For two
+independent sides, the pair table of a batch follows from pairing Alice's
+class-a slots with a uniform subset of Bob's batch slots, and given that
+table every order of the pair codes is equally likely, so one shuffle of
+the codes orders both sides at once.
 """
 
 from __future__ import annotations
@@ -25,7 +38,6 @@ __all__ = [
     "LinkBudget",
     "DetectorParams",
     "SecurityParams",
-    "EncodedPattern",
     "ConstraintCheck",
     "ValidationReport",
     "PatternError",
@@ -36,8 +48,8 @@ __all__ = [
     "X_V",
     "X_W",
     "validate_params",
+    "class_totals",
     "fair_sampled_classes",
-    "synthesize_pattern",
     "transmissivities",
     "load_params_file",
 ]
@@ -286,33 +298,6 @@ def validate_params(params: ProtocolParams, tolerance: float = 0.02) -> Validati
     return ValidationReport(checks=tuple(checks), tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class EncodedPattern:
-    """One transmitter's fair-sampled slot sequence.
-
-    ``classes`` holds one int8 code per protocol slot (see CLASS_NAMES);
-    ``phases`` the per-slot global phase in [0, 2*pi).  Reference slots are
-    interleaved among protocol slots according to ``duty_cycle`` (1:1 for
-    duty 0.5) and carry no encoding.
-    """
-
-    classes: np.ndarray
-    phases: np.ndarray
-    duty_cycle: float
-    seed: int
-
-    @property
-    def n_protocol_slots(self) -> int:
-        return int(self.classes.size)
-
-    @property
-    def n_total_slots(self) -> int:
-        return int(round(self.n_protocol_slots / self.duty_cycle))
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.classes, minlength=5)
-
-
 def largest_remainder_counts(probs: np.ndarray, n: int) -> np.ndarray:
     """Integer class counts summing to n, deviating < 1 from probs * n.
 
@@ -328,42 +313,80 @@ def largest_remainder_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def fair_sampled_classes(side: SideParams, n_protocol_slots: int,
-                         seed: int) -> np.ndarray:
-    """Exact-count class codes for one side, seeded uniform shuffle.
+def class_totals(side: SideParams, n_slots: int) -> np.ndarray:
+    """Exact per-class slot counts of one side over a run of n_slots.
 
     Raises PatternError when a class with nonzero probability would round
     to zero slots.
     """
-    if n_protocol_slots <= 0:
-        raise PatternError("n_protocol_slots must be positive")
     probs = side.class_probs()
-    counts = largest_remainder_counts(probs, n_protocol_slots)
+    counts = largest_remainder_counts(probs, n_slots)
     starved = (probs > 0.0) & (counts == 0)
     if np.any(starved):
         names = [CLASS_NAMES[i] for i in np.nonzero(starved)[0]]
         raise PatternError(
-            f"{n_protocol_slots} slots cannot represent classes {names} "
+            f"{n_slots} slots cannot represent classes {names} "
             f"with probabilities {probs[starved]}"
         )
-    rng = np.random.default_rng(seed)
-    classes = np.repeat(np.arange(5, dtype=np.int8), counts)
-    rng.shuffle(classes)
-    return classes
+    return counts
 
 
-def synthesize_pattern(side: SideParams, n_protocol_slots: int, seed: int,
-                       duty_cycle: float = 0.5) -> EncodedPattern:
-    """Fair-sample a transmission pattern for one side.
+# numpy's hypergeometric samplers refuse populations of this size or more.
+_HYPERGEOMETRIC_LIMIT = 10**9
 
-    Exact class counts (largest-remainder rounding of probability * n),
-    seeded uniform shuffle, and a uniformly random global phase per slot.
+
+def _subset_counts(colors: np.ndarray, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Class counts of a uniformly random n-subset of a multiset.
+
+    ``colors`` holds the multiset's count per class; the result follows the
+    multivariate hypergeometric law.
     """
-    classes = fair_sampled_classes(side, n_protocol_slots, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_protocol_slots).astype(np.float32)
-    return EncodedPattern(classes=classes, phases=phases,
-                          duty_cycle=duty_cycle, seed=seed)
+    if int(colors.sum()) < _HYPERGEOMETRIC_LIMIT:
+        return rng.multivariate_hypergeometric(colors, n)
+    return _conditioned_binomials(colors, n, rng)
+
+
+def _conditioned_binomials(colors: np.ndarray, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Multivariate hypergeometric draw for populations of any size.
+
+    Independent Bin(colors_i, n/N) counts conditioned on summing to n have
+    exactly the multivariate hypergeometric law.  The condition is met by
+    rejection: about sqrt(2 pi n) trials, drawn in vectorised chunks; the
+    first accepted trial in stream order is the sample.
+    """
+    p = n / int(colors.sum())
+    chunk = 4 * math.isqrt(n) + 64
+    while True:
+        trials = rng.binomial(colors, p, size=(chunk, colors.size))
+        hit = np.flatnonzero(trials.sum(axis=1) == n)
+        if hit.size:
+            return trials[hit[0]]
+
+
+def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
+                         rng: np.random.Generator
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Next n slots of a fair-sampled run, as joint (Alice, Bob) pair codes.
+
+    ``left_a`` / ``left_b`` are the class counts each side has not yet
+    placed (its ``class_totals`` minus the earlier batches' rows / columns).
+    Each side's batch counts are a uniformly random n-subset of what is
+    left; the 5x5 pair table then pairs Alice's batch slots with Bob's by
+    one hypergeometric draw per Alice class, and the codes 5a+b are
+    shuffled within the batch.  Returns the int8 codes and the table
+    (row sums: Alice's batch counts, column sums: Bob's).
+    """
+    count_a = _subset_counts(left_a, n, rng)
+    pool = _subset_counts(left_b, n, rng)
+    table = np.empty((5, 5), dtype=np.int64)
+    for a in range(5):
+        table[a] = rng.multivariate_hypergeometric(pool, count_a[a])
+        pool = pool - table[a]
+    codes = np.repeat(np.arange(25, dtype=np.int8), table.ravel())
+    rng.shuffle(codes)
+    return codes, table
 
 
 def transmissivities(link: LinkBudget, det: DetectorParams) -> dict[str, float]:

@@ -41,11 +41,11 @@ from .model import (
     DetectorParams,
     LinkBudget,
     ProtocolParams,
-    SideParams,
     Z_NOSEND,
     Z_SEND,
     X_U,
     X_V,
+    class_totals,
     fair_sampled_classes,
     transmissivities,
 )
@@ -67,6 +67,15 @@ __all__ = [
 ]
 
 _BATCH_SLOTS = 1 << 20
+
+# Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
+_PAIR_A = np.repeat(np.arange(5), 5)
+_PAIR_B = np.tile(np.arange(5), 5)
+_SN = 5 * Z_SEND + Z_NOSEND
+_NS = 5 * Z_NOSEND + Z_SEND
+_ZZ = (_PAIR_A <= Z_NOSEND) & (_PAIR_B <= Z_NOSEND)
+_ALICE_BIT = (_PAIR_A == Z_SEND).astype(np.uint8)
+_BOB_BIT = (_PAIR_B == Z_NOSEND).astype(np.uint8)
 
 
 class FeedbackDivergence(RuntimeError):
@@ -344,25 +353,31 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     Z-window raw keys and X-window error tallies under the phase-matching
     rule.  Identical seeds give bit-identical outcomes.
 
+    The patterns stream in batches of 2^20 slots: ``fair_sampled_classes``
+    draws each batch's joint (Alice, Bob) pair codes from the class counts
+    not yet placed, which is exactly the law of a whole-run shuffle of each
+    side's exact-count classes (see ``model``), in O(batch) memory.  A
+    starved class raises PatternError before any batch runs.  Each slot
+    draws one uniform global phase difference theta_A - theta_B on
+    [0, 2 pi): only that difference (mod 2 pi) enters the interference and
+    the phase-matching windows, so this is exact in distribution.
+
     The protocol frame absorbs the lock setpoint: the phase entering the
     interference is the trajectory minus the setpoint, so a perfect lock
     means zero effective offset.
     """
     if n_slots < 10_000:
         raise ValueError("run_protocol needs at least 1e4 slots")
-    ss = np.random.SeedSequence(seed)
-    seeds = ss.generate_state(3)
-    classes_a = fair_sampled_classes(params.alice, n_slots, int(seeds[0]))
-    classes_b = fair_sampled_classes(params.bob, n_slots, int(seeds[1]))
-    batch_parent = np.random.SeedSequence(int(seeds[2]))
+    left_a = class_totals(params.alice, n_slots)
+    left_b = class_totals(params.bob, n_slots)
     n_batches = (n_slots + _BATCH_SLOTS - 1) // _BATCH_SLOTS
-    batch_seeds = batch_parent.spawn(n_batches)
+    batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
 
     etas = transmissivities(link, det)
     eta_a, eta_b = etas["eta_a"], etas["eta_b"]
     p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
-    mu_lut_a = params.alice.intensity_of().astype(np.float32)
-    mu_lut_b = params.bob.intensity_of().astype(np.float32)
+    mu_of_a = params.alice.intensity_of().astype(np.float32)[_PAIR_A]
+    mu_of_b = params.bob.intensity_of().astype(np.float32)[_PAIR_B]
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
 
@@ -389,13 +404,14 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         rng_sensor = np.random.default_rng(rngs[2])
         rng_ref = np.random.default_rng(rngs[3])
 
-        ca = classes_a[lo:hi]
-        cb = classes_b[lo:hi]
+        code, table = fair_sampled_classes(left_a, left_b, n, rng_slot)
+        left_a -= table.sum(axis=1)
+        left_b -= table.sum(axis=0)
+        pair_sent += table
         # Interference math runs in float32 (python-float scalars do not
         # promote); click decisions compare float64 uniforms against
         # expm1-based probabilities, which stay accurate at deep loss.
-        theta_a = rng_slot.random(n, dtype=np.float32) * np.float32(2 * np.pi)
-        theta_b = rng_slot.random(n, dtype=np.float32) * np.float32(2 * np.pi)
+        dtheta = rng_slot.random(n, dtype=np.float32) * np.float32(2 * np.pi)
 
         if phase_cfg.regime == "ideal":
             dphi = phase_cfg.residual_sigma * rng_drift.standard_normal(
@@ -411,8 +427,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
         # Single-active-sender Z windows take the Fock path (exact for
         # phase-randomised pulses) and carry single-photon tags.
-        sn = (ca == Z_SEND) & (cb == Z_NOSEND)
-        ns = (ca == Z_NOSEND) & (cb == Z_SEND)
+        sn = code == _SN
+        ns = code == _NS
         click1 = np.zeros(n, dtype=bool)
         click2 = np.zeros(n, dtype=bool)
         tags = np.zeros(n, dtype=bool)
@@ -451,9 +467,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
         coh = np.flatnonzero(coherent)
         if coh.size:
-            delta = theta_a[coh] - theta_b[coh] + dphi[coh]
+            c = code[coh]
             mu_plus, mu_minus = detector_means(
-                mu_lut_a[ca[coh]], mu_lut_b[cb[coh]], delta,
+                mu_of_a[c], mu_of_b[c], dtheta[coh] + dphi[coh],
                 np.float32(eta_a), np.float32(eta_b), det.efficiency,
                 visibility)
             p1 = p_dark + (1.0 - p_dark) * (-np.expm1(-mu_plus))
@@ -473,26 +489,24 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         h1 = click1 & ~click2
         h2 = click2 & ~click1
         heralded = h1 | h2
+        pair_heralded += np.bincount(code[heralded], minlength=25).reshape(5, 5)
 
-        flat = ca.astype(np.int64) * 5 + cb
-        pair_sent += np.bincount(flat, minlength=25).reshape(5, 5)
-        pair_heralded += np.bincount(flat[heralded], minlength=25).reshape(5, 5)
-
-        zz = (ca <= Z_NOSEND) & (cb <= Z_NOSEND) & heralded
+        zz = _ZZ[code] & heralded
         if np.any(zz):
-            alice_key.append((ca[zz] == Z_SEND).astype(np.uint8))
-            bob_key.append((cb[zz] == Z_NOSEND).astype(np.uint8))
+            key_codes = code[zz]
+            alice_key.append(_ALICE_BIT[key_codes])
+            bob_key.append(_BOB_BIT[key_codes])
             key_tags.append(tags[zz])
         tagged["sn_heralded"] += int(np.count_nonzero(tags & sn & heralded))
         tagged["ns_heralded"] += int(np.count_nonzero(tags & ns & heralded))
 
         for x_cls, tally in x_tallies.items():
-            xx = (ca == x_cls) & (cb == x_cls) & heralded
+            xx = (code == 5 * x_cls + x_cls) & heralded
             if not np.any(xx):
                 continue
-            dtheta = np.mod(theta_a[xx] - theta_b[xx], 2.0 * np.pi)
-            near0 = np.minimum(dtheta, 2.0 * np.pi - dtheta) <= window
-            nearpi = np.abs(dtheta - np.pi) <= window
+            dt_xx = dtheta[xx]
+            near0 = np.minimum(dt_xx, 2.0 * np.pi - dt_xx) <= window
+            nearpi = np.abs(dt_xx - np.pi) <= window
             # Detector 1 is the constructive port in the 0-window; matches
             # in the pi-window flip the expected detector.
             errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])

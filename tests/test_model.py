@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfqkd import model
+from tfqkd import model, montecarlo
 from tfqkd.model import (
     DetectorParams,
     LinkBudget,
     PatternError,
     SideParams,
     ProtocolParams,
+    class_totals,
     fair_sampled_classes,
     largest_remainder_counts,
-    synthesize_pattern,
     transmissivities,
     validate_params,
 )
@@ -64,63 +64,179 @@ class TestValidateParams:
         assert r1 == r2
 
 
+RUN_SLOTS = 2 * (1 << 20) + 12_345
+
+
+def stream(side_a, side_b, n_slots, batch, seed):
+    """Codes of consecutive sampler batches over one run, as run_protocol
+    draws them."""
+    left_a = class_totals(side_a, n_slots)
+    left_b = class_totals(side_b, n_slots)
+    rng = np.random.default_rng(seed)
+    codes = []
+    for lo in range(0, n_slots, batch):
+        c, table = fair_sampled_classes(left_a, left_b,
+                                        min(batch, n_slots - lo), rng)
+        left_a -= table.sum(axis=1)
+        left_b -= table.sum(axis=0)
+        codes.append(c)
+    return np.concatenate(codes)
+
+
+def hypergeometric_sd(total, good, drawn):
+    p = drawn / total
+    return np.sqrt(good * p * (1.0 - p) * (total - good) / (total - 1))
+
+
+@pytest.fixture(scope="class")
+def streamed_run(params, field_link, field_detector):
+    """(codes, table) of every batch the sampler handed one run_protocol."""
+    batches = []
+    sampler = montecarlo.fair_sampled_classes
+
+    def recording(left_a, left_b, n, rng):
+        out = sampler(left_a, left_b, n, rng)
+        batches.append(out)
+        return out
+
+    montecarlo.fair_sampled_classes = recording
+    try:
+        montecarlo.run_protocol(params, field_link, field_detector,
+                                montecarlo.PhaseConfig(), RUN_SLOTS, seed=21)
+    finally:
+        montecarlo.fair_sampled_classes = sampler
+    return batches
+
+
 class TestPatternSynthesis:
     def test_exact_proportion_small(self):
         side = SideParams(s=0.3, u=0.3, v=0.05, w=0.0, p_z=1.0,
                           send_prob=0.5, p_u=0.0, p_v=0.0, p_w=0.0)
-        pattern = synthesize_pattern(side, 10, seed=0)
-        counts = pattern.class_counts()
-        assert counts[model.Z_SEND] == 5
-        assert counts[model.Z_NOSEND] == 5
-        assert counts[2:].sum() == 0
+        totals = class_totals(side, 10)
+        assert totals.tolist() == [5, 5, 0, 0, 0]
+        codes = stream(side, side, 10, 4, seed=0)
+        assert np.array_equal(np.bincount(codes // 5, minlength=5), totals)
+        assert np.array_equal(np.bincount(codes % 5, minlength=5), totals)
 
     def test_same_seed_identical(self, params):
-        p1 = synthesize_pattern(params.alice, 1000, seed=9)
-        p2 = synthesize_pattern(params.alice, 1000, seed=9)
-        assert np.array_equal(p1.classes, p2.classes)
-        assert np.array_equal(p1.phases, p2.phases)
+        c1 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
+        c2 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
+        assert c1.dtype == np.int8
+        assert np.array_equal(c1, c2)
 
     def test_different_seed_same_counts_different_order(self, params):
-        p1 = synthesize_pattern(params.alice, 5000, seed=1)
-        p2 = synthesize_pattern(params.alice, 5000, seed=2)
-        assert np.array_equal(p1.class_counts(), p2.class_counts())
-        assert not np.array_equal(p1.classes, p2.classes)
+        c1 = stream(params.alice, params.bob, 5000, 2048, seed=1)
+        c2 = stream(params.alice, params.bob, 5000, 2048, seed=2)
+        for side in (lambda c: c // 5, lambda c: c % 5):
+            assert np.array_equal(np.bincount(side(c1), minlength=5),
+                                  np.bincount(side(c2), minlength=5))
+        assert not np.array_equal(c1, c2)
 
     def test_histogram_matches_probabilities_at_1e6(self, params):
         n = 1_000_000
-        pattern = synthesize_pattern(params.alice, n, seed=3)
         target = params.alice.class_probs() * n
-        deviation = np.abs(pattern.class_counts() - target)
+        deviation = np.abs(class_totals(params.alice, n) - target)
         assert deviation.max() < 1.0
 
-    def test_rounding_infeasibility(self, params):
+    def test_rounding_infeasibility(self, params, field_link, field_detector,
+                                    monkeypatch):
+        starved = dataclasses.replace(params.alice, p_v=0.999999, p_w=1e-6)
         with pytest.raises(PatternError):
-            fair_sampled_classes(params.alice, 10, seed=0)
+            class_totals(starved, 10_000)
 
-    def test_duty_cycle_interleave(self, params):
-        pattern = synthesize_pattern(params.alice, 1000, seed=0,
-                                     duty_cycle=0.5)
-        assert pattern.n_total_slots == 2000
+        def no_batch(*args):
+            raise AssertionError("a batch ran before the class check")
 
-    def test_phases_in_range(self, params):
-        pattern = synthesize_pattern(params.alice, 1000, seed=0)
-        assert np.all(pattern.phases >= 0.0)
-        assert np.all(pattern.phases < 2.0 * np.pi)
+        monkeypatch.setattr(montecarlo, "fair_sampled_classes", no_batch)
+        with pytest.raises(PatternError):
+            montecarlo.run_protocol(
+                dataclasses.replace(params, alice=starved), field_link,
+                field_detector, montecarlo.PhaseConfig(), 10_000, seed=0)
 
     @given(st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=0, max_value=2**31))
     def test_counts_permutation_invariant_across_seeds(self, s1, s2):
         side = SideParams(s=0.3, u=0.3, v=0.05, w=0.0002, p_z=0.8,
                           send_prob=0.3, p_u=0.1, p_v=0.7, p_w=0.2)
-        c1 = np.bincount(fair_sampled_classes(side, 500, s1), minlength=5)
-        c2 = np.bincount(fair_sampled_classes(side, 500, s2), minlength=5)
-        assert np.array_equal(c1, c2)
+        c1 = np.bincount(stream(side, side, 500, 128, s1), minlength=25)
+        c2 = np.bincount(stream(side, side, 500, 128, s2), minlength=25)
+        totals = class_totals(side, 500)
+        for c in (c1, c2):
+            table = c.reshape(5, 5)
+            assert np.array_equal(table.sum(axis=1), totals)
+            assert np.array_equal(table.sum(axis=0), totals)
 
     def test_largest_remainder_sums(self):
         probs = np.array([0.21, 0.33, 0.46])
         counts = largest_remainder_counts(probs, 97)
         assert counts.sum() == 97
         assert np.all(np.abs(counts - probs * 97) < 1.0)
+
+    def test_run_tables_sum_to_exact_totals(self, params, streamed_run):
+        assert [c.size for c, _ in streamed_run] == [1 << 20, 1 << 20, 12_345]
+        table = sum(t for _, t in streamed_run)
+        assert np.array_equal(table.sum(axis=1),
+                              class_totals(params.alice, RUN_SLOTS))
+        assert np.array_equal(table.sum(axis=0),
+                              class_totals(params.bob, RUN_SLOTS))
+
+    def test_batch_codes_match_table(self, streamed_run):
+        for codes, table in streamed_run:
+            assert codes.dtype == np.int8
+            assert np.array_equal(np.bincount(codes, minlength=25),
+                                  table.ravel())
+
+    def test_slot_position_independent_of_class(self, params, streamed_run):
+        # Eight segments straddling the batch boundaries: each class's
+        # count in a segment is hypergeometric under a uniform arrangement.
+        codes = np.concatenate([c for c, _ in streamed_run])
+        for side, of in ((params.alice, codes // 5), (params.bob, codes % 5)):
+            totals = class_totals(side, RUN_SLOTS)
+            for seg in np.array_split(of, 8):
+                counts = np.bincount(seg, minlength=5)
+                mean = totals * seg.size / RUN_SLOTS
+                sd = hypergeometric_sd(RUN_SLOTS, totals, seg.size)
+                assert np.all(np.abs(counts - mean) <= 5.0 * sd + 1.0)
+
+    def test_pair_table_matches_independent_sides(self, params,
+                                                  streamed_run):
+        # Under independent uniform arrangements the (a, b) count is
+        # hypergeometric: Bob's class-b slots among Alice's class-a slots.
+        table = sum(t for _, t in streamed_run)
+        ta = class_totals(params.alice, RUN_SLOTS)[:, None]
+        tb = class_totals(params.bob, RUN_SLOTS)[None, :]
+        mean = ta * tb / RUN_SLOTS
+        sd = hypergeometric_sd(RUN_SLOTS, ta, tb)
+        assert np.all(np.abs(table - mean) <= 5.0 * sd + 1.0)
+
+    @pytest.mark.parametrize("n_left", [10**9, 13_700_000_000_000])
+    def test_batch_from_large_totals(self, params, n_left):
+        left_a = class_totals(params.alice, n_left)
+        left_b = class_totals(params.bob, n_left)
+        n = 1 << 20
+        codes, table = fair_sampled_classes(left_a, left_b, n,
+                                            np.random.default_rng(5))
+        assert codes.size == n
+        assert table.sum() == n
+        assert np.all(table.sum(axis=1) <= left_a)
+        assert np.all(table.sum(axis=0) <= left_b)
+        assert np.array_equal(np.bincount(codes, minlength=25), table.ravel())
+
+    def test_conditioned_binomials_match_hypergeometric(self):
+        colors = np.array([600, 250, 100, 40, 10])
+        total, n, draws = colors.sum(), 200, 4000
+        rng = np.random.default_rng(11)
+        mean = n * colors / total
+        var = hypergeometric_sd(total, colors, n) ** 2
+        for sample in (
+            np.array([model._conditioned_binomials(colors, n, rng)
+                      for _ in range(draws)]),
+            rng.multivariate_hypergeometric(colors, n, size=draws),
+        ):
+            assert np.all(sample.sum(axis=1) == n)
+            assert np.all(np.abs(sample.mean(axis=0) - mean)
+                          <= 5.0 * np.sqrt(var / draws))
+            assert np.allclose(sample.var(axis=0), var, rtol=0.15)
 
 
 class TestTransmissivities:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ class TestRunProtocol:
         assert np.array_equal(a.phase_trace.delta_phi_rad,
                               b.phase_trace.delta_phi_rad)
 
+    def test_peak_memory_flat_in_run_length(self, params, field_link,
+                                            field_detector):
+        # The patterns stream per batch, so a 4x longer run peaks within
+        # 1 MB of the shorter one (the phase trace keeps ~4096 points).
+        peaks = []
+        for n_slots in (2 << 20, 8 << 20):
+            tracemalloc.start()
+            try:
+                run_protocol(params, field_link, field_detector,
+                             PhaseConfig(), n_slots, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1_000_000
+
     def test_different_seed_differs(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal")
         a = run_protocol(params, quick_link, quick_det, cfg, 50_000, seed=1)
@@ -246,15 +262,18 @@ class TestRunProtocol:
         assert out.qber_xvv < 0.03
 
     def test_free_drift_degrades_x_basis(self, params, quick_det):
+        # At 2e5 slots only ~8 XXvv events per run are phase-matched and
+        # the ordering depended on the seed; 2e6 slots give ten times more.
         link = LinkBudget(1, 1, 3.0, 3.0)
-        locked = run_protocol(params, link, quick_det,
-                              PhaseConfig(regime="ideal",
-                                          residual_sigma=0.0),
-                              200_000, seed=3, visibility=1.0)
-        free = run_protocol(params, link, quick_det,
-                            PhaseConfig(regime="free"),
-                            200_000, seed=3, visibility=1.0)
-        assert free.qber_xvv > locked.qber_xvv
+        for seed in (3, 4, 5):
+            locked = run_protocol(params, link, quick_det,
+                                  PhaseConfig(regime="ideal",
+                                              residual_sigma=0.0),
+                                  2_000_000, seed=seed, visibility=1.0)
+            free = run_protocol(params, link, quick_det,
+                                PhaseConfig(regime="free"),
+                                2_000_000, seed=seed, visibility=1.0)
+            assert free.qber_xvv > locked.qber_xvv, seed
 
     def test_ground_truth_fields(self, params, quick_link, quick_det):
         out = run_protocol(params, quick_link, quick_det, PhaseConfig(),
