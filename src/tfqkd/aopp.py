@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finitestats import binary_entropy  # noqa: F401  (re-exported for pipelines)
-
 __all__ = [
     "RawKeyPair",
     "AoppOutput",

@@ -50,6 +50,14 @@ def _load_bundle(path: str) -> dict:
         raise SchemaError(f"parameter file {path}: {exc}") from exc
 
 
+def _require_positive(args, *flags: str):
+    """Reject a flag whose value is not a positive number."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not value > 0:
+            raise SchemaError(f"{flag} must be positive, got {value}")
+
+
 def _parse_sweep(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -108,6 +116,7 @@ def cmd_simulate(args) -> int:
     det = bundle["detector"]
     if det is None:
         raise SchemaError("simulate needs detector keys in the parameter file")
+    _require_positive(args, "--n-tot", "--attenuation")
     sweep = _parse_sweep(args.sweep_db)
     rows = keyrate.skr_vs_distance(
         sweep, bundle["protocol"], det, bundle["security"],
@@ -141,16 +150,19 @@ def cmd_montecarlo(args) -> int:
     if det is None or link is None:
         raise SchemaError("montecarlo needs link and detector keys in the "
                           "parameter file")
+    if args.slots < montecarlo.MIN_SLOTS:
+        raise SchemaError(f"--slots must be at least {montecarlo.MIN_SLOTS}, "
+                          f"got {args.slots}")
     if args.loss_db is not None:
-        half = args.loss_db / 2.0
-        link = model.LinkBudget(length_ac_km=0.0, length_bc_km=0.0,
-                                loss_ac_db=half, loss_bc_db=half)
-    cfg = montecarlo.PhaseConfig(regime=args.regime)
+        link = keyrate.split_loss_link(args.loss_db, bundle["protocol"])
+    cfg = montecarlo.PhaseConfig(
+        regime=args.regime,
+        residual_sigma=bundle["extras"]["misalignment_sigma_rad"])
     outcome = montecarlo.run_protocol(
         bundle["protocol"], link, det, cfg, n_slots=args.slots,
         seed=args.seed, visibility=bundle["extras"]["visibility"])
     out = Path(args.out) if args.out else Path("simoutcome.json")
-    out.write_text(json.dumps(outcome.to_counts_dict(), indent=2))
+    out.write_text(json.dumps(outcome.counts.to_counts_dict(), indent=2))
     np.savez_compressed(
         out.with_suffix(".keys.npz"),
         alice=np.packbits(outcome.raw_keys.alice_bits),
@@ -163,8 +175,8 @@ def cmd_montecarlo(args) -> int:
         "out": str(out),
         "n_slots": outcome.n_slots,
         "qber_z": outcome.qber_z,
-        "qber_xuu": outcome.qber_xuu,
-        "qber_xvv": outcome.qber_xvv,
+        "qber_xuu": outcome.counts.qber_xuu,
+        "qber_xvv": outcome.counts.qber_xvv,
         "raw_key_bits": outcome.raw_keys.length,
     }, indent=2))
     return EXIT_OK
@@ -178,6 +190,7 @@ def _write_trace_csv(trace: montecarlo.PhaseTrace, path: Path):
 
 
 def cmd_phasestab(args) -> int:
+    _require_positive(args, "--steps", "--dt")
     cfg = montecarlo.PhaseConfig(regime=args.regime)
     trace = montecarlo.simulate_phase_trace(cfg, n_steps=args.steps,
                                             dt=args.dt, seed=args.seed)
@@ -238,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--loss-db", type=float, default=None,
-                    help="override the link with a symmetric total loss")
+                    help="override the link with this total loss, split "
+                         "over the arms as in simulate")
     sp.add_argument("--regime", default="ideal",
                     choices=("free", "coarse", "full", "ideal"))
     sp.set_defaults(func=cmd_montecarlo)

@@ -14,10 +14,19 @@ import math
 from dataclasses import dataclass
 
 from .finitestats import BoundedValue, bound_expected, bounded_rate
-from .model import ProtocolParams, SecurityParams, SideParams
+from .model import (
+    X_U,
+    X_V,
+    X_W,
+    Z_NOSEND,
+    Z_SEND,
+    ProtocolParams,
+    SecurityParams,
+)
 
 __all__ = [
     "CATEGORIES",
+    "CATEGORY_CLASSES",
     "DecoyCounts",
     "DecoyEstimates",
     "EstimationError",
@@ -31,37 +40,30 @@ __all__ = [
     "estimate",
 ]
 
-_SIDE_CLASSES = {"Z": ("s", "n"), "X": ("u", "v", "w")}
+_SIDE_CLASSES = {"Z": (("s", Z_SEND), ("n", Z_NOSEND)),
+                 "X": (("u", X_U), ("v", X_V), ("w", X_W))}
 
-CATEGORIES: tuple[str, ...] = tuple(
-    ba + bb + ta + tb
+# Each category's (Alice, Bob) slot class codes, in category order.
+CATEGORY_CLASSES: dict[str, tuple[int, int]] = {
+    ba + bb + ta + tb: (ia, ib)
     for ba in ("Z", "X")
     for bb in ("Z", "X")
-    for ta in _SIDE_CLASSES[ba]
-    for tb in _SIDE_CLASSES[bb]
-)
+    for ta, ia in _SIDE_CLASSES[ba]
+    for tb, ib in _SIDE_CLASSES[bb]
+}
+CATEGORIES: tuple[str, ...] = tuple(CATEGORY_CLASSES)
 
 
 class EstimationError(RuntimeError):
     """Raised when the decoy bounds cannot support a key-rate estimate."""
 
 
-def _side_class_prob(side: SideParams, basis: str, kind: str) -> float:
-    if basis == "Z":
-        return side.p_z * (side.send_prob if kind == "s" else 1.0 - side.send_prob)
-    p_x = 1.0 - side.p_z
-    return p_x * {"u": side.p_u, "v": side.p_v, "w": side.p_w}[kind]
-
-
-def category_probability(params: ProtocolParams, key: str) -> float:
-    """Probability that one pulse pair falls in the given category."""
-    ba, bb, ta, tb = key[0], key[1], key[2], key[3]
-    return _side_class_prob(params.alice, ba, ta) * _side_class_prob(params.bob, bb, tb)
-
-
 def sent_counts(params: ProtocolParams, n_tot: float) -> dict[str, float]:
     """Expected pulse-pair counts per category under fair sampling."""
-    return {k: category_probability(params, k) * n_tot for k in CATEGORIES}
+    pa = params.alice.class_probs().tolist()
+    pb = params.bob.class_probs().tolist()
+    return {k: pa[ia] * pb[ib] * n_tot
+            for k, (ia, ib) in CATEGORY_CLASSES.items()}
 
 
 @dataclass(frozen=True)

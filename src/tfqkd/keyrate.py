@@ -24,6 +24,7 @@ from .model import (
     SecurityParams,
     transmissivities,
 )
+from .montecarlo import click_probs
 
 __all__ = [
     "KeyRateReport",
@@ -31,6 +32,8 @@ __all__ = [
     "secret_key_rate",
     "analyze_counts",
     "expected_rates_model",
+    "balanced_arm_delta_db",
+    "split_loss_link",
     "skr_vs_distance",
 ]
 
@@ -160,21 +163,6 @@ def analyze_counts(counts: decoy.DecoyCounts, params: ProtocolParams,
 # Analytic forward model
 # ---------------------------------------------------------------------------
 
-def _click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
-    """Threshold click probabilities of the two output detectors.
-
-    Same interference primitive as the Monte Carlo sampler: detector means
-    from ``montecarlo.detector_means`` and p = 1 - (1 - p_dark) exp(-mu).
-    """
-    from .montecarlo import detector_means
-
-    mu_plus, mu_minus = detector_means(mu_a, mu_b, delta, eta_a, eta_b,
-                                       det_eff, visibility)
-    p1 = 1.0 - (1.0 - p_dark) * np.exp(-mu_plus)
-    p2 = 1.0 - (1.0 - p_dark) * np.exp(-mu_minus)
-    return p1, p2
-
-
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 _HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(21)
 _HERMITE_WEIGHTS = _HERMITE_WEIGHTS / np.sqrt(2.0 * np.pi)
@@ -182,15 +170,15 @@ _HERMITE_WEIGHTS = _HERMITE_WEIGHTS / np.sqrt(2.0 * np.pi)
 
 def _heralded_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
     """Phase-averaged probability of exactly one detector clicking."""
-    p1, p2 = _click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b,
-                          det_eff, p_dark, visibility)
+    p1, p2 = click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b,
+                         det_eff, p_dark, visibility)
     return float(np.mean(p1 * (1.0 - p2) + p2 * (1.0 - p1)))
 
 
 def _single_click_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
     """Phase-averaged click probability of one detector (both are equal)."""
-    p1, _ = _click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b,
-                         det_eff, p_dark, visibility)
+    p1, _ = click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b,
+                        det_eff, p_dark, visibility)
     return float(np.mean(p1))
 
 
@@ -210,8 +198,8 @@ def _windowed_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
     else:
         delta = theta[:, None]
         weights = np.ones((1, 1))
-    p1, p2 = _click_probs(mu_a, mu_b, delta, eta_a, eta_b,
-                          det_eff, p_dark, visibility)
+    p1, p2 = click_probs(mu_a, mu_b, delta, eta_a, eta_b,
+                         det_eff, p_dark, visibility)
     wrong = np.sum(p2 * (1.0 - p1) * weights, axis=1)
     either = np.sum((p1 * (1.0 - p2) + p2 * (1.0 - p1)) * weights, axis=1)
     num = np.trapezoid(wrong, theta)
@@ -238,17 +226,16 @@ def expected_rates_model(params: ProtocolParams, link: LinkBudget,
     p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()
     mu_b = params.bob.intensity_of()
-    class_index = {"s": 0, "n": 1, "u": 2, "v": 3, "w": 4}
+    pa = params.alice.class_probs().tolist()
+    pb = params.bob.class_probs().tolist()
 
     heralded = {}
     click_rate = 0.0
-    for key in decoy.CATEGORIES:
-        ia = class_index[key[2]]
-        ib = class_index[key[3]]
+    for key, (ia, ib) in decoy.CATEGORY_CLASSES.items():
         args = (mu_a[ia], mu_b[ib], eta_a, eta_b, det.efficiency, p_dark,
                 visibility)
         heralded[key] = _heralded_mean(*args)
-        click_rate += decoy.category_probability(params, key) * _single_click_mean(*args)
+        click_rate += pa[ia] * pb[ib] * _single_click_mean(*args)
 
     deadtime_slots = det.deadtime_s * params.protocol_rate_hz
     retention = 1.0 / (1.0 + click_rate * deadtime_slots)
@@ -277,6 +264,30 @@ def balanced_arm_delta_db(params: ProtocolParams) -> float:
     return 10.0 * math.log10(params.alice.v / params.bob.v)
 
 
+def split_loss_link(loss_db: float, params: ProtocolParams,
+                    arm_delta_db: float | None = None,
+                    attenuation_db_per_km: float = 0.22) -> LinkBudget:
+    """Link with a total loss of ``loss_db`` split over the two arms.
+
+    The A arm carries ``arm_delta_db`` more loss than the B arm (by
+    default the flux-balancing value of ``balanced_arm_delta_db``); when
+    the difference exceeds the total, all of the loss sits on the A arm.
+    Arm lengths follow from ``attenuation_db_per_km``.
+    """
+    if arm_delta_db is None:
+        arm_delta_db = balanced_arm_delta_db(params)
+    loss_a = max((loss_db + arm_delta_db) / 2.0, 0.0)
+    loss_b = loss_db - loss_a
+    if loss_b < 0:
+        loss_a, loss_b = loss_db, 0.0
+    return LinkBudget(
+        length_ac_km=loss_a / attenuation_db_per_km,
+        length_bc_km=loss_b / attenuation_db_per_km,
+        loss_ac_db=loss_a, loss_bc_db=loss_b,
+        attenuation_coeff_db_per_km=attenuation_db_per_km,
+    )
+
+
 def skr_vs_distance(sweep_loss_db, params: ProtocolParams,
                     det: DetectorParams, sec: SecurityParams,
                     n_tot: float = 1.36581e13,
@@ -286,34 +297,22 @@ def skr_vs_distance(sweep_loss_db, params: ProtocolParams,
                     attenuation_db_per_km: float = 0.22) -> list[dict]:
     """Key rate across a sweep of total channel losses.
 
-    Each point runs expected_rates_model and the full analysis pipeline.
-    ``arm_delta_db`` is the extra loss on the A arm (loss_a - loss_b);
-    by default the flux-balancing value for the given intensities.  Rows
-    with zero rate are retained.
+    Each point runs expected_rates_model and the full analysis pipeline
+    on the ``split_loss_link`` of its loss.  Rows with zero rate are
+    retained.
     """
     if len(sweep_loss_db) == 0:
         raise ValueError("sweep must contain at least one loss value")
-    if arm_delta_db is None:
-        arm_delta_db = balanced_arm_delta_db(params)
     rows = []
     for loss_db in sweep_loss_db:
-        loss_a = max((loss_db + arm_delta_db) / 2.0, 0.0)
-        loss_b = loss_db - loss_a
-        if loss_b < 0:
-            loss_a, loss_b = loss_db, 0.0
-        length_km = loss_db / attenuation_db_per_km
-        link = LinkBudget(
-            length_ac_km=loss_a / attenuation_db_per_km,
-            length_bc_km=loss_b / attenuation_db_per_km,
-            loss_ac_db=loss_a, loss_bc_db=loss_b,
-            attenuation_coeff_db_per_km=attenuation_db_per_km,
-        )
+        link = split_loss_link(loss_db, params, arm_delta_db,
+                               attenuation_db_per_km)
         counts = expected_rates_model(params, link, det, visibility,
                                       misalignment_sigma_rad, n_tot)
         report = analyze_counts(counts, params, sec)
         rows.append({
             "loss_db": float(loss_db),
-            "length_km": float(length_km),
+            "length_km": float(loss_db / attenuation_db_per_km),
             "skr_bit_per_pulse": report.r_per_signal,
             "skr_bit_per_s": report.bits_per_second,
         })

@@ -410,7 +410,8 @@ def transmissivities(link: LinkBudget, det: DetectorParams) -> dict[str, float]:
 # Parameter file I/O.  The JSON object is flat; protocol keys follow the
 # conventional table naming (s_A, u_A, ..., p_z_A, eps_A, p_u_A, ...,
 # phase_slices_M, clock_rate_hz, duty_cycle).  Optional link / detector /
-# security keys ride along in the same object; see README for the schema.
+# security keys ride along in the same object; _PROTOCOL_KEYS lists the
+# required keys and the *_from_dict readers below the optional ones.
 # ---------------------------------------------------------------------------
 
 _PROTOCOL_KEYS = [

@@ -30,13 +30,13 @@ concentrate in both-sent / neither-sent detections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .aopp import RawKeyPair
-from .decoy import CATEGORIES, DecoyCounts
+from .decoy import CATEGORY_CLASSES, DecoyCounts
 from .model import (
     DetectorParams,
     LinkBudget,
@@ -52,20 +52,19 @@ from .model import (
 
 __all__ = [
     "PhaseConfig",
-    "PhaseState",
     "PhaseTrace",
     "SimOutcome",
     "FeedbackDivergence",
-    "interfere",
+    "MIN_SLOTS",
     "detector_means",
-    "phase_drift_step",
-    "coarse_feedback",
+    "click_probs",
     "fine_feedback",
     "filter_deadtime",
     "simulate_phase_trace",
     "run_protocol",
 ]
 
+MIN_SLOTS = 10_000
 _BATCH_SLOTS = 1 << 20
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
@@ -119,54 +118,19 @@ class PhaseConfig:
             )
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Instantaneous channel phase offset and controller settings."""
-
-    delta_phi: float
-    sigma_drift: float
-    coarse_gain: float = 0.05
-    fine_gain: float = 0.5
-    residual_sigma: float = 0.0
-
-    def wrapped(self) -> float:
-        return float(np.angle(np.exp(1j * self.delta_phi)))
-
-
-def phase_drift_step(state: PhaseState, dt: float,
-                     rng: np.random.Generator) -> PhaseState:
-    """One Gaussian random-walk increment: delta_phi += N(0, sigma*sqrt(dt))."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    step = state.sigma_drift * math.sqrt(dt) * rng.standard_normal()
-    return replace(state, delta_phi=state.delta_phi + step)
-
-
-def coarse_feedback(state: PhaseState, interference_sample: float) -> float:
-    """Proportional correction from the support-wavelength error signal.
-
-    The sample is the measured interference error (~ sin of the residual
-    support phase); the returned value is added to the running phase
-    correction applied by the modulator.
-    """
-    return -state.coarse_gain * interference_sample
-
-
-def fine_feedback(state: PhaseState, reference_window_counts,
-                  setpoint: float = math.pi / 2.0) -> float:
-    """Integral correction from time-averaged reference-pulse counts.
+def fine_feedback(counts, gain: float, setpoint: float) -> float:
+    """Integral correction from one block's reference-pulse counts (n1, n2).
 
     The count imbalance y = (n1 - n2)/(n1 + n2) ~= V cos(delta_phi)
     estimates the phase; the estimate is unbiased at quadrature, which is
-    why the default lock point is pi/2.
+    why the default lock point is pi/2.  An empty block corrects nothing.
     """
-    n1, n2 = reference_window_counts
+    n1, n2 = counts
     total = n1 + n2
     if total <= 0:
         return 0.0
     y = float(np.clip((n1 - n2) / total, -1.0, 1.0))
-    estimated = math.acos(y)
-    return -state.fine_gain * (estimated - setpoint)
+    return -gain * (math.acos(y) - setpoint)
 
 
 def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
@@ -182,23 +146,18 @@ def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
     return mu_plus, mu_minus
 
 
-def interfere(mu_a, mu_b, theta_a, theta_b, delta_phi, etas: dict,
-              det: DetectorParams, visibility: float,
-              clock_rate_hz: float = 1.0e9):
-    """Click probabilities of the two detectors for one (or many) slots.
+def click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
+    """Threshold click probabilities of the two interferometer outputs.
 
-    Accepts scalars or broadcastable arrays; ``etas`` carries the arm
-    transmissivities under keys eta_a / eta_b.  Energy conservation holds:
-    mu_plus + mu_minus = eff * (eta_a mu_a + eta_b mu_b).
+    p = 1 - (1 - p_dark) exp(-mu) per output, written with expm1 so that it
+    keeps full relative precision when mu is tiny (deep loss, float32).
+    The one click model of the package: the Monte Carlo sampler and the
+    analytic forward model both call it.
     """
-    delta = np.asarray(theta_a) - np.asarray(theta_b) + np.asarray(delta_phi)
-    mu_plus, mu_minus = detector_means(mu_a, mu_b, delta, etas["eta_a"],
-                                       etas["eta_b"], det.efficiency,
-                                       visibility)
-    p_dark = det.dark_prob_per_gate(clock_rate_hz)
-    p1 = 1.0 - (1.0 - p_dark) * np.exp(-mu_plus)
-    p2 = 1.0 - (1.0 - p_dark) * np.exp(-mu_minus)
-    return p1, p2
+    mu_plus, mu_minus = detector_means(mu_a, mu_b, delta, eta_a, eta_b,
+                                       det_eff, visibility)
+    return (p_dark - (1.0 - p_dark) * np.expm1(-mu_plus),
+            p_dark - (1.0 - p_dark) * np.expm1(-mu_minus))
 
 
 def filter_deadtime(times: np.ndarray, deadtime_s: float,
@@ -232,9 +191,9 @@ def _phase_trajectory(cfg: PhaseConfig, n: int, dt: float,
                       carry: dict) -> np.ndarray:
     """Evolve the channel phase over n steps (free drift or coarse loop).
 
-    ``carry`` holds {"x": residual support phase, "d": differential phase,
-    "c_f": accumulated fine correction} and is updated so consecutive
-    batches stitch into one continuous trajectory.
+    ``carry`` holds {"x": residual support phase, "d": differential phase}
+    and is updated so consecutive batches stitch into one continuous
+    trajectory.  The fine correction is added by ``_apply_fine_blocks``.
     """
     sq = math.sqrt(dt)
     w_c = (cfg.sigma_drift * sq) * rng_drift.standard_normal(n)
@@ -253,16 +212,18 @@ def _phase_trajectory(cfg: PhaseConfig, n: int, dt: float,
     carry["x"] = float(x[-1])
     d = carry["d"] + np.cumsum(w_d)
     carry["d"] = float(d[-1])
-    return x + d + carry["c_f"]
+    return x + d
 
 
 def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray, dt: float,
                        rng_ref: np.random.Generator, carry: dict,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
-    """Fine feedback: per-block reference-count estimate, integral update."""
+    """Fine feedback: per-block reference-count estimate, integral update.
+
+    Each block is shifted by the accumulated correction ``carry["c_f"]``,
+    which the block's estimate then updates for the next block.
+    """
     block = max(1, int(round(cfg.fine_block_s / dt)))
-    state = PhaseState(delta_phi=0.0, sigma_drift=cfg.sigma_drift,
-                       coarse_gain=cfg.coarse_gain, fine_gain=cfg.fine_gain)
     out = np.empty_like(phases)
     for lo in range(0, phases.size, block):
         hi = min(lo + block, phases.size)
@@ -272,7 +233,7 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray, dt: float,
         n_ref = (hi - lo) * ref_flux_per_slot / 2.0
         n1 = rng_ref.poisson(max(n_ref * (1.0 + visibility * math.cos(mid)), 0.0))
         n2 = rng_ref.poisson(max(n_ref * (1.0 - visibility * math.cos(mid)), 0.0))
-        carry["c_f"] += fine_feedback(state, (n1, n2), cfg.setpoint)
+        carry["c_f"] += fine_feedback((n1, n2), cfg.fine_gain, cfg.setpoint)
         if abs(carry["c_f"]) > 1e6:
             raise FeedbackDivergence("fine loop diverged")
     return out
@@ -312,8 +273,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     carry = {"x": 0.0, "d": cfg.setpoint + cfg.initial_offset, "c_f": 0.0}
     phases = _phase_trajectory(cfg, n_steps, dt, s_drift, s_sensor, carry)
     if cfg.regime == "full":
-        phases = _apply_fine_blocks(cfg, phases - carry["c_f"], dt, s_ref,
-                                    carry, cfg.ref_intensity, visibility=0.99)
+        phases = _apply_fine_blocks(cfg, phases, dt, s_ref, carry,
+                                    cfg.ref_intensity, visibility=0.99)
     return PhaseTrace(times_s=times, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
 
@@ -328,23 +289,16 @@ class SimOutcome:
 
     counts: DecoyCounts
     qber_z: float
-    qber_xuu: float
-    qber_xvv: float
     raw_keys: RawKeyPair
     phase_trace: PhaseTrace
     seed: int
     n_slots: int
     ground_truth: dict = field(default_factory=dict)
-    retained_click_times: tuple | None = None
-
-    def to_counts_dict(self) -> dict:
-        return self.counts.to_counts_dict()
 
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                  phase_cfg: PhaseConfig, n_slots: int, seed: int,
-                 visibility: float = 0.97,
-                 keep_click_times: bool = False) -> SimOutcome:
+                 visibility: float = 0.97) -> SimOutcome:
     """Simulate ``n_slots`` protocol pulse pairs end to end.
 
     Per slot: draw both users' classes from fair-sampled patterns, evolve
@@ -366,8 +320,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     interference is the trajectory minus the setpoint, so a perfect lock
     means zero effective offset.
     """
-    if n_slots < 10_000:
-        raise ValueError("run_protocol needs at least 1e4 slots")
+    if n_slots < MIN_SLOTS:
+        raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
     left_a = class_totals(params.alice, n_slots)
     left_b = class_totals(params.bob, n_slots)
     n_batches = (n_slots + _BATCH_SLOTS - 1) // _BATCH_SLOTS
@@ -389,7 +343,6 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     phase_carry = {"x": 0.0, "d": phase_cfg.setpoint + phase_cfg.initial_offset,
                    "c_f": 0.0}
     last_retained = [-np.inf, -np.inf]
-    retained_times: list[list[np.ndarray]] = [[], []]
     trace_t, trace_phi = [], []
     trace_stride = max(1, n_slots // 4096)
     ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
@@ -420,9 +373,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             dphi = _phase_trajectory(phase_cfg, n, slot_dt, rng_drift,
                                      rng_sensor, phase_carry)
             if phase_cfg.regime == "full":
-                dphi = _apply_fine_blocks(
-                    phase_cfg, dphi - phase_carry["c_f"], slot_dt, rng_ref,
-                    phase_carry, ref_flux, visibility)
+                dphi = _apply_fine_blocks(phase_cfg, dphi, slot_dt, rng_ref,
+                                          phase_carry, ref_flux, visibility)
             dphi = (dphi - phase_cfg.setpoint).astype(np.float32)
 
         # Single-active-sender Z windows take the Fock path (exact for
@@ -468,23 +420,19 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         coh = np.flatnonzero(coherent)
         if coh.size:
             c = code[coh]
-            mu_plus, mu_minus = detector_means(
-                mu_of_a[c], mu_of_b[c], dtheta[coh] + dphi[coh],
-                np.float32(eta_a), np.float32(eta_b), det.efficiency,
-                visibility)
-            p1 = p_dark + (1.0 - p_dark) * (-np.expm1(-mu_plus))
-            p2 = p_dark + (1.0 - p_dark) * (-np.expm1(-mu_minus))
+            p1, p2 = click_probs(mu_of_a[c], mu_of_b[c],
+                                 dtheta[coh] + dphi[coh], np.float32(eta_a),
+                                 np.float32(eta_b), det.efficiency, p_dark,
+                                 visibility)
             click1[coh] = rng_slot.random(coh.size) < p1
             click2[coh] = rng_slot.random(coh.size) < p2
-        if det.deadtime_s > 0 or keep_click_times:
+        if det.deadtime_s > 0:
             for det_idx, clicks in enumerate((click1, click2)):
                 hit = np.flatnonzero(clicks)
-                times = (lo + hit) * slot_dt
                 keep, last_retained[det_idx] = filter_deadtime(
-                    times, det.deadtime_s, last_retained[det_idx])
+                    (lo + hit) * slot_dt, det.deadtime_s,
+                    last_retained[det_idx])
                 clicks[hit[~keep]] = False
-                if keep_click_times:
-                    retained_times[det_idx].append(times[keep])
 
         h1 = click1 & ~click2
         h2 = click2 & ~click1
@@ -517,20 +465,15 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         trace_t.append((lo + sub) * slot_dt)
         trace_phi.append(dphi[sub])
 
-    class_code = {"s": 0, "n": 1, "u": 2, "v": 3, "w": 4}
-    detected, sent = {}, {}
-    for key in CATEGORIES:
-        ia, ib = class_code[key[2]], class_code[key[3]]
-        detected[key] = float(pair_heralded[ia, ib])
-        sent[key] = float(pair_sent[ia, ib])
+    detected = {k: float(pair_heralded[c]) for k, c in CATEGORY_CLASSES.items()}
+    sent = {k: float(pair_sent[c]) for k, c in CATEGORY_CLASSES.items()}
 
     def _rate(tally):
         return tally[1] / tally[0] if tally[0] > 0 else 0.0
 
-    qber_xuu = _rate(x_tallies[X_U])
-    qber_xvv = _rate(x_tallies[X_V])
     counts = DecoyCounts(n_tot=float(n_slots), detected=detected, sent=sent,
-                         qber_xuu=qber_xuu, qber_xvv=qber_xvv)
+                         qber_xuu=_rate(x_tallies[X_U]),
+                         qber_xvv=_rate(x_tallies[X_V]))
 
     a_bits = np.concatenate(alice_key) if alice_key else np.zeros(0, np.uint8)
     b_bits = np.concatenate(bob_key) if bob_key else np.zeros(0, np.uint8)
@@ -552,12 +495,6 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     trace = PhaseTrace(times_s=np.concatenate(trace_t),
                        delta_phi_rad=np.concatenate(trace_phi),
                        regime=phase_cfg.regime, seed=seed)
-    clicks = None
-    if keep_click_times:
-        clicks = tuple(
-            np.concatenate(r) if r else np.zeros(0) for r in retained_times
-        )
-    return SimOutcome(counts=counts, qber_z=raw.error_rate(),
-                      qber_xuu=qber_xuu, qber_xvv=qber_xvv, raw_keys=raw,
+    return SimOutcome(counts=counts, qber_z=raw.error_rate(), raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
-                      ground_truth=gt, retained_click_times=clicks)
+                      ground_truth=gt)

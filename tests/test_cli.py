@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tfqkd import cli
+from tfqkd import cli, keyrate, model, montecarlo
 from tfqkd.decoy import CATEGORIES
 
 
@@ -111,6 +111,36 @@ class TestMonteCarlo:
             run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
                      "--loss-db", "10", "--out", str(path)])
         assert a.read_text() == b.read_text()
+
+    def test_loss_db_uses_the_simulate_link(self, tmp_path):
+        # --loss-db splits the loss as simulate does, and the phase residual
+        # is the parameter file's misalignment width.
+        out = tmp_path / "sim.json"
+        assert run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
+                        "--loss-db", "10", "--out", str(out)]) == cli.EXIT_OK
+        bundle = model.load_params_file(cli.DEFAULT_PARAMS)
+        params = bundle["protocol"]
+        cfg = montecarlo.PhaseConfig(
+            regime="ideal",
+            residual_sigma=bundle["extras"]["misalignment_sigma_rad"])
+        direct = montecarlo.run_protocol(
+            params, keyrate.split_loss_link(10.0, params), bundle["detector"],
+            cfg, 100_000, seed=3, visibility=bundle["extras"]["visibility"])
+        assert json.loads(out.read_text()) == direct.counts.to_counts_dict()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["montecarlo", "--slots", "100"], "--slots"),
+    (["phasestab", "--dt", "0"], "--dt"),
+    (["phasestab", "--steps", "-5"], "--steps"),
+    (["simulate", "--n-tot", "-1"], "--n-tot"),
+    (["simulate", "--attenuation", "0"], "--attenuation"),
+])
+def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_SCHEMA
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPhasestab:

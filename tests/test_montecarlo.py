@@ -11,13 +11,12 @@ from tfqkd.model import DetectorParams, LinkBudget, SideParams, ProtocolParams
 from tfqkd.montecarlo import (
     FeedbackDivergence,
     PhaseConfig,
-    PhaseState,
-    coarse_feedback,
+    _apply_fine_blocks,
+    _phase_trajectory,
+    click_probs,
     detector_means,
     filter_deadtime,
     fine_feedback,
-    interfere,
-    phase_drift_step,
     run_protocol,
     simulate_phase_trace,
 )
@@ -36,15 +35,11 @@ def quick_det():
 
 class TestInterfere:
     def test_silent_inputs_no_dark(self):
-        det = DetectorParams(efficiency=1.0, dark_rate_hz=0.0)
-        p1, p2 = interfere(0.0, 0.0, 0.0, 0.0, 0.0,
-                           {"eta_a": 1.0, "eta_b": 1.0}, det, 1.0)
+        p1, p2 = click_probs(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
         assert p1 == 0.0 and p2 == 0.0
 
     def test_perfect_visibility_dark_port(self):
-        det = DetectorParams(efficiency=1.0, dark_rate_hz=0.0)
-        p1, p2 = interfere(0.3, 0.3, 0.0, 0.0, 0.0,
-                           {"eta_a": 1.0, "eta_b": 1.0}, det, 1.0)
+        p1, p2 = click_probs(0.3, 0.3, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
         assert p2 == pytest.approx(0.0, abs=1e-15)
         assert p1 == pytest.approx(1.0 - math.exp(-0.6), rel=1e-12)
 
@@ -66,59 +61,111 @@ class TestInterfere:
         # must equal the phase-randomised Poisson rate
         # 1 - (1-pd) e^-m I0(c).
         det = DetectorParams(efficiency=0.3, dark_rate_hz=1e5)
-        etas = {"eta_a": 0.02, "eta_b": 0.15}
+        eta_a, eta_b = 0.02, 0.15
         mu_a, mu_b = 0.4, 0.05
+        pd = det.dark_prob_per_gate(1e9)
         grid = np.linspace(0, 2 * np.pi, 20001)[:-1]
-        p1, _ = interfere(mu_a, mu_b, grid, 0.0, 0.0, etas, det, 0.9)
-        a = etas["eta_a"] * mu_a * det.efficiency
-        b = etas["eta_b"] * mu_b * det.efficiency
+        p1, _ = click_probs(mu_a, mu_b, grid, eta_a, eta_b, det.efficiency,
+                            pd, 0.9)
+        a = eta_a * mu_a * det.efficiency
+        b = eta_b * mu_b * det.efficiency
         m = (a + b) / 2.0
         c = 0.9 * math.sqrt(a * b)
-        pd = det.dark_prob_per_gate(1e9)
         oracle = 1.0 - (1.0 - pd) * math.exp(-m) * i0(c)
         assert np.mean(p1) == pytest.approx(oracle, rel=1e-6)
+
+    def test_float32_tiny_mean_keeps_precision(self):
+        # The sampler evaluates clicks in float32.  At mu ~ 1e-8 exp(-mu)
+        # rounds to 1 there, so 1 - (1 - pd) exp(-mu) loses the click
+        # probability entirely; the expm1 form keeps it to float32 precision.
+        mu = np.float32(2e-8) * np.arange(1, 65, dtype=np.float32)
+        pd = 0.0
+        p1, _ = click_probs(mu, np.float32(0.0), np.float32(0.0),
+                            np.float32(1.0), np.float32(1.0), 1.0, pd, 1.0)
+        mu_plus = mu.astype(np.float64) / 2.0
+        exact = -np.expm1(-mu_plus)
+        assert p1.dtype == np.float32
+        np.testing.assert_allclose(p1, exact, rtol=1e-6)
+        naive = 1.0 - (1.0 - pd) * np.exp(-mu_plus.astype(np.float32))
+        assert np.max(np.abs(naive / exact - 1.0)) > 0.5
+
+
+def _quiet(regime: str, **kw) -> PhaseConfig:
+    """A phase configuration with every noise source switched off."""
+    return PhaseConfig(regime=regime, sigma_drift=0.0, sigma_diff=0.0,
+                       coarse_sensor_noise=0.0, **kw)
+
+
+def _trajectory(cfg: PhaseConfig, n: int, x0: float, d0: float,
+                dt: float = 1e-6, seed: int = 5):
+    rng = np.random.default_rng(seed)
+    carry = {"x": x0, "d": d0}
+    return _phase_trajectory(cfg, n, dt, rng, rng, carry), carry
 
 
 class TestPhaseDrift:
     def test_zero_sigma_constant(self):
-        rng = np.random.default_rng(5)
-        state = PhaseState(delta_phi=0.7, sigma_drift=0.0)
-        for _ in range(100):
-            state = phase_drift_step(state, 1e-6, rng)
-        assert state.delta_phi == 0.7
+        phases, carry = _trajectory(_quiet("free"), 100, x0=0.7, d0=0.0)
+        assert np.all(phases == 0.7)
+        assert carry == {"x": 0.7, "d": 0.0}
 
     def test_increment_statistics(self):
-        rng = np.random.default_rng(1)
-        sigma, dt, n = 30.0, 1e-6, 1_000_000
-        steps = sigma * math.sqrt(dt) * rng.standard_normal(n)
-        assert np.std(steps) == pytest.approx(sigma * math.sqrt(dt), rel=0.01)
+        # Free drift: the step-to-step increments of the returned phase are
+        # the common and differential random-walk steps, Gaussian with
+        # variance (sigma_drift^2 + sigma_diff^2) dt.
+        cfg = PhaseConfig(regime="free", sigma_drift=30.0, sigma_diff=40.0)
+        dt, n = 1e-6, 1_000_000
+        phases, _ = _trajectory(cfg, n, x0=0.0, d0=0.0, dt=dt, seed=1)
+        steps = np.diff(phases)
+        assert np.std(steps) == pytest.approx(50.0 * math.sqrt(dt), rel=0.01)
         # moment sanity: skewness ~ 0, excess kurtosis ~ 0
         z = steps / np.std(steps)
         assert abs(np.mean(z**3)) < 0.02
         assert abs(np.mean(z**4) - 3.0) < 0.05
 
     def test_dt_must_be_positive(self):
-        with pytest.raises(ValueError):
-            phase_drift_step(PhaseState(0.0, 1.0), 0.0,
-                             np.random.default_rng(0))
+        for dt in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                simulate_phase_trace(PhaseConfig(regime="free"), 100, dt,
+                                     seed=0)
 
 
 class TestFeedback:
     def test_coarse_zero_error_zero_correction(self):
-        state = PhaseState(delta_phi=0.0, sigma_drift=0.0, coarse_gain=0.1)
-        assert coarse_feedback(state, 0.0) == 0.0
+        phases, carry = _trajectory(_quiet("coarse"), 1000, x0=0.0, d0=1.2)
+        assert np.all(phases == 1.2)
+        assert carry["x"] == 0.0
 
     def test_coarse_sign(self):
-        state = PhaseState(delta_phi=0.0, sigma_drift=0.0, coarse_gain=0.1)
-        assert coarse_feedback(state, 0.5) < 0.0
+        # The correction opposes the residual, so the loop relaxes it
+        # geometrically by (1 - gain) per step from either side.
+        cfg = _quiet("coarse", coarse_gain=0.1)
+        for x0 in (0.5, -0.5):
+            phases, _ = _trajectory(cfg, 50, x0=x0, d0=0.0)
+            expected = x0 * 0.9 ** np.arange(1, 51)
+            np.testing.assert_allclose(phases, expected, rtol=1e-12)
 
     def test_fine_balanced_counts_at_quadrature(self):
-        state = PhaseState(delta_phi=0.0, sigma_drift=0.0, fine_gain=0.5)
-        assert fine_feedback(state, (1000, 1000)) == pytest.approx(0.0)
+        assert fine_feedback((1000, 1000), 0.5, math.pi / 2) == pytest.approx(0.0)
+
+    def test_fine_correction_sign(self):
+        # More counts on detector 1 means cos(delta) > 0, i.e. the phase
+        # sits below quadrature, so the integral step raises it.
+        step = fine_feedback((1500, 500), 0.5, math.pi / 2)
+        assert step == pytest.approx(-0.5 * (math.acos(0.5) - math.pi / 2))
+        assert step > 0.0
 
     def test_fine_empty_window(self):
-        state = PhaseState(delta_phi=0.0, sigma_drift=0.0)
-        assert fine_feedback(state, (0, 0)) == 0.0
+        assert fine_feedback((0, 0), 0.5, math.pi / 2) == 0.0
+        # No reference flux: every block is empty, so the loop only carries
+        # the correction it already holds.
+        cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
+        phases = np.linspace(0.0, 1.0, 1000)
+        carry = {"c_f": 0.25}
+        out = _apply_fine_blocks(cfg, phases, 1e-7, np.random.default_rng(0),
+                                 carry, ref_flux_per_slot=0.0, visibility=0.99)
+        assert carry == {"c_f": 0.25}
+        assert np.array_equal(out, phases + 0.25)
 
     def test_divergent_gain_rejected(self):
         with pytest.raises(FeedbackDivergence):
@@ -185,7 +232,7 @@ class TestRunProtocol:
         assert a.counts.detected == b.counts.detected
         assert np.array_equal(a.raw_keys.alice_bits, b.raw_keys.alice_bits)
         assert np.array_equal(a.raw_keys.bob_bits, b.raw_keys.bob_bits)
-        assert a.qber_xvv == b.qber_xvv
+        assert a.counts.qber_xvv == b.counts.qber_xvv
         assert np.array_equal(a.phase_trace.delta_phi_rad,
                               b.phase_trace.delta_phi_rad)
 
@@ -237,15 +284,27 @@ class TestRunProtocol:
         sigma = math.sqrt(expected / out.n_slots)
         assert abs(rate - expected) < 4 * sigma
 
-    def test_deadtime_invariant_across_batches(self, params, quick_link):
+    def test_deadtime_invariant_across_batches(self, params, quick_link,
+                                               monkeypatch):
+        # Record the clicks run_protocol keeps, per detector, by wrapping
+        # the module-level filter it calls (once per detector per batch).
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=2e-8)  # 10 protocol slots
         n = (1 << 20) + 60_000  # spans two batches
-        out = run_protocol(params, quick_link, det, PhaseConfig(), n, seed=8,
-                           keep_click_times=True)
-        for stream in out.retained_click_times:
-            if stream.size > 1:
-                assert np.min(np.diff(stream)) >= det.deadtime_s - 1e-15
+        kept = []
+        original = montecarlo.filter_deadtime
+
+        def recording(times, deadtime_s, last_retained):
+            keep, last = original(times, deadtime_s, last_retained)
+            kept.append(times[keep])
+            return keep, last
+
+        monkeypatch.setattr(montecarlo, "filter_deadtime", recording)
+        run_protocol(params, quick_link, det, PhaseConfig(), n, seed=8)
+        assert len(kept) == 4
+        for stream in (np.concatenate(kept[0::2]), np.concatenate(kept[1::2])):
+            assert stream.size > 1
+            assert np.min(np.diff(stream)) >= det.deadtime_s - 1e-15
 
     def test_noiseless_matched_vv_qber(self, params):
         # Lossless arms, no dark counts, perfect visibility, no drift: with
@@ -259,7 +318,7 @@ class TestRunProtocol:
         cfg = PhaseConfig(regime="ideal", residual_sigma=0.0)
         out = run_protocol(p, link, det, cfg, 300_000, seed=13,
                            visibility=1.0)
-        assert out.qber_xvv < 0.03
+        assert out.counts.qber_xvv < 0.03
 
     def test_free_drift_degrades_x_basis(self, params, quick_det):
         # At 2e5 slots only ~8 XXvv events per run are phase-matched and
@@ -273,7 +332,7 @@ class TestRunProtocol:
             free = run_protocol(params, link, quick_det,
                                 PhaseConfig(regime="free"),
                                 2_000_000, seed=seed, visibility=1.0)
-            assert free.qber_xvv > locked.qber_xvv, seed
+            assert free.counts.qber_xvv > locked.counts.qber_xvv, seed
 
     def test_ground_truth_fields(self, params, quick_link, quick_det):
         out = run_protocol(params, quick_link, quick_det, PhaseConfig(),
@@ -289,7 +348,7 @@ class TestRunProtocol:
                                                quick_det, security):
         out = run_protocol(params, quick_link, quick_det, PhaseConfig(),
                            200_000, seed=14)
-        raw = out.to_counts_dict()
+        raw = out.counts.to_counts_dict()
         back = decoy.DecoyCounts.from_counts_dict(raw, params)
         direct = keyrate.analyze_counts(out.counts, params, security)
         round_trip = keyrate.analyze_counts(back, params, security)
