@@ -118,6 +118,9 @@ def cmd_simulate(args) -> int:
         raise SchemaError("simulate needs detector keys in the parameter file")
     _require_positive(args, "--n-tot", "--attenuation")
     sweep = _parse_sweep(args.sweep_db)
+    if sweep[0] < 0:
+        raise SchemaError(f"--sweep-db losses must be non-negative, "
+                          f"got {args.sweep_db!r}")
     rows = keyrate.skr_vs_distance(
         sweep, bundle["protocol"], det, bundle["security"],
         n_tot=args.n_tot,
@@ -154,6 +157,9 @@ def cmd_montecarlo(args) -> int:
         raise SchemaError(f"--slots must be at least {montecarlo.MIN_SLOTS}, "
                           f"got {args.slots}")
     if args.loss_db is not None:
+        if args.loss_db < 0:
+            raise SchemaError(f"--loss-db must be non-negative, "
+                              f"got {args.loss_db}")
         link = keyrate.split_loss_link(args.loss_db, bundle["protocol"])
     cfg = montecarlo.PhaseConfig(
         regime=args.regime,
@@ -174,6 +180,9 @@ def cmd_montecarlo(args) -> int:
     print(json.dumps({
         "out": str(out),
         "n_slots": outcome.n_slots,
+        "wall_s": outcome.wall_s,
+        "candidates": outcome.candidates,
+        "accepted": outcome.accepted,
         "qber_z": outcome.qber_z,
         "qber_xuu": outcome.counts.qber_xuu,
         "qber_xvv": outcome.counts.qber_xvv,

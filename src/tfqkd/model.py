@@ -12,16 +12,17 @@ a uniformly random order, independently of the other side.  This removes
 sampling fluctuations from the pulse-pair distribution.
 
 The patterns are streamed, never materialised.  ``fair_sampled_classes``
-emits one batch of slots at a time as joint pair codes 5a+b.  The first n
-slots of a uniform arrangement hold a uniformly random n-subset of the
-multiset (multivariate hypergeometric counts), in uniform order given
-those counts, and what is left is again uniformly arranged; so drawing
-each batch's counts from the counts not yet placed, then a uniform order
-within the batch, reproduces the whole-run law exactly.  For two
-independent sides, the pair table of a batch follows from pairing Alice's
-class-a slots with a uniform subset of Bob's batch slots, and given that
-table every order of the pair codes is equally likely, so one shuffle of
-the codes orders both sides at once.
+draws the class counts of one batch of slots at a time, as the joint 5x5
+(Alice, Bob) pair table.  The first n slots of a uniform arrangement hold
+a uniformly random n-subset of the multiset (multivariate hypergeometric
+counts), in uniform order given those counts, and what is left is again
+uniformly arranged; so drawing each batch's counts from the counts not yet
+placed reproduces the whole-run law exactly.  For two independent sides,
+the pair table of a batch follows from pairing Alice's class-a slots with
+a uniform subset of Bob's batch slots, and given that table every order of
+the pair codes is equally likely: the slots are exchangeable within a
+batch, which is what lets the Monte Carlo sampler place only the slots
+that may click (see ``montecarlo``).
 """
 
 from __future__ import annotations
@@ -366,17 +367,16 @@ def _conditioned_binomials(colors: np.ndarray, n: int,
 
 
 def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
-                         rng: np.random.Generator
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Next n slots of a fair-sampled run, as joint (Alice, Bob) pair codes.
+                         rng: np.random.Generator) -> np.ndarray:
+    """Joint (Alice, Bob) class table of the next n slots of a fair-sampled run.
 
     ``left_a`` / ``left_b`` are the class counts each side has not yet
     placed (its ``class_totals`` minus the earlier batches' rows / columns).
     Each side's batch counts are a uniformly random n-subset of what is
     left; the 5x5 pair table then pairs Alice's batch slots with Bob's by
-    one hypergeometric draw per Alice class, and the codes 5a+b are
-    shuffled within the batch.  Returns the int8 codes and the table
-    (row sums: Alice's batch counts, column sums: Bob's).
+    one hypergeometric draw per Alice class.  Row sums are Alice's batch
+    counts, column sums Bob's; every arrangement of the batch's pair codes
+    is equally likely given the table.
     """
     count_a = _subset_counts(left_a, n, rng)
     pool = _subset_counts(left_b, n, rng)
@@ -384,9 +384,7 @@ def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
     for a in range(5):
         table[a] = rng.multivariate_hypergeometric(pool, count_a[a])
         pool = pool - table[a]
-    codes = np.repeat(np.arange(25, dtype=np.int8), table.ravel())
-    rng.shuffle(codes)
-    return codes, table
+    return table
 
 
 def transmissivities(link: LinkBudget, det: DetectorParams) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""End-to-end stochastic protocol simulation.
+"""End-to-end stochastic protocol simulation, event-driven by thinning.
 
 Pattern transmission through lossy asymmetric arms, first-order single-photon
 interference with phase noise, gated threshold detection with dark counts and
@@ -18,6 +18,32 @@ are sampled in the Fock picture instead (source photon number, binomial
 survival, 50/50 routing), which is statistically identical for
 phase-randomised pulses and provides ground-truth single-photon tags.
 
+Sampling law.  At deep loss almost no slot clicks, so ``run_protocol`` pays
+per possible click, not per slot (Poisson/Bernoulli thinning, Lewis &
+Shedler, Naval Res. Logist. Q. 26, 1979).  It is exact, not an
+approximation, for three reasons:
+
+* Exchangeable slots.  Given a batch's 5x5 (Alice, Bob) pair table every
+  arrangement of its pair codes is equally likely (see ``model``), and a
+  slot's Fock sub-class, global phase and click draw do not depend on its
+  position.  So the slots of any set of events picked per class are a
+  uniformly random subset of the batch, with labels in random order.
+* A per-slot bound.  With delta = theta_A - theta_B + phi the click
+  probabilities p1(delta), p2(delta) of a coherent slot never exceed their
+  values at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 -
+  p1(0))(1 - p2(pi)).  Each class pair draws Bin(n_ab, p_bar_ab)
+  candidates; a candidate takes outcome (c1, c2) with probability
+  P(c1, c2 | delta) / p_bar at its own delta and is dropped otherwise, so
+  every slot gets outcome (c1, c2) with probability P(c1, c2 | delta).
+  The phase-free Fock windows need no bound: one multinomial per batch
+  splits them into tagged / untagged / coherent-fallback slots and another
+  gives the outcome counts of each.
+* Markov phase.  The channel phase is a Gaussian Markov process (random
+  walks, and the linearised coarse loop's AR(1)), so evaluating it only at
+  the candidate slots (plus trace slots and fine-block ends) through its
+  exact k-step transitions gives the same joint law at those slots as the
+  slot-by-slot walk.
+
 Z-window bit convention (truth table):
 
     Alice sends  -> Alice records 1      Bob sends  -> Bob records 0
@@ -30,10 +56,10 @@ concentrate in both-sent / neither-sent detections.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .aopp import RawKeyPair
 from .decoy import CATEGORY_CLASSES, DecoyCounts
@@ -66,6 +92,7 @@ __all__ = [
 
 MIN_SLOTS = 10_000
 _BATCH_SLOTS = 1 << 20
+_TRACE_POINTS = 4096
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
 _PAIR_A = np.repeat(np.arange(5), 5)
@@ -185,58 +212,135 @@ def filter_deadtime(times: np.ndarray, deadtime_s: float,
 # Phase trajectory synthesis
 # ---------------------------------------------------------------------------
 
-def _phase_trajectory(cfg: PhaseConfig, n: int, dt: float,
+def _linear_scan(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """y_j = r_j y_{j-1} + a_j with y_{-1} = 0, for every j at once.
+
+    Log-depth doubling over the affine steps: after the pass with shift s
+    entry j holds the composition of steps j-2s+1 .. j.  Only products of
+    the |r| <= 1 factors are formed, so nothing overflows or divides.
+    """
+    r = r.copy()
+    y = a.copy()
+    shift = 1
+    while shift < y.size:
+        y[shift:] = y[shift:] + r[shift:] * y[:-shift]
+        r[shift:] = r[shift:] * r[:-shift]
+        shift *= 2
+    return y
+
+
+def _random_walk(v0: float, sd: float, k: np.ndarray, z_step: np.ndarray,
+                 z_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Random walk of step sd at points k_j steps apart, with running sums.
+
+    Over k steps the walk moves by W = sum w_i and its k new values add
+    k v + sum (k - i + 1) w_i to the running sum; (W, area) is drawn from
+    its exact joint Gaussian law, Var W = k sd^2, Cov = k(k+1)/2 sd^2 and
+    residual area variance (k^3 - k)/12 sd^2.
+    """
+    step = sd * np.sqrt(k) * z_step
+    area = 0.5 * (k + 1.0) * step + sd * np.sqrt((k**3 - k) / 12.0) * z_area
+    v = v0 + np.cumsum(step)
+    prev = np.concatenate(([v0], v[:-1]))
+    return v, np.cumsum(k * prev + area)
+
+
+def _ar1(x0: float, rho: float, k: np.ndarray, sources
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """AR(1) x_t = rho x_{t-1} + e_t at points k_j steps apart, with sums.
+
+    Over k steps x moves to rho^k x + A and the k new values add
+    rho (1 - rho^k)/(1 - rho) x + B to the running sum, where (A, B) are
+    jointly Gaussian linear functionals of the innovations.  ``sources``
+    lists independent innovation parts as (sd, z_step, z_area); each part
+    enters (A, B) through the same unit-variance Cholesky factor.
+    """
+    kk = k.astype(np.int64)
+    rk = rho ** kk
+    var_a = (1.0 - rho ** (2 * kk)) / (1.0 - rho * rho)
+    geo = (1.0 - rk) / (1.0 - rho)
+    cov = (geo - rho * var_a) / (1.0 - rho)
+    var_b = (k - 2.0 * rho * geo + rho * rho * var_a) / (1.0 - rho) ** 2
+    slope = cov / var_a
+    resid = np.sqrt(np.maximum(var_b - cov * slope, 0.0))
+    a = sum(sd * np.sqrt(var_a) * z for sd, z, _ in sources)
+    b = slope * a + sum(sd * resid * z for sd, _, z in sources)
+    a[0] += rk[0] * x0
+    x = _linear_scan(rk, a)
+    prev = np.concatenate(([x0], x[:-1]))
+    return x, np.cumsum(rho * geo * prev + b)
+
+
+def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
                       rng_drift: np.random.Generator,
                       rng_sensor: np.random.Generator,
-                      carry: dict) -> np.ndarray:
-    """Evolve the channel phase over n steps (free drift or coarse loop).
+                      carry: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Channel phase at the sorted slot indices ``slots`` of one batch.
 
-    ``carry`` holds {"x": residual support phase, "d": differential phase}
-    and is updated so consecutive batches stitch into one continuous
-    trajectory.  The fine correction is added by ``_apply_fine_blocks``.
+    Slot i lies i + 1 steps after the state in ``carry`` ({"x": residual
+    support phase, "d": differential phase}), which moves to the last slot
+    given so that consecutive batches stitch into one trajectory.  Between
+    the given slots each part advances by its exact k-step Gaussian
+    transition: the differential phase, and the support phase when free,
+    are random walks; the coarse loop linearised around lock,
+    x_t = (1-g) x_{t-1} + w_t - g nu_t, is an AR(1) process with k-step
+    factor (1-g)^k.  Unit steps give the slot-by-slot walk, and at unit
+    steps every regime sees the same drift draws.
+
+    Returns the phase x + d at the slots and its running sum from slot 0
+    through each slot, from which ``_apply_fine_blocks`` takes block means.
     """
+    k = np.diff(slots, prepend=-1).astype(float)
     sq = math.sqrt(dt)
-    w_c = (cfg.sigma_drift * sq) * rng_drift.standard_normal(n)
-    w_d = (cfg.sigma_diff * sq) * rng_drift.standard_normal(n)
+    z = rng_drift.standard_normal((4, k.size))
     if cfg.regime == "free":
-        x = carry["x"] + np.cumsum(w_c)
+        x, x_sum = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0], z[1])
     else:
-        # Coarse loop linearised around lock: x_t = (1-g) x_{t-1} + w_t - g nu_t.
-        g = cfg.coarse_gain
-        nu = cfg.coarse_sensor_noise * rng_sensor.standard_normal(n)
-        drive = w_c - g * nu
-        drive[0] += (1.0 - g) * carry["x"]
-        x = lfilter([1.0], [1.0, -(1.0 - g)], drive)
+        nu = rng_sensor.standard_normal((2, k.size))
+        x, x_sum = _ar1(carry["x"], 1.0 - cfg.coarse_gain, k, (
+            (cfg.sigma_drift * sq, z[0], z[1]),
+            (cfg.coarse_gain * cfg.coarse_sensor_noise, nu[0], nu[1])))
         if not np.isfinite(x[-1]) or abs(x[-1]) > 1e6:
             raise FeedbackDivergence("coarse loop diverged")
+    d, d_sum = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[2], z[3])
     carry["x"] = float(x[-1])
-    d = carry["d"] + np.cumsum(w_d)
     carry["d"] = float(d[-1])
-    return x + d
+    return x + d, x_sum + d_sum
 
 
-def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray, dt: float,
+def _fine_block_ends(cfg: PhaseConfig, n: int, dt: float) -> np.ndarray:
+    """Last slot of each fine-feedback block of an n-slot batch."""
+    block = max(1, int(round(cfg.fine_block_s / dt)))
+    return np.minimum(np.arange(block, n + block, block), n) - 1
+
+
+def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
+                       phases: np.ndarray, sums: np.ndarray, dt: float,
                        rng_ref: np.random.Generator, carry: dict,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
     """Fine feedback: per-block reference-count estimate, integral update.
 
-    Each block is shifted by the accumulated correction ``carry["c_f"]``,
-    which the block's estimate then updates for the next block.
+    ``slots`` are a batch's sorted evaluated slots, ending with its last
+    slot and holding every ``_fine_block_ends`` slot; ``sums`` are the
+    running phase sums there (``_phase_trajectory``), so each block's mean
+    phase is exact.  Each block is shifted by the accumulated correction
+    ``carry["c_f"]``, which the block's estimate then updates for the next
+    block.
     """
-    block = max(1, int(round(cfg.fine_block_s / dt)))
-    out = np.empty_like(phases)
-    for lo in range(0, phases.size, block):
-        hi = min(lo + block, phases.size)
-        seg = phases[lo:hi] + carry["c_f"]
-        out[lo:hi] = seg
-        mid = float(np.mean(seg))
-        n_ref = (hi - lo) * ref_flux_per_slot / 2.0
+    ends = _fine_block_ends(cfg, int(slots[-1]) + 1, dt)
+    block_sums = np.diff(sums[np.searchsorted(slots, ends)], prepend=0.0)
+    lengths = np.diff(ends, prepend=-1)
+    shift = np.empty(ends.size)
+    for i in range(ends.size):
+        shift[i] = carry["c_f"]
+        mid = block_sums[i] / lengths[i] + carry["c_f"]
+        n_ref = lengths[i] * ref_flux_per_slot / 2.0
         n1 = rng_ref.poisson(max(n_ref * (1.0 + visibility * math.cos(mid)), 0.0))
         n2 = rng_ref.poisson(max(n_ref * (1.0 - visibility * math.cos(mid)), 0.0))
         carry["c_f"] += fine_feedback((n1, n2), cfg.fine_gain, cfg.setpoint)
         if abs(carry["c_f"]) > 1e6:
             raise FeedbackDivergence("fine loop diverged")
-    return out
+    return phases + shift[np.searchsorted(ends, slots)]
 
 
 @dataclass(frozen=True)
@@ -257,7 +361,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
                          seed: int) -> PhaseTrace:
     """Standalone stabilisation-loop run producing a phase trace.
 
-    The drift increments come from a stream independent of the sensor and
+    The same phase code as ``run_protocol``, evaluated at every step.  The
+    drift increments come from a stream independent of the sensor and
     reference streams, so runs with the same seed experience the same
     physical drift in every regime.
     """
@@ -271,9 +376,10 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
         return PhaseTrace(times_s=times, delta_phi_rad=phases,
                           regime=cfg.regime, seed=seed)
     carry = {"x": 0.0, "d": cfg.setpoint + cfg.initial_offset, "c_f": 0.0}
-    phases = _phase_trajectory(cfg, n_steps, dt, s_drift, s_sensor, carry)
+    slots = np.arange(n_steps)
+    phases, sums = _phase_trajectory(cfg, slots, dt, s_drift, s_sensor, carry)
     if cfg.regime == "full":
-        phases = _apply_fine_blocks(cfg, phases, dt, s_ref, carry,
+        phases = _apply_fine_blocks(cfg, slots, phases, sums, dt, s_ref, carry,
                                     cfg.ref_intensity, visibility=0.99)
     return PhaseTrace(times_s=times, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
@@ -285,7 +391,12 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Result of one Monte Carlo protocol run."""
+    """Result of one Monte Carlo protocol run.
+
+    ``wall_s`` is the run's wall time; ``candidates`` counts the coherent
+    slots the thinning drew and ``accepted`` those of them that clicked, so
+    accepted / candidates is the thinning's acceptance ratio.
+    """
 
     counts: DecoyCounts
     qber_z: float
@@ -294,6 +405,48 @@ class SimOutcome:
     seed: int
     n_slots: int
     ground_truth: dict = field(default_factory=dict)
+    wall_s: float = 0.0
+    candidates: int = 0
+    accepted: int = 0
+
+
+def _fock_window(mu_send: float, mu_silent: float, q: float,
+                 p_dark: float) -> tuple[list, list]:
+    """Sub-class split and outcome laws of a single-active-sender Z window.
+
+    The silent side emits nothing with probability exp(-mu_silent); those
+    slots take the Fock path, tagged when the sender emitted exactly one
+    photon.  The rest fall back to the coherent sampler with both sides'
+    means, so the silent side's light enters at order mu_silent^2 where
+    the coherent model has it at order mu_silent.  Returns the (tagged,
+    untagged, fallback) split and,
+    for tagged and untagged slots, the probabilities of the outcomes
+    (detector 1 only, detector 2 only, both, neither), from the photons'
+    survival probability q and 50/50 routing: with E[(1 - x)^n] the chance
+    that none of n photons survives thinning by x, both detectors stay dark
+    with E[(1 - q)^n] (1 - p_dark)^2 and a given one with
+    E[(1 - q/2)^n] (1 - p_dark).
+    """
+    one = mu_send * math.exp(-mu_send)
+    clean = math.exp(-mu_silent)
+    split = [clean * one, clean * (1.0 - one), -math.expm1(-mu_silent)]
+
+    def outcome_law(none_survive):
+        neither = none_survive(q) * (1.0 - p_dark) ** 2
+        silent = none_survive(q / 2.0) * (1.0 - p_dark)
+        only = silent - neither
+        return [only, only, max(1.0 - 2.0 * silent + neither, 0.0), neither]
+
+    tagged = outcome_law(lambda x: 1.0 - x)
+    untagged = outcome_law(
+        lambda x: (math.exp(-mu_send * x) - one * (1.0 - x)) / (1.0 - one))
+    return split, [tagged, untagged]
+
+
+def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Slots of a batch's events labelled ``codes``: distinct, uniform, in
+    random order (exact by exchangeability; see the module docstring)."""
+    return rng.choice(n, codes.size, replace=False)
 
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
@@ -301,25 +454,35 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                  visibility: float = 0.97) -> SimOutcome:
     """Simulate ``n_slots`` protocol pulse pairs end to end.
 
-    Per slot: draw both users' classes from fair-sampled patterns, evolve
-    the channel phase, sample detector photon counts, enforce deadtime,
-    classify one-detector heralded events into the 25 categories, build
-    Z-window raw keys and X-window error tallies under the phase-matching
-    rule.  Identical seeds give bit-identical outcomes.
+    The outcome has the law of the slot-by-slot protocol: fair-sampled
+    (Alice, Bob) classes, the channel phase, detector clicks, deadtime,
+    classification of one-detector heralds into the 25 categories, Z-window
+    raw keys and X-window error tallies under the phase-matching rule.
+    Identical seeds give identical outcomes.
 
-    The patterns stream in batches of 2^20 slots: ``fair_sampled_classes``
-    draws each batch's joint (Alice, Bob) pair codes from the class counts
-    not yet placed, which is exactly the law of a whole-run shuffle of each
-    side's exact-count classes (see ``model``), in O(batch) memory.  A
-    starved class raises PatternError before any batch runs.  Each slot
-    draws one uniform global phase difference theta_A - theta_B on
-    [0, 2 pi): only that difference (mod 2 pi) enters the interference and
-    the phase-matching windows, so this is exact in distribution.
+    The cost grows with the possible clicks, not the slots.  Per batch of
+    2^20 slots, ``fair_sampled_classes`` draws the pair table from the class
+    counts not yet placed (a starved class raises PatternError before any
+    batch runs).  The sn / ns Fock windows split into tagged, untagged and
+    coherent-fallback counts by one multinomial, and their clicking slots
+    by one more each.  Every other slot is coherent: each class pair draws
+    Bin(n_ab, p_bar_ab) candidates, p_bar_ab = 1 - (1 - p1(cos delta = 1))
+    (1 - p2(cos delta = -1)) from ``click_probs``.  The events go to
+    uniformly random distinct slots; each candidate draws its global phase
+    difference theta_A - theta_B uniform on [0, 2 pi) (only that difference
+    mod 2 pi enters the interference and the matching windows), takes the
+    channel phase at its slot, and keeps outcome (c1, c2) with probability
+    P(c1, c2 | delta) / p_bar.  Double clicks stay events, so both
+    detectors' clicks reach ``filter_deadtime``.  The module docstring says
+    why this is exact.
 
-    The protocol frame absorbs the lock setpoint: the phase entering the
-    interference is the trajectory minus the setpoint, so a perfect lock
-    means zero effective offset.
+    The channel phase is evaluated only at candidate slots, at ~4096 trace
+    slots spread over the run and at fine-block ends.  The protocol frame
+    absorbs the lock setpoint: the phase entering the interference is the
+    trajectory minus the setpoint, so a perfect lock means zero effective
+    offset.
     """
+    t_start = time.perf_counter()
     if n_slots < MIN_SLOTS:
         raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
     left_a = class_totals(params.alice, n_slots)
@@ -330,10 +493,22 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     etas = transmissivities(link, det)
     eta_a, eta_b = etas["eta_a"], etas["eta_b"]
     p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
-    mu_of_a = params.alice.intensity_of().astype(np.float32)[_PAIR_A]
-    mu_of_b = params.bob.intensity_of().astype(np.float32)[_PAIR_B]
+    mu_a = params.alice.intensity_of()[_PAIR_A]
+    mu_b = params.bob.intensity_of()[_PAIR_B]
+    p_plus, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
+                            p_dark, visibility)
+    _, p_minus = click_probs(mu_a, mu_b, np.pi, eta_a, eta_b, det.efficiency,
+                             p_dark, visibility)
+    p_bar = p_plus + p_minus - p_plus * p_minus
+    fock = [(code, key, *_fock_window(mu_send, mu_silent,
+                                      eta_send * det.efficiency, p_dark))
+            for code, key, mu_send, mu_silent, eta_send in (
+                (_SN, "sn", params.alice.s, params.bob.w, eta_a),
+                (_NS, "ns", params.bob.s, params.alice.w, eta_b))]
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
+    trace_stride = max(1, n_slots // _TRACE_POINTS)
+    ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
 
     pair_sent = np.zeros((5, 5), dtype=np.int64)
     pair_heralded = np.zeros((5, 5), dtype=np.int64)
@@ -344,98 +519,85 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                    "c_f": 0.0}
     last_retained = [-np.inf, -np.inf]
     trace_t, trace_phi = [], []
-    trace_stride = max(1, n_slots // 4096)
-    ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
+    candidates = accepted = 0
 
     for b in range(n_batches):
         lo = b * _BATCH_SLOTS
-        hi = min(lo + _BATCH_SLOTS, n_slots)
-        n = hi - lo
-        rngs = batch_seeds[b].spawn(4)
-        rng_slot = np.random.default_rng(rngs[0])
-        rng_drift = np.random.default_rng(rngs[1])
-        rng_sensor = np.random.default_rng(rngs[2])
-        rng_ref = np.random.default_rng(rngs[3])
+        n = min(_BATCH_SLOTS, n_slots - lo)
+        rng_slot, rng_drift, rng_sensor, rng_ref = [
+            np.random.default_rng(s) for s in batch_seeds[b].spawn(4)]
 
-        code, table = fair_sampled_classes(left_a, left_b, n, rng_slot)
+        table = fair_sampled_classes(left_a, left_b, n, rng_slot)
         left_a -= table.sum(axis=1)
         left_b -= table.sum(axis=0)
         pair_sent += table
-        # Interference math runs in float32 (python-float scalars do not
-        # promote); click decisions compare float64 uniforms against
-        # expm1-based probabilities, which stay accurate at deep loss.
-        dtheta = rng_slot.random(n, dtype=np.float32) * np.float32(2 * np.pi)
 
+        # Fock windows: outcome counts per sub-class, clicking slots only.
+        coherent = table.ravel().copy()
+        f_code, f_tag, f_c1, f_c2 = [], [], [], []
+        for code, key, split, laws in fock:
+            n_tag, n_untag, coherent[code] = rng_slot.multinomial(
+                coherent[code], split)
+            tagged[f"{key}_sent"] += int(n_tag)
+            for tag, n_sub, law in ((True, n_tag, laws[0]),
+                                    (False, n_untag, laws[1])):
+                outcomes = rng_slot.multinomial(n_sub, law)[:3]
+                f_code.append(np.full(outcomes.sum(), code))
+                f_tag.append(np.full(outcomes.sum(), tag))
+                f_c1.append(np.repeat([True, False, True], outcomes))
+                f_c2.append(np.repeat([False, True, True], outcomes))
+
+        n_cand = rng_slot.binomial(coherent, p_bar)
+        code = np.concatenate([np.repeat(np.arange(25), n_cand), *f_code])
+        slot = _scatter(code, n, rng_slot)
+        m = int(n_cand.sum())
+        candidates += m
+
+        # Channel phase at the candidate slots, the trace slots, the
+        # fine-block ends and the batch's last slot (the carried state).
+        trace_slots = np.arange(-lo % trace_stride, n, trace_stride)
+        points = np.unique(np.concatenate([
+            slot[:m], trace_slots, _fine_block_ends(phase_cfg, n, slot_dt)]))
         if phase_cfg.regime == "ideal":
-            dphi = phase_cfg.residual_sigma * rng_drift.standard_normal(
-                n, dtype=np.float32)
+            phi = phase_cfg.residual_sigma * rng_drift.standard_normal(points.size)
         else:
-            dphi = _phase_trajectory(phase_cfg, n, slot_dt, rng_drift,
-                                     rng_sensor, phase_carry)
+            phi, sums = _phase_trajectory(phase_cfg, points, slot_dt, rng_drift,
+                                          rng_sensor, phase_carry)
             if phase_cfg.regime == "full":
-                dphi = _apply_fine_blocks(phase_cfg, dphi, slot_dt, rng_ref,
-                                          phase_carry, ref_flux, visibility)
-            dphi = (dphi - phase_cfg.setpoint).astype(np.float32)
+                phi = _apply_fine_blocks(phase_cfg, points, phi, sums, slot_dt,
+                                         rng_ref, phase_carry, ref_flux,
+                                         visibility)
+            phi = phi - phase_cfg.setpoint
+        trace_t.append((lo + trace_slots) * slot_dt)
+        trace_phi.append(phi[np.searchsorted(points, trace_slots)])
 
-        # Single-active-sender Z windows take the Fock path (exact for
-        # phase-randomised pulses) and carry single-photon tags.
-        sn = code == _SN
-        ns = code == _NS
-        click1 = np.zeros(n, dtype=bool)
-        click2 = np.zeros(n, dtype=bool)
-        tags = np.zeros(n, dtype=bool)
-        coherent = np.ones(n, dtype=bool)
+        # Thinning: candidate (c1, c2) with probability P(c1, c2 | delta)/p_bar.
+        dtheta = rng_slot.random(m) * (2.0 * np.pi)
+        p1, p2 = click_probs(mu_a[code[:m]], mu_b[code[:m]],
+                             dtheta + phi[np.searchsorted(points, slot[:m])],
+                             eta_a, eta_b, det.efficiency, p_dark, visibility)
+        u = rng_slot.random(m) * p_bar[code[:m]]
+        both = p1 * p2
+        c1 = np.concatenate([u < p1, *f_c1])
+        c2 = np.concatenate([(u >= p1 - both) & (u < p1 + p2 - both), *f_c2])
+        accepted += int(np.count_nonzero(c1[:m] | c2[:m]))
+        dtheta = np.concatenate([dtheta, np.zeros(code.size - m)])
+        tags = np.concatenate([np.zeros(m, dtype=bool), *f_tag])
 
-        for mask, mu_send, eta_send, mu_silent, tally_key in (
-            (sn, params.alice.s, eta_a, params.bob.w, "sn"),
-            (ns, params.bob.s, eta_b, params.alice.w, "ns"),
-        ):
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            n_src = rng_slot.poisson(mu_send, idx.size)
-            clean = rng_slot.random(idx.size) < math.exp(-mu_silent)
-            use = idx[clean]
-            # Slots where the silent side emitted anyway fall back to the
-            # coherent sampler; second order in the extinction level.
-            k1u = np.zeros(use.size, dtype=np.int64)
-            emitted = n_src[clean]
-            pos = np.flatnonzero(emitted > 0)
-            surv = rng_slot.binomial(emitted[pos], eta_send * det.efficiency)
-            hit = np.flatnonzero(surv > 0)
-            to_one = rng_slot.binomial(surv[hit], 0.5)
-            k1u[pos[hit]] = to_one
-            k2u = np.zeros(use.size, dtype=np.int64)
-            k2u[pos[hit]] = surv[hit] - to_one
-            click1[use] = k1u > 0
-            click2[use] = k2u > 0
-            if p_dark > 0:
-                click1[use] |= rng_slot.random(use.size) < p_dark
-                click2[use] |= rng_slot.random(use.size) < p_dark
-            coherent[use] = False
-            slot_tags = clean & (n_src == 1)
-            tags[idx[slot_tags]] = True
-            tagged[f"{tally_key}_sent"] += int(np.count_nonzero(slot_tags))
-
-        coh = np.flatnonzero(coherent)
-        if coh.size:
-            c = code[coh]
-            p1, p2 = click_probs(mu_of_a[c], mu_of_b[c],
-                                 dtheta[coh] + dphi[coh], np.float32(eta_a),
-                                 np.float32(eta_b), det.efficiency, p_dark,
-                                 visibility)
-            click1[coh] = rng_slot.random(coh.size) < p1
-            click2[coh] = rng_slot.random(coh.size) < p2
+        order = np.argsort(slot)
+        order = order[c1[order] | c2[order]]
+        slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]
+        dtheta, tags = dtheta[order], tags[order]
         if det.deadtime_s > 0:
-            for det_idx, clicks in enumerate((click1, click2)):
+            for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
                 keep, last_retained[det_idx] = filter_deadtime(
-                    (lo + hit) * slot_dt, det.deadtime_s,
+                    (lo + slot[hit]) * slot_dt, det.deadtime_s,
                     last_retained[det_idx])
                 clicks[hit[~keep]] = False
 
-        h1 = click1 & ~click2
-        h2 = click2 & ~click1
+        h1 = c1 & ~c2
+        h2 = c2 & ~c1
         heralded = h1 | h2
         pair_heralded += np.bincount(code[heralded], minlength=25).reshape(5, 5)
 
@@ -445,8 +607,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             alice_key.append(_ALICE_BIT[key_codes])
             bob_key.append(_BOB_BIT[key_codes])
             key_tags.append(tags[zz])
-        tagged["sn_heralded"] += int(np.count_nonzero(tags & sn & heralded))
-        tagged["ns_heralded"] += int(np.count_nonzero(tags & ns & heralded))
+        tagged["sn_heralded"] += int(np.count_nonzero(tags & (code == _SN)
+                                                      & heralded))
+        tagged["ns_heralded"] += int(np.count_nonzero(tags & (code == _NS)
+                                                      & heralded))
 
         for x_cls, tally in x_tallies.items():
             xx = (code == 5 * x_cls + x_cls) & heralded
@@ -460,10 +624,6 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])
             tally[0] += int(np.count_nonzero(near0 | nearpi))
             tally[1] += int(np.count_nonzero(errors))
-
-        sub = np.arange(0, n, trace_stride)
-        trace_t.append((lo + sub) * slot_dt)
-        trace_phi.append(dphi[sub])
 
     detected = {k: float(pair_heralded[c]) for k, c in CATEGORY_CLASSES.items()}
     sent = {k: float(pair_sent[c]) for k, c in CATEGORY_CLASSES.items()}
@@ -490,6 +650,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         "s01_true": s01_true,
         "s1_true": ((v_a * s10_true + v_b * s01_true) / v_sum
                     if v_sum > 0 else 0.0),
+        "xuu_matched": x_tallies[X_U][0],
+        "xvv_matched": x_tallies[X_V][0],
     })
 
     trace = PhaseTrace(times_s=np.concatenate(trace_t),
@@ -497,4 +659,5 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                        regime=phase_cfg.regime, seed=seed)
     return SimOutcome(counts=counts, qber_z=raw.error_rate(), raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
-                      ground_truth=gt)
+                      ground_truth=gt, wall_s=time.perf_counter() - t_start,
+                      candidates=candidates, accepted=accepted)

@@ -59,6 +59,21 @@ def big_mc_run(params):
     return out, pred
 
 
+@pytest.fixture(scope="module")
+def x_qber_run(params):
+    """Criterion-5 link at 4e9 slots: ~1.2e4 phase-matched XXvv events."""
+    det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
+                         deadtime_s=64e-9)
+    link = balanced_link(25.0, params)
+    cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
+    out = run_protocol(params, link, det, cfg, n_slots=4_000_000_000,
+                       seed=2027, visibility=0.97)
+    pred = keyrate.expected_rates_model(params, link, det, visibility=0.97,
+                                        misalignment_sigma_rad=0.1,
+                                        n_tot=4_000_000_000)
+    return out, pred
+
+
 class TestCriterion1GoldenReconciliation:
     def test_phase_error_rate(self, field_report):
         e1ph_prime = field_report["intermediates"]["e1ph_prime"]
@@ -178,6 +193,23 @@ class TestCriterion5OracleEquivalence:
         ok = s1_lower <= truth
         verdict(5, ok, f"1e8-slot run: s1_lower={s1_lower:.3e} <= "
                        f"tagged truth {truth:.3e}")
+
+    def test_x_basis_qber_within_binomial_bands(self, x_qber_run):
+        # Each matched-window QBER against the model's, within 3 binomial
+        # sigma of the run's own phase-matched count.
+        out, pred = x_qber_run
+        ok, parts = True, []
+        for name, q_mc, q_model in (
+                ("XXvv", out.counts.qber_xvv, pred.qber_xvv),
+                ("XXuu", out.counts.qber_xuu, pred.qber_xuu)):
+            matched = out.ground_truth[f"x{name[2:]}_matched"]
+            sigma = math.sqrt(q_model * (1.0 - q_model) / matched)
+            z = (q_mc - q_model) / sigma
+            ok &= abs(z) <= 3.0
+            parts.append(f"{name} {q_mc:.4f} vs {q_model:.4f} over {matched} "
+                         f"matched (z={z:+.2f})")
+        verdict(5, ok, "4e9-slot run at 25 dB, X-basis QBER within 3 "
+                       "binomial sigma: " + "; ".join(parts))
 
     def test_s1_bound_informative_at_field_statistics(self, params, security):
         # The dim-category statistics need the field-scale pulse count to

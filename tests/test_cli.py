@@ -135,6 +135,8 @@ class TestMonteCarlo:
     (["phasestab", "--steps", "-5"], "--steps"),
     (["simulate", "--n-tot", "-1"], "--n-tot"),
     (["simulate", "--attenuation", "0"], "--attenuation"),
+    (["montecarlo", "--loss-db", "-5"], "--loss-db"),
+    (["simulate", "--sweep-db=-10:0:5"], "--sweep-db"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"

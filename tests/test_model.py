@@ -68,19 +68,19 @@ RUN_SLOTS = 2 * (1 << 20) + 12_345
 
 
 def stream(side_a, side_b, n_slots, batch, seed):
-    """Codes of consecutive sampler batches over one run, as run_protocol
-    draws them."""
+    """Pair tables of consecutive sampler batches over one run, as
+    run_protocol draws them."""
     left_a = class_totals(side_a, n_slots)
     left_b = class_totals(side_b, n_slots)
     rng = np.random.default_rng(seed)
-    codes = []
+    tables = []
     for lo in range(0, n_slots, batch):
-        c, table = fair_sampled_classes(left_a, left_b,
-                                        min(batch, n_slots - lo), rng)
+        table = fair_sampled_classes(left_a, left_b,
+                                     min(batch, n_slots - lo), rng)
         left_a -= table.sum(axis=1)
         left_b -= table.sum(axis=0)
-        codes.append(c)
-    return np.concatenate(codes)
+        tables.append(table)
+    return tables
 
 
 def hypergeometric_sd(total, good, drawn):
@@ -89,23 +89,31 @@ def hypergeometric_sd(total, good, drawn):
 
 
 @pytest.fixture(scope="class")
-def streamed_run(params, field_link, field_detector):
-    """(codes, table) of every batch the sampler handed one run_protocol."""
-    batches = []
-    sampler = montecarlo.fair_sampled_classes
+def streamed_run(params):
+    """Pair table and placed events (codes, slots) of every batch of one
+    run_protocol run on a lossless link, where many slots may click."""
+    tables, events = [], []
+    sampler, scatter = montecarlo.fair_sampled_classes, montecarlo._scatter
 
-    def recording(left_a, left_b, n, rng):
-        out = sampler(left_a, left_b, n, rng)
-        batches.append(out)
-        return out
+    def recording_sampler(left_a, left_b, n, rng):
+        tables.append(sampler(left_a, left_b, n, rng))
+        return tables[-1]
 
-    montecarlo.fair_sampled_classes = recording
+    def recording_scatter(codes, n, rng):
+        slots = scatter(codes, n, rng)
+        events.append((codes.copy(), slots.copy(), n))
+        return slots
+
+    montecarlo.fair_sampled_classes = recording_sampler
+    montecarlo._scatter = recording_scatter
     try:
-        montecarlo.run_protocol(params, field_link, field_detector,
+        montecarlo.run_protocol(params, LinkBudget(0, 0, 0.0, 0.0),
+                                DetectorParams(0.145, 450.0),
                                 montecarlo.PhaseConfig(), RUN_SLOTS, seed=21)
     finally:
         montecarlo.fair_sampled_classes = sampler
-    return batches
+        montecarlo._scatter = scatter
+    return tables, events
 
 
 class TestPatternSynthesis:
@@ -114,23 +122,24 @@ class TestPatternSynthesis:
                           send_prob=0.5, p_u=0.0, p_v=0.0, p_w=0.0)
         totals = class_totals(side, 10)
         assert totals.tolist() == [5, 5, 0, 0, 0]
-        codes = stream(side, side, 10, 4, seed=0)
-        assert np.array_equal(np.bincount(codes // 5, minlength=5), totals)
-        assert np.array_equal(np.bincount(codes % 5, minlength=5), totals)
+        tables = stream(side, side, 10, 4, seed=0)
+        assert [t.sum() for t in tables] == [4, 4, 2]
+        table = sum(tables)
+        assert np.array_equal(table.sum(axis=1), totals)
+        assert np.array_equal(table.sum(axis=0), totals)
 
     def test_same_seed_identical(self, params):
-        c1 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
-        c2 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
-        assert c1.dtype == np.int8
-        assert np.array_equal(c1, c2)
+        t1 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
+        t2 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
+        assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_different_seed_same_counts_different_order(self, params):
-        c1 = stream(params.alice, params.bob, 5000, 2048, seed=1)
-        c2 = stream(params.alice, params.bob, 5000, 2048, seed=2)
-        for side in (lambda c: c // 5, lambda c: c % 5):
-            assert np.array_equal(np.bincount(side(c1), minlength=5),
-                                  np.bincount(side(c2), minlength=5))
-        assert not np.array_equal(c1, c2)
+        # The run totals are fixed; how they spread over batches is random.
+        t1 = stream(params.alice, params.bob, 5000, 2048, seed=1)
+        t2 = stream(params.alice, params.bob, 5000, 2048, seed=2)
+        assert np.array_equal(sum(t1).sum(axis=1), sum(t2).sum(axis=1))
+        assert np.array_equal(sum(t1).sum(axis=0), sum(t2).sum(axis=0))
+        assert not all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_histogram_matches_probabilities_at_1e6(self, params):
         n = 1_000_000
@@ -158,11 +167,9 @@ class TestPatternSynthesis:
     def test_counts_permutation_invariant_across_seeds(self, s1, s2):
         side = SideParams(s=0.3, u=0.3, v=0.05, w=0.0002, p_z=0.8,
                           send_prob=0.3, p_u=0.1, p_v=0.7, p_w=0.2)
-        c1 = np.bincount(stream(side, side, 500, 128, s1), minlength=25)
-        c2 = np.bincount(stream(side, side, 500, 128, s2), minlength=25)
         totals = class_totals(side, 500)
-        for c in (c1, c2):
-            table = c.reshape(5, 5)
+        for seed in (s1, s2):
+            table = sum(stream(side, side, 500, 128, seed))
             assert np.array_equal(table.sum(axis=1), totals)
             assert np.array_equal(table.sum(axis=0), totals)
 
@@ -173,54 +180,60 @@ class TestPatternSynthesis:
         assert np.all(np.abs(counts - probs * 97) < 1.0)
 
     def test_run_tables_sum_to_exact_totals(self, params, streamed_run):
-        assert [c.size for c, _ in streamed_run] == [1 << 20, 1 << 20, 12_345]
-        table = sum(t for _, t in streamed_run)
+        tables, _ = streamed_run
+        assert [t.sum() for t in tables] == [1 << 20, 1 << 20, 12_345]
+        table = sum(tables)
         assert np.array_equal(table.sum(axis=1),
                               class_totals(params.alice, RUN_SLOTS))
         assert np.array_equal(table.sum(axis=0),
                               class_totals(params.bob, RUN_SLOTS))
 
-    def test_batch_codes_match_table(self, streamed_run):
-        for codes, table in streamed_run:
-            assert codes.dtype == np.int8
-            assert np.array_equal(np.bincount(codes, minlength=25),
-                                  table.ravel())
-
-    def test_slot_position_independent_of_class(self, params, streamed_run):
-        # Eight segments straddling the batch boundaries: each class's
-        # count in a segment is hypergeometric under a uniform arrangement.
-        codes = np.concatenate([c for c, _ in streamed_run])
-        for side, of in ((params.alice, codes // 5), (params.bob, codes % 5)):
-            totals = class_totals(side, RUN_SLOTS)
-            for seg in np.array_split(of, 8):
-                counts = np.bincount(seg, minlength=5)
-                mean = totals * seg.size / RUN_SLOTS
-                sd = hypergeometric_sd(RUN_SLOTS, totals, seg.size)
-                assert np.all(np.abs(counts - mean) <= 5.0 * sd + 1.0)
+    def test_slot_position_independent_of_class(self, streamed_run):
+        # The events of a batch sit at distinct slots, and the slots of each
+        # class form a uniformly random subset: over eight segments of the
+        # batch a class's count is hypergeometric.
+        _, events = streamed_run
+        assert [n for _, _, n in events] == [1 << 20, 1 << 20, 12_345]
+        for codes, slots, n in events:
+            assert codes.size > n // 100
+            assert np.unique(slots).size == slots.size
+            assert slots.min() >= 0 and slots.max() < n
+            edges = np.linspace(0, n, 9).astype(int)
+            for of in (codes // 5, codes % 5):
+                totals = np.bincount(of, minlength=5)
+                for lo, hi in zip(edges[:-1], edges[1:]):
+                    inside = (slots >= lo) & (slots < hi)
+                    counts = np.bincount(of[inside], minlength=5)
+                    mean = totals * (hi - lo) / n
+                    sd = hypergeometric_sd(n, totals, hi - lo)
+                    assert np.all(np.abs(counts - mean) <= 5.0 * sd + 1.0)
 
     def test_pair_table_matches_independent_sides(self, params,
                                                   streamed_run):
         # Under independent uniform arrangements the (a, b) count is
         # hypergeometric: Bob's class-b slots among Alice's class-a slots.
-        table = sum(t for _, t in streamed_run)
+        # A batch holds a uniform share of them.
+        tables, _ = streamed_run
         ta = class_totals(params.alice, RUN_SLOTS)[:, None]
         tb = class_totals(params.bob, RUN_SLOTS)[None, :]
         mean = ta * tb / RUN_SLOTS
         sd = hypergeometric_sd(RUN_SLOTS, ta, tb)
-        assert np.all(np.abs(table - mean) <= 5.0 * sd + 1.0)
+        assert np.all(np.abs(sum(tables) - mean) <= 5.0 * sd + 1.0)
+        for table in tables:
+            share = mean * table.sum() / RUN_SLOTS
+            assert np.all(np.abs(table - share) <= 5.0 * np.sqrt(share) + 1.0)
 
     @pytest.mark.parametrize("n_left", [10**9, 13_700_000_000_000])
     def test_batch_from_large_totals(self, params, n_left):
         left_a = class_totals(params.alice, n_left)
         left_b = class_totals(params.bob, n_left)
         n = 1 << 20
-        codes, table = fair_sampled_classes(left_a, left_b, n,
-                                            np.random.default_rng(5))
-        assert codes.size == n
+        table = fair_sampled_classes(left_a, left_b, n,
+                                     np.random.default_rng(5))
+        assert table.shape == (5, 5)
         assert table.sum() == n
         assert np.all(table.sum(axis=1) <= left_a)
         assert np.all(table.sum(axis=0) <= left_b)
-        assert np.array_equal(np.bincount(codes, minlength=25), table.ravel())
 
     def test_conditioned_binomials_match_hypergeometric(self):
         colors = np.array([600, 250, 100, 40, 10])

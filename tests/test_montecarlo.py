@@ -100,7 +100,8 @@ def _trajectory(cfg: PhaseConfig, n: int, x0: float, d0: float,
                 dt: float = 1e-6, seed: int = 5):
     rng = np.random.default_rng(seed)
     carry = {"x": x0, "d": d0}
-    return _phase_trajectory(cfg, n, dt, rng, rng, carry), carry
+    phases, _ = _phase_trajectory(cfg, np.arange(n), dt, rng, rng, carry)
+    return phases, carry
 
 
 class TestPhaseDrift:
@@ -128,6 +129,95 @@ class TestPhaseDrift:
             with pytest.raises(ValueError):
                 simulate_phase_trace(PhaseConfig(regime="free"), 100, dt,
                                      seed=0)
+
+
+def _law_z(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Two-sample z-scores of the means and of the variances of a and b."""
+    z_mean = (a.mean() - b.mean()) / math.sqrt(a.var() / a.size
+                                               + b.var() / b.size)
+
+    def var_of_var(x):
+        return (np.mean((x - x.mean()) ** 4) - x.var() ** 2) / x.size
+
+    z_var = (a.var() - b.var()) / math.sqrt(var_of_var(a) + var_of_var(b))
+    return float(z_mean), float(z_var)
+
+
+class TestSparsePhaseLaw:
+    """The phase at sparse slots has the law of the slot-by-slot walk."""
+
+    N_STEPS, DT, SEEDS = 4000, 1e-5, 300
+    SHARED = np.array([0, 1, 57, 1499, 2500, 3999])
+
+    def _run(self, cfg, seed, sparse):
+        n = self.N_STEPS
+        ends = montecarlo._fine_block_ends(cfg, n, self.DT)
+        if sparse:
+            # Random slots in the first half only, so that blocks 4-7 are
+            # crossed by long k-step transitions.
+            extra = np.random.default_rng(seed).choice(n // 2, 20,
+                                                       replace=False)
+            slots = np.unique(np.concatenate([self.SHARED, ends, extra]))
+        else:
+            slots = np.arange(n)
+        carry = {"x": 0.1, "d": cfg.setpoint + 0.3, "c_f": 0.0}
+        drift, sensor, ref = [np.random.default_rng(s) for s in
+                              np.random.SeedSequence(seed).spawn(3)]
+        phases, sums = _phase_trajectory(cfg, slots, self.DT, drift, sensor,
+                                         carry)
+        # Block mean minus the phase at the block's last slot: the part of
+        # each block sum that the evaluated slots leave free.
+        at = np.searchsorted(slots, ends)
+        spread = (np.diff(sums[at], prepend=0.0) / np.diff(ends, prepend=-1)
+                  - phases[at])
+        if cfg.regime == "full":
+            phases = _apply_fine_blocks(cfg, slots, phases, sums, self.DT,
+                                        ref, carry, 20.0, 0.99)
+        return phases[np.searchsorted(slots, self.SHARED)], spread, carry["c_f"]
+
+    @pytest.mark.parametrize("regime", ["free", "coarse", "full"])
+    def test_sparse_steps_match_unit_steps(self, regime):
+        cfg = PhaseConfig(regime=regime, fine_block_s=5e-3)
+        runs = []
+        for sparse in (False, True):
+            out = [self._run(cfg, 10_000 * sparse + s, sparse)
+                   for s in range(self.SEEDS)]
+            runs.append([np.array([o[i] for o in out]) for i in range(3)])
+        (phase_d, spread_d, cf_d), (phase_s, spread_s, cf_s) = runs
+        for j, slot in enumerate(self.SHARED):
+            for z in _law_z(phase_d[:, j], phase_s[:, j]):
+                assert abs(z) < 5.0, (regime, slot, z)
+        # Blocks 4-7 hold no random slot; their spreads pool as samples.
+        for z in _law_z(spread_d[:, 4:].ravel(), spread_s[:, 4:].ravel()):
+            assert abs(z) < 5.0, (regime, "block spread", z)
+        if regime == "full":
+            assert cf_d.std() > 0.0
+            for z in _law_z(cf_d, cf_s):
+                assert abs(z) < 5.0, ("c_f", z)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 500])
+    @pytest.mark.parametrize("rho", [None, 0.9, -0.5])
+    def test_k_step_covariance_matches_unit_steps(self, rho, k):
+        # The value and the running sum after k steps are linear in the
+        # innovations.  Their covariance from one k-step transition must
+        # equal the one of k unit steps (rho None: random walk, else AR(1)).
+        def walk(steps, z_step, z_area):
+            if rho is None:
+                return montecarlo._random_walk(0.0, 1.0, steps, z_step, z_area)
+            return montecarlo._ar1(0.0, rho, steps, ((1.0, z_step, z_area),))
+
+        unit = np.ones(k)
+        runs = [walk(unit, e, np.zeros(k)) for e in np.eye(k)]
+        for v, s in runs:   # at unit steps the sums are the running sums
+            np.testing.assert_allclose(s, np.cumsum(v), rtol=1e-12,
+                                       atol=1e-12)
+        dense = np.array([[v[-1], s[-1]] for v, s in runs])
+        one = np.array([float(k)])
+        sparse = np.array([[v[-1], s[-1]] for v, s in (
+            walk(one, np.array([1.0]), np.array([0.0])),
+            walk(one, np.array([0.0]), np.array([1.0])))])
+        np.testing.assert_allclose(sparse.T @ sparse, dense.T @ dense,
+                                   rtol=1e-9)
 
 
 class TestFeedback:
@@ -162,8 +252,10 @@ class TestFeedback:
         cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
         phases = np.linspace(0.0, 1.0, 1000)
         carry = {"c_f": 0.25}
-        out = _apply_fine_blocks(cfg, phases, 1e-7, np.random.default_rng(0),
-                                 carry, ref_flux_per_slot=0.0, visibility=0.99)
+        out = _apply_fine_blocks(cfg, np.arange(1000), phases,
+                                 np.cumsum(phases), 1e-7,
+                                 np.random.default_rng(0), carry,
+                                 ref_flux_per_slot=0.0, visibility=0.99)
         assert carry == {"c_f": 0.25}
         assert np.array_equal(out, phases + 0.25)
 
