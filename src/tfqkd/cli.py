@@ -182,6 +182,7 @@ def cmd_montecarlo(args) -> int:
         "n_slots": outcome.n_slots,
         "wall_s": outcome.wall_s,
         "candidates": outcome.candidates,
+        "batches": outcome.batches,
         "accepted": outcome.accepted,
         "qber_z": outcome.qber_z,
         "qber_xuu": outcome.counts.qber_xuu,

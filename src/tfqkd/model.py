@@ -354,16 +354,39 @@ def _conditioned_binomials(colors: np.ndarray, n: int,
 
     Independent Bin(colors_i, n/N) counts conditioned on summing to n have
     exactly the multivariate hypergeometric law.  The condition is met by
-    rejection: about sqrt(2 pi n) trials, drawn in vectorised chunks; the
-    first accepted trial in stream order is the sample.
+    rejection on the largest class j: the other classes are drawn as
+    independent binomials, class j takes the remainder r, and the trial is
+    kept with probability pmf_j(r) / pmf_j(mode), which leaves the joint
+    law proportional to prod_i pmf_i, i.e. the conditioned one.  A trial is
+    kept with probability about sqrt(colors_j / N), so five classes need at
+    most about 2.2 trials on average.
     """
+    j = int(np.argmax(colors))
+    big = int(colors[j])
+    rest = np.delete(colors, j)
     p = n / int(colors.sum())
-    chunk = 4 * math.isqrt(n) + 64
+    mode = min(big, math.floor((big + 1) * p))
     while True:
-        trials = rng.binomial(colors, p, size=(chunk, colors.size))
-        hit = np.flatnonzero(trials.sum(axis=1) == n)
-        if hit.size:
-            return trials[hit[0]]
+        draw = rng.binomial(rest, p)
+        r = n - int(draw.sum())
+        if 0 <= r <= big and (
+                rng.random() < math.exp(_binomial_log_ratio(big, p, r, mode))):
+            return np.insert(draw, j, r)
+
+
+def _binomial_log_ratio(c: int, p: float, r: int, m: int) -> float:
+    """log(pmf(r) / pmf(m)) of Bin(c, p), for 0 <= r, m <= c.
+
+    Sums the log of pmf(k+1)/pmf(k) = (c - k) p / ((k + 1)(1 - p)) between
+    m and r.  Each term is near zero close to the mode, so the sum keeps
+    its absolute precision at any c; differences of log-gamma values at
+    c ~ 1e13 would carry errors of ~0.06.
+    """
+    if r == m:
+        return 0.0
+    k = np.arange(min(r, m), max(r, m), dtype=float)
+    step = np.log((c - k) * p / ((k + 1.0) * (1.0 - p)))
+    return float(step.sum()) if r > m else -float(step.sum())
 
 
 def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
@@ -382,7 +405,7 @@ def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
     pool = _subset_counts(left_b, n, rng)
     table = np.empty((5, 5), dtype=np.int64)
     for a in range(5):
-        table[a] = rng.multivariate_hypergeometric(pool, count_a[a])
+        table[a] = _subset_counts(pool, int(count_a[a]), rng)
         pool = pool - table[a]
     return table
 

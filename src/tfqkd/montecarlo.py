@@ -20,14 +20,16 @@ phase-randomised pulses and provides ground-truth single-photon tags.
 
 Sampling law.  At deep loss almost no slot clicks, so ``run_protocol`` pays
 per possible click, not per slot (Poisson/Bernoulli thinning, Lewis &
-Shedler, Naval Res. Logist. Q. 26, 1979).  It is exact, not an
-approximation, for three reasons:
+Shedler, Naval Res. Logist. Q. 26, 1979), and sizes its batches so that
+each holds about 2^14 expected possible clicks (at least 2^20 slots).  It
+is exact, not an approximation, for three reasons:
 
 * Exchangeable slots.  Given a batch's 5x5 (Alice, Bob) pair table every
   arrangement of its pair codes is equally likely (see ``model``), and a
   slot's Fock sub-class, global phase and click draw do not depend on its
   position.  So the slots of any set of events picked per class are a
-  uniformly random subset of the batch, with labels in random order.
+  uniformly random subset of the batch, with labels in random order, for
+  a batch of any size.
 * A per-slot bound.  With delta = theta_A - theta_B + phi the click
   probabilities p1(delta), p2(delta) of a coherent slot never exceed their
   values at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 -
@@ -35,9 +37,9 @@ approximation, for three reasons:
   candidates; a candidate takes outcome (c1, c2) with probability
   P(c1, c2 | delta) / p_bar at its own delta and is dropped otherwise, so
   every slot gets outcome (c1, c2) with probability P(c1, c2 | delta).
-  The phase-free Fock windows need no bound: one multinomial per batch
-  splits them into tagged / untagged / coherent-fallback slots and another
-  gives the outcome counts of each.
+  The phase-free Fock windows need no bound: one binomial per batch
+  splits them into tagged single-photon slots and the rest, and one
+  multinomial each gives their outcome counts (``_fock_window``).
 * Markov phase.  The channel phase is a Gaussian Markov process (random
   walks, and the linearised coarse loop's AR(1)), so evaluating it only at
   the candidate slots (plus trace slots and fine-block ends) through its
@@ -91,8 +93,10 @@ __all__ = [
 ]
 
 MIN_SLOTS = 10_000
-_BATCH_SLOTS = 1 << 20
+_MIN_BATCH_SLOTS = 1 << 20
+_BATCH_EVENTS = 1 << 14       # expected possible clicks per batch above 2^20
 _TRACE_POINTS = 4096
+_PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
 _PAIR_A = np.repeat(np.arange(5), 5)
@@ -156,7 +160,7 @@ def fine_feedback(counts, gain: float, setpoint: float) -> float:
     total = n1 + n2
     if total <= 0:
         return 0.0
-    y = float(np.clip((n1 - n2) / total, -1.0, 1.0))
+    y = min(max((n1 - n2) / total, -1.0), 1.0)
     return -gain * (math.acos(y) - setpoint)
 
 
@@ -395,7 +399,8 @@ class SimOutcome:
 
     ``wall_s`` is the run's wall time; ``candidates`` counts the coherent
     slots the thinning drew and ``accepted`` those of them that clicked, so
-    accepted / candidates is the thinning's acceptance ratio.
+    accepted / candidates is the thinning's acceptance ratio; ``batches``
+    is the number of batches the run was cut into.
     """
 
     counts: DecoyCounts
@@ -408,45 +413,72 @@ class SimOutcome:
     wall_s: float = 0.0
     candidates: int = 0
     accepted: int = 0
+    batches: int = 0
 
 
-def _fock_window(mu_send: float, mu_silent: float, q: float,
-                 p_dark: float) -> tuple[list, list]:
-    """Sub-class split and outcome laws of a single-active-sender Z window.
+def _phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
+                        visibility) -> list:
+    """Outcome probabilities (detector 1 only, 2 only, both, neither) of a
+    coherent slot at a uniform relative phase.
 
-    The silent side emits nothing with probability exp(-mu_silent); those
-    slots take the Fock path, tagged when the sender emitted exactly one
-    photon.  The rest fall back to the coherent sampler with both sides'
-    means, so the silent side's light enters at order mu_silent^2 where
-    the coherent model has it at order mu_silent.  Returns the (tagged,
-    untagged, fallback) split and,
-    for tagged and untagged slots, the probabilities of the outcomes
-    (detector 1 only, detector 2 only, both, neither), from the photons'
-    survival probability q and 50/50 routing: with E[(1 - x)^n] the chance
-    that none of n photons survives thinning by x, both detectors stay dark
-    with E[(1 - q)^n] (1 - p_dark)^2 and a given one with
-    E[(1 - q/2)^n] (1 - p_dark).
+    Given the phase the two detectors click independently, so the joint
+    law is the phase average of products of ``click_probs``, taken over a
+    uniform grid as the forward model does.
     """
-    one = mu_send * math.exp(-mu_send)
-    clean = math.exp(-mu_silent)
-    split = [clean * one, clean * (1.0 - one), -math.expm1(-mu_silent)]
+    p1, p2 = click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b, det_eff,
+                         p_dark, visibility)
+    return [float(np.mean(p1 * (1.0 - p2))), float(np.mean(p2 * (1.0 - p1))),
+            float(np.mean(p1 * p2)), float(np.mean((1.0 - p1) * (1.0 - p2)))]
 
-    def outcome_law(none_survive):
-        neither = none_survive(q) * (1.0 - p_dark) ** 2
-        silent = none_survive(q / 2.0) * (1.0 - p_dark)
-        only = silent - neither
-        return [only, only, max(1.0 - 2.0 * silent + neither, 0.0), neither]
 
-    tagged = outcome_law(lambda x: 1.0 - x)
-    untagged = outcome_law(
-        lambda x: (math.exp(-mu_send * x) - one * (1.0 - x)) / (1.0 - one))
-    return split, [tagged, untagged]
+def _fock_window(mu_send: float, mu_silent: float, q: float, p_dark: float,
+                 coherent: list) -> tuple[float, list, list]:
+    """Tagged share and outcome laws of a single-active-sender Z window.
+
+    Both pulses are phase-randomised, so each side emits a Poisson mixture
+    of photon-number states and the window's outcome law is the
+    phase-averaged coherent law ``coherent``.  With probability
+    t = exp(-mu_silent) mu_send exp(-mu_send) the silent side emits nothing
+    and the sender exactly one photon; those slots are tagged (single-photon
+    ground truth) and take the one-photon law: the photon survives with q
+    and routes 50/50, and each detector adds its dark count, so detector 2
+    stays dark with (1 - q/2)(1 - p_dark) and both with (1 - q)(1 - p_dark)^2.
+    Every other slot takes (coherent - t * tagged) / (1 - t), so that the
+    window as a whole keeps the coherent law, in which the silent side's
+    light enters at order mu_silent.  Returns t and the (tagged, rest)
+    outcome laws (1 only, 2 only, both, neither).
+    """
+    tag = math.exp(-mu_silent) * mu_send * math.exp(-mu_send)
+    neither = (1.0 - q) * (1.0 - p_dark) ** 2
+    silent = (1.0 - q / 2.0) * (1.0 - p_dark)
+    only = silent - neither
+    tagged = [only, only, max(1.0 - 2.0 * silent + neither, 0.0), neither]
+    rest = [max(c - tag * t, 0.0) for c, t in zip(coherent, tagged)]
+    return tag, tagged, [r / sum(rest) for r in rest]
 
 
 def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Slots of a batch's events labelled ``codes``: distinct, uniform, in
     random order (exact by exchangeability; see the module docstring)."""
     return rng.choice(n, codes.size, replace=False)
+
+
+def _batch_slots(p_bar: np.ndarray, params: ProtocolParams,
+                 n_slots: int) -> int:
+    """Slots per batch: about ``_BATCH_EVENTS`` expected events, >= 2^20.
+
+    The pair probabilities weight ``p_bar`` to the expected number of
+    possible clicks per slot.  Dense links keep 2^20-slot batches; sparse
+    ones take as many slots as hold ~2^14 expected events, so the fixed
+    cost of a batch is paid per ~2^14 events rather than per 2^20 slots.
+    A batch above 2^20 slots therefore expects events on under 1/64 of its
+    slots, below the 1/50 share at which numpy's ``choice`` in ``_scatter``
+    allocates the whole slot range.
+    """
+    pairs = np.outer(params.alice.class_probs(), params.bob.class_probs())
+    per_slot = float(pairs.ravel() @ p_bar)
+    wanted = math.ceil(_BATCH_EVENTS / per_slot) if per_slot > 0 else n_slots
+    return max(_MIN_BATCH_SLOTS, min(n_slots, wanted))
 
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
@@ -460,35 +492,37 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     raw keys and X-window error tallies under the phase-matching rule.
     Identical seeds give identical outcomes.
 
-    The cost grows with the possible clicks, not the slots.  Per batch of
-    2^20 slots, ``fair_sampled_classes`` draws the pair table from the class
-    counts not yet placed (a starved class raises PatternError before any
-    batch runs).  The sn / ns Fock windows split into tagged, untagged and
-    coherent-fallback counts by one multinomial, and their clicking slots
-    by one more each.  Every other slot is coherent: each class pair draws
-    Bin(n_ab, p_bar_ab) candidates, p_bar_ab = 1 - (1 - p1(cos delta = 1))
-    (1 - p2(cos delta = -1)) from ``click_probs``.  The events go to
-    uniformly random distinct slots; each candidate draws its global phase
-    difference theta_A - theta_B uniform on [0, 2 pi) (only that difference
-    mod 2 pi enters the interference and the matching windows), takes the
-    channel phase at its slot, and keeps outcome (c1, c2) with probability
-    P(c1, c2 | delta) / p_bar.  Double clicks stay events, so both
-    detectors' clicks reach ``filter_deadtime``.  The module docstring says
-    why this is exact.
+    The cost grows with the possible clicks, not the slots.  The run is
+    cut into batches of max(2^20, min(n_slots, ceil(2^14 / p_avg))) slots,
+    where p_avg = sum_ab P_A(a) P_B(b) p_bar_ab is the expected number of
+    candidates per slot (``_batch_slots``): dense links keep 2^20-slot
+    batches, sparse ones pay a batch's fixed cost once per ~2^14 expected
+    events.  Per batch, ``fair_sampled_classes`` draws the pair table from
+    the class counts not yet placed (a starved class raises PatternError
+    before any batch runs).  The sn / ns Fock windows split into tagged
+    single-photon slots and the rest by one binomial, and their clicking
+    slots by one multinomial each.  Every other slot is coherent: each
+    class pair draws Bin(n_ab, p_bar_ab) candidates, p_bar_ab = 1 - (1 -
+    p1(cos delta = 1)) (1 - p2(cos delta = -1)) from ``click_probs``.  The
+    events go to uniformly random distinct slots; each candidate draws its
+    global phase difference theta_A - theta_B uniform on [0, 2 pi) (only
+    that difference mod 2 pi enters the interference and the matching
+    windows), takes the channel phase at its slot, and keeps outcome
+    (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double clicks
+    stay events, so both detectors' clicks reach ``filter_deadtime``.  The
+    module docstring says why this is exact.
 
     The channel phase is evaluated only at candidate slots, at ~4096 trace
-    slots spread over the run and at fine-block ends.  The protocol frame
-    absorbs the lock setpoint: the phase entering the interference is the
-    trajectory minus the setpoint, so a perfect lock means zero effective
-    offset.
+    slots spread over the run and at fine-block ends; the fine blocks
+    restart at each batch boundary.  The protocol frame absorbs the lock
+    setpoint: the phase entering the interference is the trajectory minus
+    the setpoint, so a perfect lock means zero effective offset.
     """
     t_start = time.perf_counter()
     if n_slots < MIN_SLOTS:
         raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
     left_a = class_totals(params.alice, n_slots)
     left_b = class_totals(params.bob, n_slots)
-    n_batches = (n_slots + _BATCH_SLOTS - 1) // _BATCH_SLOTS
-    batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
 
     etas = transmissivities(link, det)
     eta_a, eta_b = etas["eta_a"], etas["eta_b"]
@@ -500,8 +534,13 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     _, p_minus = click_probs(mu_a, mu_b, np.pi, eta_a, eta_b, det.efficiency,
                              p_dark, visibility)
     p_bar = p_plus + p_minus - p_plus * p_minus
-    fock = [(code, key, *_fock_window(mu_send, mu_silent,
-                                      eta_send * det.efficiency, p_dark))
+    batch = _batch_slots(p_bar, params, n_slots)
+    n_batches = -(-n_slots // batch)
+    batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    fock = [(code, key, *_fock_window(
+                mu_send, mu_silent, eta_send * det.efficiency, p_dark,
+                _phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
+                                    det.efficiency, p_dark, visibility)))
             for code, key, mu_send, mu_silent, eta_send in (
                 (_SN, "sn", params.alice.s, params.bob.w, eta_a),
                 (_NS, "ns", params.bob.s, params.alice.w, eta_b))]
@@ -522,8 +561,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     candidates = accepted = 0
 
     for b in range(n_batches):
-        lo = b * _BATCH_SLOTS
-        n = min(_BATCH_SLOTS, n_slots - lo)
+        lo = b * batch
+        n = min(batch, n_slots - lo)
         rng_slot, rng_drift, rng_sensor, rng_ref = [
             np.random.default_rng(s) for s in batch_seeds[b].spawn(4)]
 
@@ -535,17 +574,17 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         # Fock windows: outcome counts per sub-class, clicking slots only.
         coherent = table.ravel().copy()
         f_code, f_tag, f_c1, f_c2 = [], [], [], []
-        for code, key, split, laws in fock:
-            n_tag, n_untag, coherent[code] = rng_slot.multinomial(
-                coherent[code], split)
-            tagged[f"{key}_sent"] += int(n_tag)
-            for tag, n_sub, law in ((True, n_tag, laws[0]),
-                                    (False, n_untag, laws[1])):
+        for code, key, tag_share, tag_law, rest_law in fock:
+            n_tag = int(rng_slot.binomial(coherent[code], tag_share))
+            tagged[f"{key}_sent"] += n_tag
+            for tag, n_sub, law in ((True, n_tag, tag_law),
+                                    (False, coherent[code] - n_tag, rest_law)):
                 outcomes = rng_slot.multinomial(n_sub, law)[:3]
                 f_code.append(np.full(outcomes.sum(), code))
                 f_tag.append(np.full(outcomes.sum(), tag))
                 f_c1.append(np.repeat([True, False, True], outcomes))
                 f_c2.append(np.repeat([False, True, True], outcomes))
+            coherent[code] = 0
 
         n_cand = rng_slot.binomial(coherent, p_bar)
         code = np.concatenate([np.repeat(np.arange(25), n_cand), *f_code])
@@ -556,8 +595,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         # Channel phase at the candidate slots, the trace slots, the
         # fine-block ends and the batch's last slot (the carried state).
         trace_slots = np.arange(-lo % trace_stride, n, trace_stride)
-        points = np.unique(np.concatenate([
+        points = np.sort(np.concatenate([
             slot[:m], trace_slots, _fine_block_ends(phase_cfg, n, slot_dt)]))
+        points = points[np.diff(points, prepend=-1) > 0]
         if phase_cfg.regime == "ideal":
             phi = phase_cfg.residual_sigma * rng_drift.standard_normal(points.size)
         else:
@@ -660,4 +700,5 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     return SimOutcome(counts=counts, qber_z=raw.error_rate(), raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
                       ground_truth=gt, wall_s=time.perf_counter() - t_start,
-                      candidates=candidates, accepted=accepted)
+                      candidates=candidates, accepted=accepted,
+                      batches=n_batches)

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from tfqkd import model, montecarlo
 from tfqkd.model import (
@@ -65,6 +67,8 @@ class TestValidateParams:
 
 
 RUN_SLOTS = 2 * (1 << 20) + 12_345
+STREAMED_LINK = LinkBudget(0, 0, 0.0, 0.0)
+STREAMED_DET = DetectorParams(0.145, 450.0)
 
 
 def stream(side_a, side_b, n_slots, batch, seed):
@@ -88,6 +92,55 @@ def hypergeometric_sd(total, good, drawn):
     return np.sqrt(good * p * (1.0 - p) * (total - good) / (total - 1))
 
 
+def hypergeometric_pmf(total, good, drawn, k):
+    """Hypergeometric pmf at the consecutive integers k, normalised over
+    them, from the ratio of successive terms: exact to rounding at any
+    population size, unlike log-gamma differences."""
+    j = k[:-1].astype(float)
+    ratio = ((good - j) * (drawn - j)
+             / ((j + 1.0) * (total - good - drawn + j + 1.0)))
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return pmf / pmf.sum()
+
+
+def chi_square_p(sample, total, good, drawn, min_expected=20.0):
+    """Chi-square p-value of a sample against the hypergeometric pmf.
+
+    Consecutive counts are pooled until each cell expects at least
+    ``min_expected`` draws; a short last cell joins the one before.
+    """
+    mean = drawn * good / total
+    sd = float(hypergeometric_sd(total, good, drawn))
+    lo = max(0, drawn - (total - good), math.floor(mean - 12.0 * sd - 1.0))
+    hi = min(good, drawn, math.ceil(mean + 12.0 * sd + 1.0))
+    k = np.arange(lo, hi + 1)
+    assert sample.min() >= lo and sample.max() <= hi
+    expected = sample.size * hypergeometric_pmf(total, good, drawn, k)
+    cell = np.empty(k.size, dtype=np.int64)
+    c, acc = 0, 0.0
+    for i, e in enumerate(expected):
+        cell[i] = c
+        acc += e
+        if acc >= min_expected:
+            c, acc = c + 1, 0.0
+    if c > 0 and acc < min_expected:
+        cell[cell == c] = c - 1
+    exp_cells = np.bincount(cell, weights=expected)
+    obs_cells = np.bincount(cell[sample - lo], minlength=exp_cells.size)
+    stat = float(np.sum((obs_cells - exp_cells) ** 2 / exp_cells))
+    return float(chi2.sf(stat, exp_cells.size - 1))
+
+
+@pytest.fixture(scope="class")
+def streamed_batches(params, batch_rule):
+    """Batch sizes of the streamed run, by the batch-size rule."""
+    batch = batch_rule(params, STREAMED_LINK, STREAMED_DET, RUN_SLOTS)
+    sizes = [batch] * (RUN_SLOTS // batch) + [RUN_SLOTS % batch]
+    assert len(sizes) >= 3
+    return sizes
+
+
 @pytest.fixture(scope="class")
 def streamed_run(params):
     """Pair table and placed events (codes, slots) of every batch of one
@@ -107,8 +160,7 @@ def streamed_run(params):
     montecarlo.fair_sampled_classes = recording_sampler
     montecarlo._scatter = recording_scatter
     try:
-        montecarlo.run_protocol(params, LinkBudget(0, 0, 0.0, 0.0),
-                                DetectorParams(0.145, 450.0),
+        montecarlo.run_protocol(params, STREAMED_LINK, STREAMED_DET,
                                 montecarlo.PhaseConfig(), RUN_SLOTS, seed=21)
     finally:
         montecarlo.fair_sampled_classes = sampler
@@ -179,21 +231,23 @@ class TestPatternSynthesis:
         assert counts.sum() == 97
         assert np.all(np.abs(counts - probs * 97) < 1.0)
 
-    def test_run_tables_sum_to_exact_totals(self, params, streamed_run):
+    def test_run_tables_sum_to_exact_totals(self, params, streamed_run,
+                                            streamed_batches):
         tables, _ = streamed_run
-        assert [t.sum() for t in tables] == [1 << 20, 1 << 20, 12_345]
+        assert [t.sum() for t in tables] == streamed_batches
         table = sum(tables)
         assert np.array_equal(table.sum(axis=1),
                               class_totals(params.alice, RUN_SLOTS))
         assert np.array_equal(table.sum(axis=0),
                               class_totals(params.bob, RUN_SLOTS))
 
-    def test_slot_position_independent_of_class(self, streamed_run):
+    def test_slot_position_independent_of_class(self, streamed_run,
+                                                streamed_batches):
         # The events of a batch sit at distinct slots, and the slots of each
         # class form a uniformly random subset: over eight segments of the
         # batch a class's count is hypergeometric.
         _, events = streamed_run
-        assert [n for _, _, n in events] == [1 << 20, 1 << 20, 12_345]
+        assert [n for _, _, n in events] == streamed_batches
         for codes, slots, n in events:
             assert codes.size > n // 100
             assert np.unique(slots).size == slots.size
@@ -250,6 +304,50 @@ class TestPatternSynthesis:
             assert np.all(np.abs(sample.mean(axis=0) - mean)
                           <= 5.0 * np.sqrt(var / draws))
             assert np.allclose(sample.var(axis=0), var, rtol=0.15)
+
+    @pytest.mark.parametrize("n_left, n", [
+        (13_700_000_000_000, 2_000_000_000),
+        (3_000_000_000, 3_000_000_000),
+    ])
+    def test_batch_of_a_billion_slots(self, params, n_left, n):
+        # Batches of 1e9 slots or more reach numpy's population limit in
+        # the table rows too; the whole run may also be one batch.
+        left_a = class_totals(params.alice, n_left)
+        left_b = class_totals(params.bob, n_left)
+        table = fair_sampled_classes(left_a, left_b, n,
+                                     np.random.default_rng(8))
+        assert table.sum() == n
+        assert np.all(table >= 0)
+        assert np.all(table.sum(axis=1) <= left_a)
+        assert np.all(table.sum(axis=0) <= left_b)
+        if n == n_left:
+            assert np.array_equal(table.sum(axis=1), left_a)
+            assert np.array_equal(table.sum(axis=0), left_b)
+        # Each slot's two classes are independent draws from the run totals.
+        mean = n * np.outer(left_a / n_left, left_b / n_left)
+        assert np.all(np.abs(table - mean) <= 5.0 * np.sqrt(mean) + 1.0)
+
+    @pytest.mark.parametrize("colors, n, draws", [
+        ([600, 250, 100, 40, 10], 200, 4000),
+        ([4_603_200_000_000, 6_356_800_000_000, 137_000_000_000,
+          2_192_000_000_000, 411_000_000_000], 1_000_000_000, 1000),
+    ])
+    def test_conditioned_binomials_marginals_chi_square(self, colors, n,
+                                                        draws):
+        # Each class count of a multivariate hypergeometric draw is
+        # hypergeometric; compare the draws' histograms with that pmf.
+        colors = np.array(colors, dtype=np.int64)
+        total = int(colors.sum())
+        rng = np.random.default_rng(12)
+        samples = [np.array([model._conditioned_binomials(colors, n, rng)
+                             for _ in range(draws)])]
+        if total < 10**9:
+            samples.append(rng.multivariate_hypergeometric(colors, n,
+                                                           size=draws))
+        for sample in samples:
+            assert np.all(sample.sum(axis=1) == n)
+            for i, good in enumerate(colors.tolist()):
+                assert chi_square_p(sample[:, i], total, good, n) > 1e-4, i
 
 
 class TestTransmissivities:

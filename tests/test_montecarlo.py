@@ -7,7 +7,8 @@ import pytest
 from scipy.special import i0
 
 from tfqkd import decoy, keyrate, montecarlo
-from tfqkd.model import DetectorParams, LinkBudget, SideParams, ProtocolParams
+from tfqkd.model import (DetectorParams, LinkBudget, SideParams, ProtocolParams,
+                         transmissivities)
 from tfqkd.montecarlo import (
     FeedbackDivergence,
     PhaseConfig,
@@ -343,6 +344,40 @@ class TestRunProtocol:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 1_000_000
 
+    def test_sparse_batches_peak_below_a_dense_batch(self, params, field_link,
+                                                     field_detector):
+        # A field-link batch spans ~3e8 slots but holds ~2^14 expected
+        # events, so its peak stays at or below one 2^20-slot batch on a
+        # lossless link, where ~4% of the slots may click.
+        runs = ((field_link, field_detector, 2_000_000_000),
+                (LinkBudget(0, 0, 0.0, 0.0), DetectorParams(0.145, 450.0),
+                 1 << 20))
+        peaks, batches = [], []
+        for link, det, n_slots in runs:
+            tracemalloc.start()
+            try:
+                out = run_protocol(params, link, det, PhaseConfig(), n_slots,
+                                   seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            batches.append(out.batches)
+        assert 2 <= batches[0] <= 20   # batches of 1e8 slots or more
+        assert batches[1] == 1
+        assert peaks[0] <= peaks[1]
+
+    def test_batch_count_follows_the_rule(self, params, field_link,
+                                          field_detector, quick_link,
+                                          quick_det, batch_rule):
+        for link, det, n_slots in ((LinkBudget(0, 0, 0.0, 0.0), quick_det,
+                                    3 << 20),
+                                   (quick_link, quick_det, 10_000_000),
+                                   (field_link, field_detector, 10_000_000)):
+            out = run_protocol(params, link, det, PhaseConfig(), n_slots,
+                               seed=3)
+            batch = batch_rule(params, link, det, n_slots)
+            assert out.batches == -(-n_slots // batch)
+
     def test_different_seed_differs(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal")
         a = run_protocol(params, quick_link, quick_det, cfg, 50_000, seed=1)
@@ -377,12 +412,12 @@ class TestRunProtocol:
         assert abs(rate - expected) < 4 * sigma
 
     def test_deadtime_invariant_across_batches(self, params, quick_link,
-                                               monkeypatch):
+                                               monkeypatch, batch_rule):
         # Record the clicks run_protocol keeps, per detector, by wrapping
         # the module-level filter it calls (once per detector per batch).
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=2e-8)  # 10 protocol slots
-        n = (1 << 20) + 60_000  # spans two batches
+        n = batch_rule(params, quick_link, det, 1 << 50) + 60_000  # 2 batches
         kept = []
         original = montecarlo.filter_deadtime
 
@@ -449,6 +484,50 @@ class TestRunProtocol:
 
 
 class TestModelAgreement:
+    def test_fock_window_keeps_the_forward_model_law(self, params):
+        # Tagged single-photon slots plus the rest make up the sn / ns
+        # windows; together they must herald with the forward model's
+        # phase-averaged probability.
+        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
+        p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
+        a, b = params.alice, params.bob
+        for loss_db in (0.0, 10.0, 56.0):
+            link = keyrate.split_loss_link(loss_db, params)
+            eta = transmissivities(link, det)
+            eta_a, eta_b = eta["eta_a"], eta["eta_b"]
+            for mu_a, mu_b, send, silent, eta_send in (
+                    (a.s, b.w, a.s, b.w, eta_a), (a.w, b.s, b.s, a.w, eta_b)):
+                args = (mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark, 0.97)
+                tag, tagged, rest = montecarlo._fock_window(
+                    send, silent, eta_send * det.efficiency, p_dark,
+                    montecarlo._phase_averaged_law(*args))
+                assert tag == pytest.approx(
+                    math.exp(-silent) * send * math.exp(-send), rel=1e-15)
+                assert min(rest) >= 0.0
+                assert sum(rest) == pytest.approx(1.0, abs=1e-15)
+                herald = (tag * (tagged[0] + tagged[1])
+                          + (1.0 - tag) * (rest[0] + rest[1]))
+                assert herald == pytest.approx(keyrate._heralded_mean(*args),
+                                               rel=1e-12)
+
+    def test_bright_silent_side_in_fock_windows(self, params):
+        # With Bob's not-sending light at 0.1 and Alice's arm 15 dB down the
+        # silent side dominates the ZZsn heralds.  Its light must enter at
+        # first order, as in the forward model; a sampler that lets it in
+        # at second order falls ~68 sigma short on ZZsn at these 2e6 slots.
+        p = dataclasses.replace(params,
+                                bob=dataclasses.replace(params.bob, w=0.1))
+        link = LinkBudget(0, 0, 15.0, 0.0)
+        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
+        n = 2_000_000
+        out = run_protocol(p, link, det, PhaseConfig(), n, seed=1)
+        pred = keyrate.expected_rates_model(p, link, det, visibility=0.97,
+                                            n_tot=n)
+        for k in decoy.CATEGORIES:
+            sigma = max(math.sqrt(pred.detected[k]), 1.0)
+            z = (out.counts.detected[k] - pred.detected[k]) / sigma
+            assert abs(z) < 4.5, f"category {k}: z={z:.2f}"
+
     def test_categories_within_bands_at_30db(self, params, security):
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=64e-9)
