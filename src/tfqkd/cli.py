@@ -219,28 +219,32 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Twin-field QKD analysis toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, counts=False):
-        sp.add_argument("--params", default=DEFAULT_PARAMS,
-                        help="parameter JSON (default: bundled fixture)")
-        if counts:
-            sp.add_argument("--counts", default=DEFAULT_COUNTS,
-                            help="counts JSON (default: bundled fixture)")
-        sp.add_argument("--out", default=None, help="output file")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=1)
+    shared = {
+        "--params": dict(default=DEFAULT_PARAMS,
+                         help="parameter JSON (default: bundled fixture)"),
+        "--counts": dict(default=DEFAULT_COUNTS,
+                         help="counts JSON (default: bundled fixture)"),
+        "--out": dict(default=None, help="output file"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--seed": dict(type=int, default=1),
+    }
+
+    def common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("validate", help="check parameter constraints")
-    common(sp)
+    common(sp, "--params")
     sp.add_argument("--tolerance", type=float, default=0.02,
                     help="relative tolerance on the security condition")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("keyrate", help="counts -> secret key rate report")
-    common(sp, counts=True)
+    common(sp, "--params", "--counts", "--out")
     sp.set_defaults(func=cmd_keyrate)
 
     sp = sub.add_parser("simulate", help="analytic key-rate sweep vs loss")
-    common(sp)
+    common(sp, "--params", "--out", "--format")
     sp.add_argument("--sweep-db", default="10:60:2", help="a:b:step in dB")
     sp.add_argument("--n-tot", type=float, default=1.36581e13)
     sp.add_argument("--arm-delta-db", type=float, default=None,
@@ -251,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("bounds", help="capacity bounds sweep vs loss")
-    common(sp)
+    common(sp, "--params", "--out", "--format")
     sp.add_argument("--sweep-db", default="10:60:2", help="a:b:step in dB")
     sp.add_argument("--asym-split", type=float, default=0.6,
                     help="fraction of the loss on the A arm for SKC1 asym")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("montecarlo", help="stochastic protocol run")
-    common(sp)
+    common(sp, "--params", "--out", "--seed")
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--loss-db", type=float, default=None,
                     help="override the link with this total loss, split "
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_montecarlo)
 
     sp = sub.add_parser("phasestab", help="phase stabilisation trace")
-    common(sp)
+    common(sp, "--out", "--seed")
     sp.add_argument("--regime", default="full",
                     choices=("free", "coarse", "full"))
     sp.add_argument("--steps", type=int, default=200_000)

@@ -39,13 +39,6 @@ class BoundedValue:
                 f"bounds out of order: {self.lower} <= {self.point} <= {self.upper}"
             )
 
-    def scaled(self, factor: float) -> "BoundedValue":
-        """Rescale all three values, e.g. count -> rate."""
-        return BoundedValue(
-            self.lower * factor, self.point * factor, self.upper * factor,
-            self.failure_prob,
-        )
-
 
 def binary_entropy(x):
     """Shannon entropy of a bit, h(x) = -x log2 x - (1-x) log2 (1-x).

@@ -141,10 +141,6 @@ class LinkBudget:
     def total_loss_db(self) -> float:
         return self.loss_ac_db + self.loss_bc_db
 
-    @property
-    def total_length_km(self) -> float:
-        return self.length_ac_km + self.length_bc_km
-
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -215,10 +211,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def hard_failures(self) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed and c.kind == "structural")
 
     def as_dict(self) -> dict:
         return {

@@ -14,37 +14,39 @@ output modes with Poissonian photon numbers of means
 
 and a detector clicks when its mode, plus a dark-equivalent Poisson admixture
 of mean -ln(1 - p_dark), is non-empty.  Z windows with a single active sender
-are sampled in the Fock picture instead (source photon number, binomial
-survival, 50/50 routing), which is statistically identical for
-phase-randomised pulses and provides ground-truth single-photon tags.
+also carry a ground-truth single-photon tag.
 
 Sampling law.  At deep loss almost no slot clicks, so ``run_protocol`` pays
 per possible click, not per slot (Poisson/Bernoulli thinning, Lewis &
 Shedler, Naval Res. Logist. Q. 26, 1979), and sizes its batches so that
 each holds about 2^14 expected possible clicks (at least 2^20 slots).  It
-is exact, not an approximation, for three reasons:
+is exact, not an approximation, for four reasons:
 
 * Exchangeable slots.  Given a batch's 5x5 (Alice, Bob) pair table every
   arrangement of its pair codes is equally likely (see ``model``), and a
-  slot's Fock sub-class, global phase and click draw do not depend on its
-  position.  So the slots of any set of events picked per class are a
-  uniformly random subset of the batch, with labels in random order, for
-  a batch of any size.
+  slot's global phase, click draw and tag do not depend on its position.
+  So the slots of any set of events picked per class are a uniformly
+  random subset of the batch, with labels in random order, for a batch of
+  any size.
 * A per-slot bound.  With delta = theta_A - theta_B + phi the click
-  probabilities p1(delta), p2(delta) of a coherent slot never exceed their
-  values at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 -
-  p1(0))(1 - p2(pi)).  Each class pair draws Bin(n_ab, p_bar_ab)
-  candidates; a candidate takes outcome (c1, c2) with probability
-  P(c1, c2 | delta) / p_bar at its own delta and is dropped otherwise, so
-  every slot gets outcome (c1, c2) with probability P(c1, c2 | delta).
-  The phase-free Fock windows need no bound: one binomial per batch
-  splits them into tagged single-photon slots and the rest, and one
-  multinomial each gives their outcome counts (``_fock_window``).
-* Markov phase.  The channel phase is a Gaussian Markov process (random
-  walks, and the linearised coarse loop's AR(1)), so evaluating it only at
-  the candidate slots (plus trace slots and fine-block ends) through its
-  exact k-step transitions gives the same joint law at those slots as the
-  slot-by-slot walk.
+  probabilities p1(delta), p2(delta) of a slot never exceed their values
+  at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 - p1(0))(1 -
+  p2(pi)).  Each class pair draws Bin(n_ab, p_bar_ab) candidates; a
+  candidate takes outcome (c1, c2) with probability P(c1, c2 | delta) /
+  p_bar at its own delta and is dropped otherwise, so every slot gets
+  outcome (c1, c2) with probability P(c1, c2 | delta).
+* Phase only where it is read.  theta_A - theta_B is uniform and
+  independent of phi, and only the XX matching windows read it, so every
+  other slot may take delta = theta_A - theta_B.  The channel phase is a
+  Gaussian Markov process (random walks, and the linearised coarse loop's
+  AR(1)), so evaluating it only at the XX candidate slots (plus trace
+  slots and fine-block ends) through its exact k-step transitions gives
+  the same joint law at those slots as the slot-by-slot walk.
+* Tags by posterior.  A single-sender slot's outcome o has the
+  phase-averaged law P_coh(o); tagging it with P(tag | o) = t P1(o) /
+  P_coh(o) (``_tag_posterior``) gives (o, tag) the Fock picture's joint
+  law t P1(o).  Slots without a click are all "neither", so one binomial
+  per batch tags them.
 
 Z-window bit convention (truth table):
 
@@ -104,6 +106,7 @@ _PAIR_B = np.tile(np.arange(5), 5)
 _SN = 5 * Z_SEND + Z_NOSEND
 _NS = 5 * Z_NOSEND + Z_SEND
 _ZZ = (_PAIR_A <= Z_NOSEND) & (_PAIR_B <= Z_NOSEND)
+_XX = (_PAIR_A == _PAIR_B) & ((_PAIR_A == X_U) | (_PAIR_A == X_V))
 _ALICE_BIT = (_PAIR_A == Z_SEND).astype(np.uint8)
 _BOB_BIT = (_PAIR_B == Z_NOSEND).astype(np.uint8)
 
@@ -397,8 +400,9 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
 class SimOutcome:
     """Result of one Monte Carlo protocol run.
 
-    ``wall_s`` is the run's wall time; ``candidates`` counts the coherent
-    slots the thinning drew and ``accepted`` those of them that clicked, so
+    ``wall_s`` is the run's wall time; ``candidates`` counts the slots of
+    every pair code, the single-sender Z windows included, that the
+    thinning drew and ``accepted`` those of them that clicked, so
     accepted / candidates is the thinning's acceptance ratio; ``batches``
     is the number of batches the run was cut into.
     """
@@ -431,30 +435,28 @@ def _phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
             float(np.mean(p1 * p2)), float(np.mean((1.0 - p1) * (1.0 - p2)))]
 
 
-def _fock_window(mu_send: float, mu_silent: float, q: float, p_dark: float,
-                 coherent: list) -> tuple[float, list, list]:
-    """Tagged share and outcome laws of a single-active-sender Z window.
+def _tag_posterior(mu_send: float, mu_silent: float, q: float,
+                   p_dark: float, coherent: list) -> np.ndarray:
+    """P(tag | outcome) of a single-active-sender Z window, per outcome
+    (1 only, 2 only, both, neither).
 
-    Both pulses are phase-randomised, so each side emits a Poisson mixture
-    of photon-number states and the window's outcome law is the
+    Both pulses are phase-randomised, so the window's outcome law is the
     phase-averaged coherent law ``coherent``.  With probability
     t = exp(-mu_silent) mu_send exp(-mu_send) the silent side emits nothing
-    and the sender exactly one photon; those slots are tagged (single-photon
-    ground truth) and take the one-photon law: the photon survives with q
-    and routes 50/50, and each detector adds its dark count, so detector 2
-    stays dark with (1 - q/2)(1 - p_dark) and both with (1 - q)(1 - p_dark)^2.
-    Every other slot takes (coherent - t * tagged) / (1 - t), so that the
-    window as a whole keeps the coherent law, in which the silent side's
-    light enters at order mu_silent.  Returns t and the (tagged, rest)
-    outcome laws (1 only, 2 only, both, neither).
+    and the sender exactly one photon; such a slot is tagged (single-photon
+    ground truth) and has the one-photon law P1: the photon survives with q
+    and routes 50/50, and each detector adds its dark count.  Bayes gives
+    P(tag | o) = t P1(o) / P_coh(o), capped at 1; an outcome that never
+    occurs (P_coh(o) = 0, e.g. a blind, dark-free detector) gets 0.
     """
     tag = math.exp(-mu_silent) * mu_send * math.exp(-mu_send)
-    neither = (1.0 - q) * (1.0 - p_dark) ** 2
-    silent = (1.0 - q / 2.0) * (1.0 - p_dark)
-    only = silent - neither
-    tagged = [only, only, max(1.0 - 2.0 * silent + neither, 0.0), neither]
-    rest = [max(c - tag * t, 0.0) for c, t in zip(coherent, tagged)]
-    return tag, tagged, [r / sum(rest) for r in rest]
+    only = (1.0 - p_dark) * (q / 2.0 + (1.0 - q) * p_dark)
+    one_photon = np.array([only, only, q * p_dark + (1.0 - q) * p_dark**2,
+                           (1.0 - q) * (1.0 - p_dark) ** 2])
+    coherent = np.asarray(coherent)
+    posterior = np.divide(tag * one_photon, coherent, out=np.zeros(4),
+                          where=coherent > 0.0)
+    return np.minimum(1.0, posterior)
 
 
 def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -499,21 +501,21 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     batches, sparse ones pay a batch's fixed cost once per ~2^14 expected
     events.  Per batch, ``fair_sampled_classes`` draws the pair table from
     the class counts not yet placed (a starved class raises PatternError
-    before any batch runs).  The sn / ns Fock windows split into tagged
-    single-photon slots and the rest by one binomial, and their clicking
-    slots by one multinomial each.  Every other slot is coherent: each
-    class pair draws Bin(n_ab, p_bar_ab) candidates, p_bar_ab = 1 - (1 -
-    p1(cos delta = 1)) (1 - p2(cos delta = -1)) from ``click_probs``.  The
-    events go to uniformly random distinct slots; each candidate draws its
-    global phase difference theta_A - theta_B uniform on [0, 2 pi) (only
-    that difference mod 2 pi enters the interference and the matching
-    windows), takes the channel phase at its slot, and keeps outcome
-    (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double clicks
-    stay events, so both detectors' clicks reach ``filter_deadtime``.  The
-    module docstring says why this is exact.
+    before any batch runs).  Each class pair draws Bin(n_ab, p_bar_ab)
+    candidates, p_bar_ab = 1 - (1 - p1(cos delta = 1)) (1 - p2(cos delta =
+    -1)) from ``click_probs``.  The candidates go to uniformly random
+    distinct slots; each draws its global phase difference theta_A -
+    theta_B uniform on [0, 2 pi) (only that difference mod 2 pi enters the
+    interference and the matching windows), adds the channel phase at its
+    slot if it is an XX candidate, and keeps outcome (c1, c2) with
+    probability P(c1, c2 | delta) / p_bar.  Double clicks stay events, so
+    both detectors' clicks reach ``filter_deadtime``.  Clicking sn / ns
+    slots draw their single-photon tag from ``_tag_posterior`` given their
+    outcome, and one binomial per batch tags the sn / ns slots that did
+    not click.  The module docstring says why this is exact.
 
-    The channel phase is evaluated only at candidate slots, at ~4096 trace
-    slots spread over the run and at fine-block ends; the fine blocks
+    The channel phase is evaluated only at XX candidate slots, at ~4096
+    trace slots spread over the run and at fine-block ends; the fine blocks
     restart at each batch boundary.  The protocol frame absorbs the lock
     setpoint: the phase entering the interference is the trajectory minus
     the setpoint, so a perfect lock means zero effective offset.
@@ -537,13 +539,14 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     batch = _batch_slots(p_bar, params, n_slots)
     n_batches = -(-n_slots // batch)
     batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
-    fock = [(code, key, *_fock_window(
-                mu_send, mu_silent, eta_send * det.efficiency, p_dark,
-                _phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
-                                    det.efficiency, p_dark, visibility)))
-            for code, key, mu_send, mu_silent, eta_send in (
-                (_SN, "sn", params.alice.s, params.bob.w, eta_a),
-                (_NS, "ns", params.bob.s, params.alice.w, eta_b))]
+    tag_prob = np.zeros((25, 4))     # pair code, outcome -> P(tag | outcome)
+    for code, mu_send, mu_silent, eta_send in (
+            (_SN, params.alice.s, params.bob.w, eta_a),
+            (_NS, params.bob.s, params.alice.w, eta_b)):
+        tag_prob[code] = _tag_posterior(
+            mu_send, mu_silent, eta_send * det.efficiency, p_dark,
+            _phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
+                                det.efficiency, p_dark, visibility))
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)
@@ -553,7 +556,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     pair_heralded = np.zeros((5, 5), dtype=np.int64)
     x_tallies = {X_U: [0, 0], X_V: [0, 0]}   # class -> [matched, errors]
     alice_key, bob_key, key_tags = [], [], []
-    tagged = {"sn_sent": 0, "sn_heralded": 0, "ns_sent": 0, "ns_heralded": 0}
+    tag_sent = np.zeros(25, dtype=np.int64)
+    tag_heralded = np.zeros(25, dtype=np.int64)
     phase_carry = {"x": 0.0, "d": phase_cfg.setpoint + phase_cfg.initial_offset,
                    "c_f": 0.0}
     last_retained = [-np.inf, -np.inf]
@@ -571,32 +575,17 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         left_b -= table.sum(axis=0)
         pair_sent += table
 
-        # Fock windows: outcome counts per sub-class, clicking slots only.
-        coherent = table.ravel().copy()
-        f_code, f_tag, f_c1, f_c2 = [], [], [], []
-        for code, key, tag_share, tag_law, rest_law in fock:
-            n_tag = int(rng_slot.binomial(coherent[code], tag_share))
-            tagged[f"{key}_sent"] += n_tag
-            for tag, n_sub, law in ((True, n_tag, tag_law),
-                                    (False, coherent[code] - n_tag, rest_law)):
-                outcomes = rng_slot.multinomial(n_sub, law)[:3]
-                f_code.append(np.full(outcomes.sum(), code))
-                f_tag.append(np.full(outcomes.sum(), tag))
-                f_c1.append(np.repeat([True, False, True], outcomes))
-                f_c2.append(np.repeat([False, True, True], outcomes))
-            coherent[code] = 0
-
-        n_cand = rng_slot.binomial(coherent, p_bar)
-        code = np.concatenate([np.repeat(np.arange(25), n_cand), *f_code])
+        n_cand = rng_slot.binomial(table.ravel(), p_bar)
+        code = np.repeat(np.arange(25), n_cand)
         slot = _scatter(code, n, rng_slot)
-        m = int(n_cand.sum())
-        candidates += m
+        candidates += code.size
 
-        # Channel phase at the candidate slots, the trace slots, the
+        # Channel phase at the XX candidate slots, the trace slots, the
         # fine-block ends and the batch's last slot (the carried state).
+        in_xx = _XX[code]
         trace_slots = np.arange(-lo % trace_stride, n, trace_stride)
-        points = np.sort(np.concatenate([
-            slot[:m], trace_slots, _fine_block_ends(phase_cfg, n, slot_dt)]))
+        ends = _fine_block_ends(phase_cfg, n, slot_dt)
+        points = np.sort(np.concatenate([slot[in_xx], trace_slots, ends]))
         points = points[np.diff(points, prepend=-1) > 0]
         if phase_cfg.regime == "ideal":
             phi = phase_cfg.residual_sigma * rng_drift.standard_normal(points.size)
@@ -612,22 +601,27 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
 
         # Thinning: candidate (c1, c2) with probability P(c1, c2 | delta)/p_bar.
-        dtheta = rng_slot.random(m) * (2.0 * np.pi)
-        p1, p2 = click_probs(mu_a[code[:m]], mu_b[code[:m]],
-                             dtheta + phi[np.searchsorted(points, slot[:m])],
-                             eta_a, eta_b, det.efficiency, p_dark, visibility)
-        u = rng_slot.random(m) * p_bar[code[:m]]
+        dtheta = rng_slot.random(code.size) * (2.0 * np.pi)
+        delta = dtheta.copy()
+        delta[in_xx] += phi[np.searchsorted(points, slot[in_xx])]
+        p1, p2 = click_probs(mu_a[code], mu_b[code], delta, eta_a, eta_b,
+                             det.efficiency, p_dark, visibility)
+        u = rng_slot.random(code.size) * p_bar[code]
         both = p1 * p2
-        c1 = np.concatenate([u < p1, *f_c1])
-        c2 = np.concatenate([(u >= p1 - both) & (u < p1 + p2 - both), *f_c2])
-        accepted += int(np.count_nonzero(c1[:m] | c2[:m]))
-        dtheta = np.concatenate([dtheta, np.zeros(code.size - m)])
-        tags = np.concatenate([np.zeros(m, dtype=bool), *f_tag])
+        c1 = u < p1
+        c2 = (u >= p1 - both) & (u < p1 + p2 - both)
+        clicked = np.flatnonzero(c1 | c2)
+        accepted += clicked.size
 
-        order = np.argsort(slot)
-        order = order[c1[order] | c2[order]]
+        order = clicked[np.argsort(slot[clicked])]
         slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]
-        dtheta, tags = dtheta[order], tags[order]
+        dtheta = dtheta[order]
+        # Tags given the outcome (0: 1 only, 1: 2 only, 2: both); the slots
+        # that did not click are all "neither" (3).
+        outcome = np.where(c1, 2 * c2, 1)
+        tags = rng_slot.random(code.size) < tag_prob[code, outcome]
+        tag_sent += np.bincount(code[tags], minlength=25) + rng_slot.binomial(
+            table.ravel() - np.bincount(code, minlength=25), tag_prob[:, 3])
         if det.deadtime_s > 0:
             for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
@@ -647,10 +641,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             alice_key.append(_ALICE_BIT[key_codes])
             bob_key.append(_BOB_BIT[key_codes])
             key_tags.append(tags[zz])
-        tagged["sn_heralded"] += int(np.count_nonzero(tags & (code == _SN)
-                                                      & heralded))
-        tagged["ns_heralded"] += int(np.count_nonzero(tags & (code == _NS)
-                                                      & heralded))
+        tag_heralded += np.bincount(code[tags & heralded], minlength=25)
 
         for x_cls, tally in x_tallies.items():
             xx = (code == 5 * x_cls + x_cls) & heralded
@@ -680,7 +671,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     t_bits = np.concatenate(key_tags) if key_tags else np.zeros(0, bool)
     raw = RawKeyPair(alice_bits=a_bits, bob_bits=b_bits, tags=t_bits)
 
-    gt = dict(tagged)
+    gt = {"sn_sent": int(tag_sent[_SN]),
+          "sn_heralded": int(tag_heralded[_SN]),
+          "ns_sent": int(tag_sent[_NS]),
+          "ns_heralded": int(tag_heralded[_NS])}
     s10_true = gt["sn_heralded"] / gt["sn_sent"] if gt["sn_sent"] else 0.0
     s01_true = gt["ns_heralded"] / gt["ns_sent"] if gt["ns_sent"] else 0.0
     v_a, v_b = params.alice.v, params.bob.v

@@ -243,7 +243,8 @@ class TestCriterion5OracleEquivalence:
 
     def test_s1_coverage_over_seeds(self, params, security):
         # 100 seeded desk-scale repetitions; the conservative bound must
-        # stay at or below the tagged ground truth in at least 95.
+        # stay at or below the tagged ground truth in at least 95, and be
+        # nonzero in at least 95 so that the coverage says something.
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=0.0)
         link = balanced_link(20.0, params)
@@ -251,7 +252,7 @@ class TestCriterion5OracleEquivalence:
         covered = 0
         nonzero = 0
         for seed in range(100):
-            out = run_protocol(params, link, det, cfg, n_slots=10_000_000,
+            out = run_protocol(params, link, det, cfg, n_slots=200_000_000,
                                seed=1000 + seed, visibility=0.97)
             rates = decoy.counting_rates(out.counts, security.chernoff_xi)
             s1_lower = decoy.bound_s1(decoy.bound_s01(rates, params),
@@ -260,9 +261,9 @@ class TestCriterion5OracleEquivalence:
                 covered += 1
             if s1_lower > 0.0:
                 nonzero += 1
-        ok = covered >= 95
+        ok = covered >= 95 and nonzero >= 95
         verdict(5, ok, f"s1_lower <= tagged truth in {covered}/100 seeded "
-                       f"runs at 20 dB ({nonzero} runs gave a nonzero bound)")
+                       f"runs at 20 dB, nonzero in {nonzero}/100")
 
 
 def synthetic_sns_keys(n_bits, seed):

@@ -145,6 +145,24 @@ def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--out", "x.json"],
+    ["validate", "--format", "json"],
+    ["validate", "--seed", "2"],
+    ["keyrate", "--format", "json"],
+    ["keyrate", "--seed", "2"],
+    ["simulate", "--seed", "2"],
+    ["bounds", "--seed", "2"],
+    ["montecarlo", "--format", "json"],
+    ["phasestab", "--params", "/nonexistent.json"],
+    ["phasestab", "--format", "json"],
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(argv)
+    assert argv[1] in capsys.readouterr().err
+
+
 class TestPhasestab:
     def test_trace_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -118,10 +118,6 @@ class TestBoundedValue:
         with pytest.raises(ValueError):
             BoundedValue(lower=2.0, point=1.0, upper=3.0, failure_prob=1e-5)
 
-    def test_scaled(self):
-        bv = BoundedValue(1.0, 2.0, 3.0, 1e-5).scaled(0.5)
-        assert (bv.lower, bv.point, bv.upper) == (0.5, 1.0, 1.5)
-
     def test_bounded_rate_needs_trials(self):
         with pytest.raises(ValueError):
             bounded_rate(5, 0, 1e-5)

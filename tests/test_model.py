@@ -58,7 +58,7 @@ class TestValidateParams:
         report = validate_params(bad)
         assert not report.ok
         assert any(c.name == "decoy_probabilities_A" and c.kind == "structural"
-                   for c in report.hard_failures)
+                   and not c.passed for c in report.checks)
 
     def test_idempotent_and_pure(self, params):
         r1 = validate_params(params, 0.02)

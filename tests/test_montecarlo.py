@@ -308,10 +308,6 @@ class TestDeadtimeFilter:
         assert np.all(np.diff(kept) >= 5e-6)
 
 
-def small_params(params):
-    return params
-
-
 class TestRunProtocol:
     def test_minimum_slots(self, params, quick_link, quick_det):
         with pytest.raises(ValueError):
@@ -485,9 +481,8 @@ class TestRunProtocol:
 
 class TestModelAgreement:
     def test_fock_window_keeps_the_forward_model_law(self, params):
-        # Tagged single-photon slots plus the rest make up the sn / ns
-        # windows; together they must herald with the forward model's
-        # phase-averaged probability.
+        # The sn / ns windows take the forward model's phase-averaged law,
+        # and tagging by the posterior keeps the Fock picture's tag share.
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
         p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
         a, b = params.alice, params.bob
@@ -498,17 +493,46 @@ class TestModelAgreement:
             for mu_a, mu_b, send, silent, eta_send in (
                     (a.s, b.w, a.s, b.w, eta_a), (a.w, b.s, b.s, a.w, eta_b)):
                 args = (mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark, 0.97)
-                tag, tagged, rest = montecarlo._fock_window(
-                    send, silent, eta_send * det.efficiency, p_dark,
-                    montecarlo._phase_averaged_law(*args))
-                assert tag == pytest.approx(
-                    math.exp(-silent) * send * math.exp(-send), rel=1e-15)
-                assert min(rest) >= 0.0
-                assert sum(rest) == pytest.approx(1.0, abs=1e-15)
-                herald = (tag * (tagged[0] + tagged[1])
-                          + (1.0 - tag) * (rest[0] + rest[1]))
-                assert herald == pytest.approx(keyrate._heralded_mean(*args),
-                                               rel=1e-12)
+                coherent = montecarlo._phase_averaged_law(*args)
+                posterior = montecarlo._tag_posterior(
+                    send, silent, eta_send * det.efficiency, p_dark, coherent)
+                assert np.dot(coherent, posterior) == pytest.approx(
+                    math.exp(-silent) * send * math.exp(-send), rel=1e-12)
+                assert np.all((posterior >= 0.0) & (posterior <= 1.0))
+                assert coherent[0] + coherent[1] == pytest.approx(
+                    keyrate._heralded_mean(*args), rel=1e-12)
+        # A blind, dark-free detector never clicks: the click outcomes get
+        # P(tag | o) = 0, not 0 / 0.
+        blind = montecarlo._tag_posterior(a.s, b.w, 0.0, 0.0, [0, 0, 0, 1])
+        assert blind.tolist() == [0.0, 0.0, 0.0,
+                                  math.exp(-b.w) * a.s * math.exp(-a.s)]
+
+    def test_tags_keep_the_fock_law(self, params):
+        # Tagged sn / ns slots make up the share t of their windows and
+        # herald with the one-photon probability, each within 4 binomial
+        # sigma.  Most tagged slots do not click, so this also checks the
+        # binomial that tags the slots without a click.
+        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
+        link = keyrate.split_loss_link(20.0, params)
+        cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
+        out = run_protocol(params, link, det, cfg, 100_000_000, seed=5)
+        eta = transmissivities(link, det)
+        p_d = det.dark_prob_per_gate(params.clock_rate_hz)
+        gt = out.ground_truth
+        a, b = params.alice, params.bob
+        for key, category, truth, send, silent, eta_send in (
+                ("sn", "ZZsn", "s10_true", a.s, b.w, eta["eta_a"]),
+                ("ns", "ZZns", "s01_true", b.s, a.w, eta["eta_b"])):
+            slots = out.counts.sent[category]
+            t = math.exp(-silent) * send * math.exp(-send)
+            tagged = gt[f"{key}_sent"]
+            assert abs(tagged - slots * t) <= 4.0 * math.sqrt(
+                slots * t * (1.0 - t)), key
+            q = eta_send * det.efficiency
+            herald = 2.0 * ((1.0 - q / 2.0) * (1.0 - p_d)
+                            - (1.0 - q) * (1.0 - p_d) ** 2)
+            assert abs(gt[truth] - herald) <= 4.0 * math.sqrt(
+                herald * (1.0 - herald) / tagged), truth
 
     def test_bright_silent_side_in_fock_windows(self, params):
         # With Bob's not-sending light at 0.1 and Alice's arm 15 dB down the
