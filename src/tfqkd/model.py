@@ -11,18 +11,15 @@ per-class counts (largest-remainder rounding of probability * n_slots), in
 a uniformly random order, independently of the other side.  This removes
 sampling fluctuations from the pulse-pair distribution.
 
-The patterns are streamed, never materialised.  ``fair_sampled_classes``
-draws the class counts of one batch of slots at a time, as the joint 5x5
-(Alice, Bob) pair table.  The first n slots of a uniform arrangement hold
-a uniformly random n-subset of the multiset (multivariate hypergeometric
-counts), in uniform order given those counts, and what is left is again
-uniformly arranged; so drawing each batch's counts from the counts not yet
-placed reproduces the whole-run law exactly.  For two independent sides,
-the pair table of a batch follows from pairing Alice's class-a slots with
-a uniform subset of Bob's batch slots, and given that table every order of
-the pair codes is equally likely: the slots are exchangeable within a
-batch, which is what lets the Monte Carlo sampler place only the slots
-that may click (see ``montecarlo``).
+The patterns are never materialised.  ``fair_sampled_classes`` draws the
+run's joint 5x5 (Alice, Bob) pair table once.  Under two independent
+uniform arrangements, Alice's class-a slots hold a uniformly random subset
+of Bob's classes (multivariate hypergeometric counts), so one subset draw
+per Alice class gives the table its exact law; and given the table every
+order of the run's pair codes is equally likely.  The slots are
+exchangeable, which is what lets the Monte Carlo sampler cut the run into
+batches by one subset draw each and place only the slots that may click
+(see ``montecarlo``).
 """
 
 from __future__ import annotations
@@ -381,23 +378,21 @@ def _binomial_log_ratio(c: int, p: float, r: int, m: int) -> float:
     return float(step.sum()) if r > m else -float(step.sum())
 
 
-def fair_sampled_classes(left_a: np.ndarray, left_b: np.ndarray, n: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Joint (Alice, Bob) class table of the next n slots of a fair-sampled run.
+def fair_sampled_classes(side_a: SideParams, side_b: SideParams,
+                         n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Joint (Alice, Bob) class table of a fair-sampled run of n_slots.
 
-    ``left_a`` / ``left_b`` are the class counts each side has not yet
-    placed (its ``class_totals`` minus the earlier batches' rows / columns).
-    Each side's batch counts are a uniformly random n-subset of what is
-    left; the 5x5 pair table then pairs Alice's batch slots with Bob's by
-    one hypergeometric draw per Alice class.  Row sums are Alice's batch
-    counts, column sums Bob's; every arrangement of the batch's pair codes
-    is equally likely given the table.
+    Each side holds its ``class_totals`` (a starved class raises
+    PatternError); pairing Alice's class-a slots with a uniformly random
+    subset of Bob's slots not yet paired, one draw per Alice class, gives
+    the 5x5 table.  Row sums are Alice's totals, column sums Bob's; every
+    arrangement of the run's pair codes is equally likely given the table.
     """
-    count_a = _subset_counts(left_a, n, rng)
-    pool = _subset_counts(left_b, n, rng)
+    totals_a = class_totals(side_a, n_slots)
+    pool = class_totals(side_b, n_slots)
     table = np.empty((5, 5), dtype=np.int64)
     for a in range(5):
-        table[a] = _subset_counts(pool, int(count_a[a]), rng)
+        table[a] = _subset_counts(pool, int(totals_a[a]), rng)
         pool = pool - table[a]
     return table
 

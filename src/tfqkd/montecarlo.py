@@ -18,23 +18,26 @@ also carry a ground-truth single-photon tag.
 
 Sampling law.  At deep loss almost no slot clicks, so ``run_protocol`` pays
 per possible click, not per slot (Poisson/Bernoulli thinning, Lewis &
-Shedler, Naval Res. Logist. Q. 26, 1979), and sizes its batches so that
-each holds about 2^14 expected possible clicks (at least 2^20 slots).  It
-is exact, not an approximation, for four reasons:
+Shedler, Naval Res. Logist. Q. 26, 1979), and cuts the run into batches
+that each hold about 2^14 possible clicks (at least 2^20 slots).  It is
+exact, not an approximation, for five reasons:
 
-* Exchangeable slots.  Given a batch's 5x5 (Alice, Bob) pair table every
+* Exchangeable slots.  Given the run's 5x5 (Alice, Bob) pair table every
   arrangement of its pair codes is equally likely (see ``model``), and a
   slot's global phase, click draw and tag do not depend on its position.
-  So the slots of any set of events picked per class are a uniformly
-  random subset of the batch, with labels in random order, for a batch of
-  any size.
 * A per-slot bound.  With delta = theta_A - theta_B + phi the click
   probabilities p1(delta), p2(delta) of a slot never exceed their values
   at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 - p1(0))(1 -
-  p2(pi)).  Each class pair draws Bin(n_ab, p_bar_ab) candidates; a
-  candidate takes outcome (c1, c2) with probability P(c1, c2 | delta) /
-  p_bar at its own delta and is dropped otherwise, so every slot gets
-  outcome (c1, c2) with probability P(c1, c2 | delta).
+  p2(pi)).  Each pair code draws Bin(T_ab, p_bar_ab) candidates once per
+  run; a candidate takes outcome (c1, c2) with probability
+  P(c1, c2 | delta) / p_bar at its own delta and is dropped otherwise, so
+  every slot gets outcome (c1, c2) with probability P(c1, c2 | delta).
+* One subset draw per batch.  Candidacy is independent from slot to slot
+  given the code, so the slots labelled "candidate of code ab" or "no
+  candidate" stay exchangeable: a batch's label counts are a uniformly
+  random subset of the labels not yet placed (one multivariate
+  hypergeometric draw over 26 labels), and its candidates sit at
+  uniformly random distinct slots of the batch, in random order.
 * Phase only where it is read.  theta_A - theta_B is uniform and
   independent of phi, and only the XX matching windows read it, so every
   other slot may take delta = theta_A - theta_B.  The channel phase is a
@@ -46,7 +49,7 @@ is exact, not an approximation, for four reasons:
   phase-averaged law P_coh(o); tagging it with P(tag | o) = t P1(o) /
   P_coh(o) (``_tag_posterior``) gives (o, tag) the Fock picture's joint
   law t P1(o).  Slots without a click are all "neither", so one binomial
-  per batch tags them.
+  per run tags them.
 
 Z-window bit convention (truth table):
 
@@ -75,7 +78,7 @@ from .model import (
     Z_SEND,
     X_U,
     X_V,
-    class_totals,
+    _subset_counts,
     fair_sampled_classes,
     transmissivities,
 )
@@ -96,7 +99,7 @@ __all__ = [
 
 MIN_SLOTS = 10_000
 _MIN_BATCH_SLOTS = 1 << 20
-_BATCH_EVENTS = 1 << 14       # expected possible clicks per batch above 2^20
+_BATCH_EVENTS = 1 << 14       # thinning candidates per batch above 2^20
 _TRACE_POINTS = 4096
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
@@ -109,6 +112,8 @@ _ZZ = (_PAIR_A <= Z_NOSEND) & (_PAIR_B <= Z_NOSEND)
 _XX = (_PAIR_A == _PAIR_B) & ((_PAIR_A == X_U) | (_PAIR_A == X_V))
 _ALICE_BIT = (_PAIR_A == Z_SEND).astype(np.uint8)
 _BOB_BIT = (_PAIR_B == Z_NOSEND).astype(np.uint8)
+_XUXU = 5 * X_U + X_U
+_XVXV = 5 * X_V + X_V
 
 
 class FeedbackDivergence(RuntimeError):
@@ -134,7 +139,6 @@ class PhaseConfig:
     fine_gain: float = 0.5           # integral gain per fine block
     fine_block_s: float = 1e-3       # fine feedback update period
     setpoint: float = math.pi / 2.0  # lock point (quadrature: max sensitivity)
-    lock_tolerance: float = 0.05     # rad, |mean offset| target when locked
     residual_sigma: float = 0.02     # rad, ideal-regime residual width
     initial_offset: float = 0.3      # rad, starting offset from the setpoint
     ref_intensity: float = 0.2       # reference-pulse intensity, photons/pulse
@@ -350,6 +354,33 @@ def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
     return phases + shift[np.searchsorted(ends, slots)]
 
 
+def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
+                   rngs, carry: dict, ref_flux_per_slot: float,
+                   visibility: float) -> np.ndarray:
+    """Channel phase minus the lock setpoint at the sorted slot indices.
+
+    The one phase path: ``run_protocol`` calls it per batch and
+    ``simulate_phase_trace`` once.  "ideal" draws an i.i.d. Gaussian
+    residual of width ``residual_sigma``; the other regimes evaluate
+    ``_phase_trajectory`` and, in "full", ``_apply_fine_blocks``.  The
+    protocol frame absorbs the setpoint, so a perfect lock reads zero.
+    ``rngs`` are the drift, sensor and reference streams; ``carry`` holds
+    the loops' state between calls, and an empty one starts them at the
+    setpoint plus ``initial_offset``.
+    """
+    rng_drift, rng_sensor, rng_ref = rngs
+    if cfg.regime == "ideal":
+        return cfg.residual_sigma * rng_drift.standard_normal(slots.size)
+    if not carry:
+        carry.update(x=0.0, d=cfg.setpoint + cfg.initial_offset, c_f=0.0)
+    phi, sums = _phase_trajectory(cfg, slots, dt, rng_drift, rng_sensor,
+                                  carry)
+    if cfg.regime == "full":
+        phi = _apply_fine_blocks(cfg, slots, phi, sums, dt, rng_ref, carry,
+                                 ref_flux_per_slot, visibility)
+    return phi - cfg.setpoint
+
+
 @dataclass(frozen=True)
 class PhaseTrace:
     times_s: np.ndarray
@@ -368,27 +399,19 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
                          seed: int) -> PhaseTrace:
     """Standalone stabilisation-loop run producing a phase trace.
 
-    The same phase code as ``run_protocol``, evaluated at every step.  The
-    drift increments come from a stream independent of the sensor and
-    reference streams, so runs with the same seed experience the same
-    physical drift in every regime.
+    The same phase code as ``run_protocol``, evaluated at every step and
+    reported around the setpoint.  The drift increments come from a stream
+    independent of the sensor and reference streams, so runs with the same
+    seed experience the same physical drift in every regime.
     """
     if n_steps <= 0 or dt <= 0:
         raise ValueError("n_steps and dt must be positive")
-    ss = np.random.SeedSequence(seed)
-    s_drift, s_sensor, s_ref = [np.random.default_rng(c) for c in ss.spawn(3)]
-    times = np.arange(n_steps, dtype=float) * dt
-    if cfg.regime == "ideal":
-        phases = cfg.setpoint + cfg.residual_sigma * s_drift.standard_normal(n_steps)
-        return PhaseTrace(times_s=times, delta_phi_rad=phases,
-                          regime=cfg.regime, seed=seed)
-    carry = {"x": 0.0, "d": cfg.setpoint + cfg.initial_offset, "c_f": 0.0}
+    rngs = [np.random.default_rng(c)
+            for c in np.random.SeedSequence(seed).spawn(3)]
     slots = np.arange(n_steps)
-    phases, sums = _phase_trajectory(cfg, slots, dt, s_drift, s_sensor, carry)
-    if cfg.regime == "full":
-        phases = _apply_fine_blocks(cfg, slots, phases, sums, dt, s_ref, carry,
-                                    cfg.ref_intensity, visibility=0.99)
-    return PhaseTrace(times_s=times, delta_phi_rad=phases,
+    phases = cfg.setpoint + _channel_phase(cfg, slots, dt, rngs, {},
+                                           cfg.ref_intensity, visibility=0.99)
+    return PhaseTrace(times_s=slots * dt, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
 
 
@@ -400,9 +423,9 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
 class SimOutcome:
     """Result of one Monte Carlo protocol run.
 
-    ``wall_s`` is the run's wall time; ``candidates`` counts the slots of
-    every pair code, the single-sender Z windows included, that the
-    thinning drew and ``accepted`` those of them that clicked, so
+    ``wall_s`` is the run's wall time; ``candidates`` counts the thinning
+    candidates the run drew over every pair code, the single-sender Z
+    windows included, and ``accepted`` those of them that clicked, so
     accepted / candidates is the thinning's acceptance ratio; ``batches``
     is the number of batches the run was cut into.
     """
@@ -461,26 +484,13 @@ def _tag_posterior(mu_send: float, mu_silent: float, q: float,
 
 def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Slots of a batch's events labelled ``codes``: distinct, uniform, in
-    random order (exact by exchangeability; see the module docstring)."""
-    return rng.choice(n, codes.size, replace=False)
+    random order (exact by exchangeability; see the module docstring).
 
-
-def _batch_slots(p_bar: np.ndarray, params: ProtocolParams,
-                 n_slots: int) -> int:
-    """Slots per batch: about ``_BATCH_EVENTS`` expected events, >= 2^20.
-
-    The pair probabilities weight ``p_bar`` to the expected number of
-    possible clicks per slot.  Dense links keep 2^20-slot batches; sparse
-    ones take as many slots as hold ~2^14 expected events, so the fixed
-    cost of a batch is paid per ~2^14 events rather than per 2^20 slots.
-    A batch above 2^20 slots therefore expects events on under 1/64 of its
-    slots, below the 1/50 share at which numpy's ``choice`` in ``_scatter``
-    allocates the whole slot range.
+    A batch above 2^20 slots holds about 2^14 candidates, under 1/64 of its
+    slots, below the 1/50 share at which numpy's ``choice`` allocates the
+    whole slot range.
     """
-    pairs = np.outer(params.alice.class_probs(), params.bob.class_probs())
-    per_slot = float(pairs.ravel() @ p_bar)
-    wanted = math.ceil(_BATCH_EVENTS / per_slot) if per_slot > 0 else n_slots
-    return max(_MIN_BATCH_SLOTS, min(n_slots, wanted))
+    return rng.choice(n, codes.size, replace=False)
 
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
@@ -494,37 +504,38 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     raw keys and X-window error tallies under the phase-matching rule.
     Identical seeds give identical outcomes.
 
-    The cost grows with the possible clicks, not the slots.  The run is
-    cut into batches of max(2^20, min(n_slots, ceil(2^14 / p_avg))) slots,
-    where p_avg = sum_ab P_A(a) P_B(b) p_bar_ab is the expected number of
-    candidates per slot (``_batch_slots``): dense links keep 2^20-slot
-    batches, sparse ones pay a batch's fixed cost once per ~2^14 expected
-    events.  Per batch, ``fair_sampled_classes`` draws the pair table from
-    the class counts not yet placed (a starved class raises PatternError
-    before any batch runs).  Each class pair draws Bin(n_ab, p_bar_ab)
-    candidates, p_bar_ab = 1 - (1 - p1(cos delta = 1)) (1 - p2(cos delta =
-    -1)) from ``click_probs``.  The candidates go to uniformly random
-    distinct slots; each draws its global phase difference theta_A -
-    theta_B uniform on [0, 2 pi) (only that difference mod 2 pi enters the
-    interference and the matching windows), adds the channel phase at its
-    slot if it is an XX candidate, and keeps outcome (c1, c2) with
-    probability P(c1, c2 | delta) / p_bar.  Double clicks stay events, so
-    both detectors' clicks reach ``filter_deadtime``.  Clicking sn / ns
-    slots draw their single-photon tag from ``_tag_posterior`` given their
-    outcome, and one binomial per batch tags the sn / ns slots that did
-    not click.  The module docstring says why this is exact.
+    The cost grows with the possible clicks, not the slots.  Before any
+    batch runs, ``fair_sampled_classes`` draws the run's pair table T (a
+    starved class raises PatternError) and each pair code draws its
+    thinning candidates C_ab ~ Bin(T_ab, p_bar_ab), p_bar_ab = 1 - (1 -
+    p1(cos delta = 1)) (1 - p2(cos delta = -1)) from ``click_probs``.  The
+    run is cut into batches of max(2^20, min(n_slots, ceil(2^14 n_slots /
+    sum C))) slots: dense links keep 2^20-slot batches, sparse ones pay a
+    batch's fixed cost once per ~2^14 candidates.  Each batch takes its
+    candidates per code by one subset draw over the 25 codes' remaining
+    candidates and the remaining other slots, and places them at uniformly
+    random distinct slots.  Each candidate draws its global phase
+    difference theta_A - theta_B uniform on [0, 2 pi) (only that
+    difference mod 2 pi enters the interference and the matching windows),
+    adds the channel phase at its slot if it is an XX candidate, and keeps
+    outcome (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double
+    clicks stay events, so both detectors' clicks reach
+    ``filter_deadtime``.  Clicking sn / ns slots draw their single-photon
+    tag from ``_tag_posterior`` given their outcome, and one binomial at
+    the end of the run tags the sn / ns slots that did not click.  The
+    module docstring says why this is exact.
 
-    The channel phase is evaluated only at XX candidate slots, at ~4096
-    trace slots spread over the run and at fine-block ends; the fine blocks
-    restart at each batch boundary.  The protocol frame absorbs the lock
-    setpoint: the phase entering the interference is the trajectory minus
-    the setpoint, so a perfect lock means zero effective offset.
+    The channel phase (``_channel_phase``) is evaluated only at XX
+    candidate slots, at ~4096 trace slots spread over the run and at
+    fine-block ends; the fine blocks restart at each batch boundary.
     """
     t_start = time.perf_counter()
     if n_slots < MIN_SLOTS:
         raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
-    left_a = class_totals(params.alice, n_slots)
-    left_b = class_totals(params.bob, n_slots)
+    seeds = np.random.SeedSequence(seed)
+    rng_run = np.random.default_rng(seeds)
+    sent = fair_sampled_classes(params.alice, params.bob, n_slots,
+                                rng_run).ravel()
 
     etas = transmissivities(link, det)
     eta_a, eta_b = etas["eta_a"], etas["eta_b"]
@@ -536,9 +547,15 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     _, p_minus = click_probs(mu_a, mu_b, np.pi, eta_a, eta_b, det.efficiency,
                              p_dark, visibility)
     p_bar = p_plus + p_minus - p_plus * p_minus
-    batch = _batch_slots(p_bar, params, n_slots)
+    cand = rng_run.binomial(sent, p_bar)
+    n_cand = int(cand.sum())
+    # ceil(2^14 n_slots / n_cand) in integers; no candidates, one batch.
+    batch = max(_MIN_BATCH_SLOTS,
+                min(n_slots, -(-_BATCH_EVENTS * n_slots // max(n_cand, 1))))
     n_batches = -(-n_slots // batch)
-    batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    batch_seeds = seeds.spawn(n_batches)
+    # Labels not yet placed: each code's candidates, then the other slots.
+    left = np.append(cand, n_slots - n_cand)
     tag_prob = np.zeros((25, 4))     # pair code, outcome -> P(tag | outcome)
     for code, mu_send, mu_silent, eta_send in (
             (_SN, params.alice.s, params.bob.w, eta_a),
@@ -552,33 +569,29 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     trace_stride = max(1, n_slots // _TRACE_POINTS)
     ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
 
-    pair_sent = np.zeros((5, 5), dtype=np.int64)
-    pair_heralded = np.zeros((5, 5), dtype=np.int64)
-    x_tallies = {X_U: [0, 0], X_V: [0, 0]}   # class -> [matched, errors]
-    alice_key, bob_key, key_tags = [], [], []
+    # Per pair code: clicked candidates, heralds, tagged slots and heralds,
+    # phase-matched and erroneous X heralds.
+    clicked = np.zeros(25, dtype=np.int64)
+    heralds = np.zeros(25, dtype=np.int64)
     tag_sent = np.zeros(25, dtype=np.int64)
     tag_heralded = np.zeros(25, dtype=np.int64)
-    phase_carry = {"x": 0.0, "d": phase_cfg.setpoint + phase_cfg.initial_offset,
-                   "c_f": 0.0}
+    x_matched = np.zeros(25, dtype=np.int64)
+    x_errors = np.zeros(25, dtype=np.int64)
+    key_codes, key_tags = [], []
+    phase_carry = {}
     last_retained = [-np.inf, -np.inf]
     trace_t, trace_phi = [], []
-    candidates = accepted = 0
 
     for b in range(n_batches):
         lo = b * batch
         n = min(batch, n_slots - lo)
-        rng_slot, rng_drift, rng_sensor, rng_ref = [
+        rng_slot, *phase_rngs = [
             np.random.default_rng(s) for s in batch_seeds[b].spawn(4)]
 
-        table = fair_sampled_classes(left_a, left_b, n, rng_slot)
-        left_a -= table.sum(axis=1)
-        left_b -= table.sum(axis=0)
-        pair_sent += table
-
-        n_cand = rng_slot.binomial(table.ravel(), p_bar)
-        code = np.repeat(np.arange(25), n_cand)
+        drawn = _subset_counts(left, n, rng_slot)
+        left -= drawn
+        code = np.repeat(np.arange(25, dtype=np.uint8), drawn[:25])
         slot = _scatter(code, n, rng_slot)
-        candidates += code.size
 
         # Channel phase at the XX candidate slots, the trace slots, the
         # fine-block ends and the batch's last slot (the carried state).
@@ -587,16 +600,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         ends = _fine_block_ends(phase_cfg, n, slot_dt)
         points = np.sort(np.concatenate([slot[in_xx], trace_slots, ends]))
         points = points[np.diff(points, prepend=-1) > 0]
-        if phase_cfg.regime == "ideal":
-            phi = phase_cfg.residual_sigma * rng_drift.standard_normal(points.size)
-        else:
-            phi, sums = _phase_trajectory(phase_cfg, points, slot_dt, rng_drift,
-                                          rng_sensor, phase_carry)
-            if phase_cfg.regime == "full":
-                phi = _apply_fine_blocks(phase_cfg, points, phi, sums, slot_dt,
-                                         rng_ref, phase_carry, ref_flux,
-                                         visibility)
-            phi = phi - phase_cfg.setpoint
+        phi = _channel_phase(phase_cfg, points, slot_dt, phase_rngs,
+                             phase_carry, ref_flux, visibility)
         trace_t.append((lo + trace_slots) * slot_dt)
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
 
@@ -610,18 +615,17 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         both = p1 * p2
         c1 = u < p1
         c2 = (u >= p1 - both) & (u < p1 + p2 - both)
-        clicked = np.flatnonzero(c1 | c2)
-        accepted += clicked.size
+        fired = np.flatnonzero(c1 | c2)
 
-        order = clicked[np.argsort(slot[clicked])]
+        order = fired[np.argsort(slot[fired])]
         slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]
         dtheta = dtheta[order]
+        clicked += np.bincount(code, minlength=25)
         # Tags given the outcome (0: 1 only, 1: 2 only, 2: both); the slots
-        # that did not click are all "neither" (3).
+        # that did not click are all "neither" (3), tagged after the loop.
         outcome = np.where(c1, 2 * c2, 1)
         tags = rng_slot.random(code.size) < tag_prob[code, outcome]
-        tag_sent += np.bincount(code[tags], minlength=25) + rng_slot.binomial(
-            table.ravel() - np.bincount(code, minlength=25), tag_prob[:, 3])
+        tag_sent += np.bincount(code[tags], minlength=25)
         if det.deadtime_s > 0:
             for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
@@ -633,43 +637,37 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         h1 = c1 & ~c2
         h2 = c2 & ~c1
         heralded = h1 | h2
-        pair_heralded += np.bincount(code[heralded], minlength=25).reshape(5, 5)
-
-        zz = _ZZ[code] & heralded
-        if np.any(zz):
-            key_codes = code[zz]
-            alice_key.append(_ALICE_BIT[key_codes])
-            bob_key.append(_BOB_BIT[key_codes])
-            key_tags.append(tags[zz])
+        heralds += np.bincount(code[heralded], minlength=25)
         tag_heralded += np.bincount(code[tags & heralded], minlength=25)
+        zz = _ZZ[code] & heralded
+        key_codes.append(code[zz])
+        key_tags.append(tags[zz])
 
-        for x_cls, tally in x_tallies.items():
-            xx = (code == 5 * x_cls + x_cls) & heralded
-            if not np.any(xx):
-                continue
-            dt_xx = dtheta[xx]
-            near0 = np.minimum(dt_xx, 2.0 * np.pi - dt_xx) <= window
-            nearpi = np.abs(dt_xx - np.pi) <= window
-            # Detector 1 is the constructive port in the 0-window; matches
-            # in the pi-window flip the expected detector.
-            errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])
-            tally[0] += int(np.count_nonzero(near0 | nearpi))
-            tally[1] += int(np.count_nonzero(errors))
+        xx = _XX[code] & heralded
+        dt_xx = dtheta[xx]
+        near0 = np.minimum(dt_xx, 2.0 * np.pi - dt_xx) <= window
+        nearpi = np.abs(dt_xx - np.pi) <= window
+        # Detector 1 is the constructive port in the 0-window; matches in
+        # the pi-window flip the expected detector.
+        errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])
+        x_matched += np.bincount(code[xx][near0 | nearpi], minlength=25)
+        x_errors += np.bincount(code[xx][errors], minlength=25)
 
-    detected = {k: float(pair_heralded[c]) for k, c in CATEGORY_CLASSES.items()}
-    sent = {k: float(pair_sent[c]) for k, c in CATEGORY_CLASSES.items()}
+    tag_sent += rng_run.binomial(sent - clicked, tag_prob[:, 3])
 
-    def _rate(tally):
-        return tally[1] / tally[0] if tally[0] > 0 else 0.0
+    def per_category(tally):
+        return {k: float(tally[5 * a + b])
+                for k, (a, b) in CATEGORY_CLASSES.items()}
 
-    counts = DecoyCounts(n_tot=float(n_slots), detected=detected, sent=sent,
-                         qber_xuu=_rate(x_tallies[X_U]),
-                         qber_xvv=_rate(x_tallies[X_V]))
+    def qber(xx):
+        return float(x_errors[xx] / x_matched[xx]) if x_matched[xx] else 0.0
 
-    a_bits = np.concatenate(alice_key) if alice_key else np.zeros(0, np.uint8)
-    b_bits = np.concatenate(bob_key) if bob_key else np.zeros(0, np.uint8)
-    t_bits = np.concatenate(key_tags) if key_tags else np.zeros(0, bool)
-    raw = RawKeyPair(alice_bits=a_bits, bob_bits=b_bits, tags=t_bits)
+    counts = DecoyCounts(n_tot=float(n_slots), detected=per_category(heralds),
+                         sent=per_category(sent), qber_xuu=qber(_XUXU),
+                         qber_xvv=qber(_XVXV))
+    key = np.concatenate(key_codes)
+    raw = RawKeyPair(alice_bits=_ALICE_BIT[key], bob_bits=_BOB_BIT[key],
+                     tags=np.concatenate(key_tags))
 
     gt = {"sn_sent": int(tag_sent[_SN]),
           "sn_heralded": int(tag_heralded[_SN]),
@@ -684,8 +682,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         "s01_true": s01_true,
         "s1_true": ((v_a * s10_true + v_b * s01_true) / v_sum
                     if v_sum > 0 else 0.0),
-        "xuu_matched": x_tallies[X_U][0],
-        "xvv_matched": x_tallies[X_V][0],
+        "xuu_matched": int(x_matched[_XUXU]),
+        "xvv_matched": int(x_matched[_XVXV]),
     })
 
     trace = PhaseTrace(times_s=np.concatenate(trace_t),
@@ -694,5 +692,5 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     return SimOutcome(counts=counts, qber_z=raw.error_rate(), raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
                       ground_truth=gt, wall_s=time.perf_counter() - t_start,
-                      candidates=candidates, accepted=accepted,
+                      candidates=n_cand, accepted=int(clicked.sum()),
                       batches=n_batches)

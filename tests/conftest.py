@@ -1,12 +1,10 @@
 import json
-import math
 from pathlib import Path
 
 import hypothesis
-import numpy as np
 import pytest
 
-from tfqkd import decoy, model, montecarlo
+from tfqkd import decoy, model
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("suite")
@@ -47,20 +45,13 @@ def field_link(bundle):
     return bundle["link"]
 
 
-def _batch_rule(params, link, det, n_slots, visibility=0.97):
+def _batch_rule(n_slots, candidates):
     """Slots per run_protocol batch by its documented rule,
-    max(2^20, min(n_slots, ceil(2^14 / p_avg))), with p_avg the pair-weighted
-    thinning bound 1 - (1 - p1(cos delta = 1)) (1 - p2(cos delta = -1))."""
-    etas = model.transmissivities(link, det)
-    args = (etas["eta_a"], etas["eta_b"], det.efficiency,
-            det.dark_prob_per_gate(params.clock_rate_hz), visibility)
-    mu_a = params.alice.intensity_of()[:, None]
-    mu_b = params.bob.intensity_of()[None, :]
-    p1, _ = montecarlo.click_probs(mu_a, mu_b, 0.0, *args)
-    _, p2 = montecarlo.click_probs(mu_a, mu_b, np.pi, *args)
-    p_bar = 1.0 - (1.0 - p1) * (1.0 - p2)
-    p_avg = params.alice.class_probs() @ p_bar @ params.bob.class_probs()
-    return max(1 << 20, min(n_slots, math.ceil(2**14 / p_avg)))
+    max(2^20, min(n_slots, ceil(2^14 n_slots / candidates))), with
+    candidates the run's drawn thinning candidates."""
+    if candidates == 0:
+        return max(1 << 20, n_slots)
+    return max(1 << 20, min(n_slots, -(-2**14 * n_slots // candidates)))
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ FIELD_BPS = 110.1          # bit per second
 FIELD_PHASE_ERROR = 0.0508
 FIELD_EZ_AOPP = 0.0356
 FIELD_N_TOT = 1.36581e13
+LOCK_TOLERANCE = 0.05      # rad, |mean offset| of a locked trace
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -184,15 +185,23 @@ class TestCriterion5OracleEquivalence:
         verdict(5, ok, f"1e8-slot run at 25 dB: all 25 categories within "
                        f"3 sigma (worst {worst_key}: z={worst_z:+.2f})")
 
-    def test_s1_bound_covers_mc_truth(self, big_mc_run, params, security):
-        out, _ = big_mc_run
+    def test_s1_bound_covers_mc_truth(self, params, security):
+        # The coverage link of test_s1_coverage_over_seeds at 1e9 slots,
+        # where the bound is informative: it must be nonzero, below the
+        # tagged truth and within a factor of two of it.
+        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
+                             deadtime_s=0.0)
+        link = balanced_link(20.0, params)
+        cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
+        out = run_protocol(params, link, det, cfg, n_slots=1_000_000_000,
+                           seed=2028, visibility=0.97)
         rates = decoy.counting_rates(out.counts, security.chernoff_xi)
         s1_lower = decoy.bound_s1(decoy.bound_s01(rates, params),
                                   decoy.bound_s10(rates, params), params)
         truth = out.ground_truth["s1_true"]
-        ok = s1_lower <= truth
-        verdict(5, ok, f"1e8-slot run: s1_lower={s1_lower:.3e} <= "
-                       f"tagged truth {truth:.3e}")
+        ok = 0.0 < s1_lower <= truth and s1_lower >= 0.5 * truth
+        verdict(5, ok, f"1e9-slot run at 20 dB: s1_lower={s1_lower:.3e} "
+                       f"within [0.5, 1.0] of tagged truth {truth:.3e}")
 
     def test_x_basis_qber_within_binomial_bands(self, x_qber_run):
         # Each matched-window QBER against the model's, within 3 binomial
@@ -348,9 +357,9 @@ class TestCriterion7PhaseStabilisation:
         trace = simulate_phase_trace(cfg, 150_000, 1e-5, seed=41)
         tail = trace.delta_phi_rad[trace.delta_phi_rad.size // 2:]
         offset = abs(float(np.mean(tail)) - cfg.setpoint)
-        ok = offset <= cfg.lock_tolerance
+        ok = offset <= LOCK_TOLERANCE
         verdict(7, ok, f"coarse+fine mean offset {offset:.4f} rad within "
-                       f"lock tolerance {cfg.lock_tolerance}")
+                       f"lock tolerance {LOCK_TOLERANCE}")
 
 
 class TestCriterion8ScaleSubstitution:

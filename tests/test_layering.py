@@ -2,7 +2,10 @@
 
 Package modules import each other at module top, so the dependency graph is
 visible in one place and a cycle fails at import time rather than on some
-later call; and every name a module exports through ``__all__`` exists.
+later call; every package import points down the layers (physics and
+statistics, then the samplers and the decoy analysis, then the forward model
+and key rate, then the CLI); and every name a module exports through
+``__all__`` exists.
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tfqkd"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+RANK = {"finitestats": 0, "model": 0, "aopp": 0, "bounds": 1, "decoy": 1,
+        "montecarlo": 2, "keyrate": 3, "cli": 4, "__init__": 5}
 
 
 def _function_local_package_imports(tree: ast.AST) -> list[str]:
@@ -41,6 +46,49 @@ def test_the_check_sees_a_function_local_import():
     tree = ast.parse("def f():\n    from .montecarlo import detector_means\n")
     assert _function_local_package_imports(tree) == [
         "f: from .montecarlo import ..."]
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """Package modules a module imports, by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                top, _, module = module.partition(".")
+                if top != "tfqkd":
+                    continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("tfqkd."))
+    return found
+
+
+def _upward_imports(name: str, tree: ast.AST) -> list[str]:
+    return sorted(m for m in _package_imports(tree)
+                  if RANK[m] >= RANK[name])
+
+
+def test_every_module_has_a_rank():
+    assert set(MODULES) == set(RANK)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_point_down_the_layers(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert _upward_imports(name, tree) == []
+
+
+def test_the_check_sees_an_upward_import():
+    tree = ast.parse("from .keyrate import expected_rates_model\n"
+                     "from . import cli, finitestats\n"
+                     "import tfqkd.decoy\n")
+    assert _upward_imports("decoy", tree) == ["cli", "decoy", "keyrate"]
+    assert _upward_imports("cli", tree) == ["cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -71,20 +71,9 @@ STREAMED_LINK = LinkBudget(0, 0, 0.0, 0.0)
 STREAMED_DET = DetectorParams(0.145, 450.0)
 
 
-def stream(side_a, side_b, n_slots, batch, seed):
-    """Pair tables of consecutive sampler batches over one run, as
-    run_protocol draws them."""
-    left_a = class_totals(side_a, n_slots)
-    left_b = class_totals(side_b, n_slots)
-    rng = np.random.default_rng(seed)
-    tables = []
-    for lo in range(0, n_slots, batch):
-        table = fair_sampled_classes(left_a, left_b,
-                                     min(batch, n_slots - lo), rng)
-        left_a -= table.sum(axis=1)
-        left_b -= table.sum(axis=0)
-        tables.append(table)
-    return tables
+def run_table(side_a, side_b, n_slots, seed):
+    return fair_sampled_classes(side_a, side_b, n_slots,
+                                np.random.default_rng(seed))
 
 
 def hypergeometric_sd(total, good, drawn):
@@ -133,24 +122,21 @@ def chi_square_p(sample, total, good, drawn, min_expected=20.0):
 
 
 @pytest.fixture(scope="class")
-def streamed_batches(params, batch_rule):
-    """Batch sizes of the streamed run, by the batch-size rule."""
-    batch = batch_rule(params, STREAMED_LINK, STREAMED_DET, RUN_SLOTS)
-    sizes = [batch] * (RUN_SLOTS // batch) + [RUN_SLOTS % batch]
-    assert len(sizes) >= 3
-    return sizes
-
-
-@pytest.fixture(scope="class")
 def streamed_run(params):
-    """Pair table and placed events (codes, slots) of every batch of one
-    run_protocol run on a lossless link, where many slots may click."""
-    tables, events = [], []
-    sampler, scatter = montecarlo.fair_sampled_classes, montecarlo._scatter
+    """Pair table, per-batch label draws, placed events (codes, slots) and
+    outcome of one run_protocol run on a lossless link, where many slots
+    may click."""
+    tables, draws, events = [], [], []
+    sampler = montecarlo.fair_sampled_classes
+    subset, scatter = montecarlo._subset_counts, montecarlo._scatter
 
-    def recording_sampler(left_a, left_b, n, rng):
-        tables.append(sampler(left_a, left_b, n, rng))
+    def recording_sampler(side_a, side_b, n_slots, rng):
+        tables.append(sampler(side_a, side_b, n_slots, rng))
         return tables[-1]
+
+    def recording_subset(left, n, rng):
+        draws.append(subset(left, n, rng))
+        return draws[-1]
 
     def recording_scatter(codes, n, rng):
         slots = scatter(codes, n, rng)
@@ -158,14 +144,27 @@ def streamed_run(params):
         return slots
 
     montecarlo.fair_sampled_classes = recording_sampler
+    montecarlo._subset_counts = recording_subset
     montecarlo._scatter = recording_scatter
     try:
-        montecarlo.run_protocol(params, STREAMED_LINK, STREAMED_DET,
-                                montecarlo.PhaseConfig(), RUN_SLOTS, seed=21)
+        out = montecarlo.run_protocol(params, STREAMED_LINK, STREAMED_DET,
+                                      montecarlo.PhaseConfig(), RUN_SLOTS,
+                                      seed=21)
     finally:
         montecarlo.fair_sampled_classes = sampler
+        montecarlo._subset_counts = subset
         montecarlo._scatter = scatter
-    return tables, events
+    return tables, np.array(draws), events, out
+
+
+@pytest.fixture(scope="class")
+def streamed_batches(streamed_run, batch_rule):
+    """Batch sizes of the streamed run, by the batch-size rule."""
+    out = streamed_run[3]
+    batch = batch_rule(RUN_SLOTS, out.candidates)
+    sizes = [batch] * (RUN_SLOTS // batch) + [RUN_SLOTS % batch]
+    assert len(sizes) >= 3
+    return sizes
 
 
 class TestPatternSynthesis:
@@ -174,24 +173,23 @@ class TestPatternSynthesis:
                           send_prob=0.5, p_u=0.0, p_v=0.0, p_w=0.0)
         totals = class_totals(side, 10)
         assert totals.tolist() == [5, 5, 0, 0, 0]
-        tables = stream(side, side, 10, 4, seed=0)
-        assert [t.sum() for t in tables] == [4, 4, 2]
-        table = sum(tables)
+        table = run_table(side, side, 10, seed=0)
+        assert table.sum() == 10
         assert np.array_equal(table.sum(axis=1), totals)
         assert np.array_equal(table.sum(axis=0), totals)
 
     def test_same_seed_identical(self, params):
-        t1 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
-        t2 = stream(params.alice, params.bob, 100_000, 30_000, seed=9)
-        assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
+        t1 = run_table(params.alice, params.bob, 100_000, seed=9)
+        t2 = run_table(params.alice, params.bob, 100_000, seed=9)
+        assert np.array_equal(t1, t2)
 
     def test_different_seed_same_counts_different_order(self, params):
-        # The run totals are fixed; how they spread over batches is random.
-        t1 = stream(params.alice, params.bob, 5000, 2048, seed=1)
-        t2 = stream(params.alice, params.bob, 5000, 2048, seed=2)
-        assert np.array_equal(sum(t1).sum(axis=1), sum(t2).sum(axis=1))
-        assert np.array_equal(sum(t1).sum(axis=0), sum(t2).sum(axis=0))
-        assert not all(np.array_equal(a, b) for a, b in zip(t1, t2))
+        # The side totals are fixed; how the sides pair up is random.
+        t1 = run_table(params.alice, params.bob, 5000, seed=1)
+        t2 = run_table(params.alice, params.bob, 5000, seed=2)
+        assert np.array_equal(t1.sum(axis=1), t2.sum(axis=1))
+        assert np.array_equal(t1.sum(axis=0), t2.sum(axis=0))
+        assert not np.array_equal(t1, t2)
 
     def test_histogram_matches_probabilities_at_1e6(self, params):
         n = 1_000_000
@@ -205,10 +203,14 @@ class TestPatternSynthesis:
         with pytest.raises(PatternError):
             class_totals(starved, 10_000)
 
+        with pytest.raises(PatternError):
+            fair_sampled_classes(starved, params.bob, 10_000,
+                                 np.random.default_rng(0))
+
         def no_batch(*args):
             raise AssertionError("a batch ran before the class check")
 
-        monkeypatch.setattr(montecarlo, "fair_sampled_classes", no_batch)
+        monkeypatch.setattr(montecarlo, "_scatter", no_batch)
         with pytest.raises(PatternError):
             montecarlo.run_protocol(
                 dataclasses.replace(params, alice=starved), field_link,
@@ -221,7 +223,7 @@ class TestPatternSynthesis:
                           send_prob=0.3, p_u=0.1, p_v=0.7, p_w=0.2)
         totals = class_totals(side, 500)
         for seed in (s1, s2):
-            table = sum(stream(side, side, 500, 128, seed))
+            table = run_table(side, side, 500, seed)
             assert np.array_equal(table.sum(axis=1), totals)
             assert np.array_equal(table.sum(axis=0), totals)
 
@@ -233,20 +235,27 @@ class TestPatternSynthesis:
 
     def test_run_tables_sum_to_exact_totals(self, params, streamed_run,
                                             streamed_batches):
-        tables, _ = streamed_run
-        assert [t.sum() for t in tables] == streamed_batches
-        table = sum(tables)
-        assert np.array_equal(table.sum(axis=1),
+        # One table per run, with the run's exact side totals; the batches'
+        # label draws fill the batch sizes and together place every
+        # candidate and every other slot of the run.
+        tables, draws, _, out = streamed_run
+        assert len(tables) == 1
+        assert np.array_equal(tables[0].sum(axis=1),
                               class_totals(params.alice, RUN_SLOTS))
-        assert np.array_equal(table.sum(axis=0),
+        assert np.array_equal(tables[0].sum(axis=0),
                               class_totals(params.bob, RUN_SLOTS))
+        assert draws.shape == (len(streamed_batches), 26)
+        assert draws.sum(axis=1).tolist() == streamed_batches
+        assert draws[:, :25].sum() == out.candidates
+        assert draws[:, 25].sum() == RUN_SLOTS - out.candidates
+        assert np.all(draws[:, :25].sum(axis=0) <= tables[0].ravel())
 
     def test_slot_position_independent_of_class(self, streamed_run,
                                                 streamed_batches):
         # The events of a batch sit at distinct slots, and the slots of each
         # class form a uniformly random subset: over eight segments of the
         # batch a class's count is hypergeometric.
-        _, events = streamed_run
+        _, _, events, _ = streamed_run
         assert [n for _, _, n in events] == streamed_batches
         for codes, slots, n in events:
             assert codes.size > n // 100
@@ -266,28 +275,32 @@ class TestPatternSynthesis:
                                                   streamed_run):
         # Under independent uniform arrangements the (a, b) count is
         # hypergeometric: Bob's class-b slots among Alice's class-a slots.
-        # A batch holds a uniform share of them.
-        tables, _ = streamed_run
+        # A batch holds a uniform share of the run's candidates of a code.
+        tables, draws, _, _ = streamed_run
         ta = class_totals(params.alice, RUN_SLOTS)[:, None]
         tb = class_totals(params.bob, RUN_SLOTS)[None, :]
         mean = ta * tb / RUN_SLOTS
         sd = hypergeometric_sd(RUN_SLOTS, ta, tb)
-        assert np.all(np.abs(sum(tables) - mean) <= 5.0 * sd + 1.0)
-        for table in tables:
-            share = mean * table.sum() / RUN_SLOTS
-            assert np.all(np.abs(table - share) <= 5.0 * np.sqrt(share) + 1.0)
+        assert np.all(np.abs(tables[0] - mean) <= 5.0 * sd + 1.0)
+        cand = draws[:, :25].sum(axis=0)
+        for draw in draws:
+            share = cand * draw.sum() / RUN_SLOTS
+            assert np.all(np.abs(draw[:25] - share)
+                          <= 5.0 * np.sqrt(share) + 1.0)
 
     @pytest.mark.parametrize("n_left", [10**9, 13_700_000_000_000])
     def test_batch_from_large_totals(self, params, n_left):
-        left_a = class_totals(params.alice, n_left)
-        left_b = class_totals(params.bob, n_left)
+        # One batch's label draw when the run still holds n_left slots:
+        # each code's candidates and the other slots.
+        rng = np.random.default_rng(5)
+        table = run_table(params.alice, params.bob, n_left, seed=5)
+        cand = rng.binomial(table.ravel(), 1e-7)
+        left = np.append(cand, n_left - cand.sum())
         n = 1 << 20
-        table = fair_sampled_classes(left_a, left_b, n,
-                                     np.random.default_rng(5))
-        assert table.shape == (5, 5)
-        assert table.sum() == n
-        assert np.all(table.sum(axis=1) <= left_a)
-        assert np.all(table.sum(axis=0) <= left_b)
+        draw = model._subset_counts(left, n, rng)
+        assert draw.shape == (26,)
+        assert draw.sum() == n
+        assert np.all((draw >= 0) & (draw <= left))
 
     def test_conditioned_binomials_match_hypergeometric(self):
         colors = np.array([600, 250, 100, 40, 10])
@@ -310,22 +323,30 @@ class TestPatternSynthesis:
         (3_000_000_000, 3_000_000_000),
     ])
     def test_batch_of_a_billion_slots(self, params, n_left, n):
-        # Batches of 1e9 slots or more reach numpy's population limit in
-        # the table rows too; the whole run may also be one batch.
-        left_a = class_totals(params.alice, n_left)
-        left_b = class_totals(params.bob, n_left)
-        table = fair_sampled_classes(left_a, left_b, n,
-                                     np.random.default_rng(8))
-        assert table.sum() == n
+        # Runs and batches of 1e9 slots or more reach numpy's population
+        # limit in the table rows and the label draws; the whole run may
+        # also be one batch.
+        rng = np.random.default_rng(8)
+        table = run_table(params.alice, params.bob, n_left, seed=8)
+        assert table.sum() == n_left
         assert np.all(table >= 0)
-        assert np.all(table.sum(axis=1) <= left_a)
-        assert np.all(table.sum(axis=0) <= left_b)
-        if n == n_left:
-            assert np.array_equal(table.sum(axis=1), left_a)
-            assert np.array_equal(table.sum(axis=0), left_b)
+        assert np.array_equal(table.sum(axis=1),
+                              class_totals(params.alice, n_left))
+        assert np.array_equal(table.sum(axis=0),
+                              class_totals(params.bob, n_left))
         # Each slot's two classes are independent draws from the run totals.
-        mean = n * np.outer(left_a / n_left, left_b / n_left)
+        mean = n_left * np.outer(params.alice.class_probs(),
+                                 params.bob.class_probs())
         assert np.all(np.abs(table - mean) <= 5.0 * np.sqrt(mean) + 1.0)
+        cand = rng.binomial(table.ravel(), 1e-6)
+        left = np.append(cand, n_left - cand.sum())
+        draw = model._subset_counts(left, n, rng)
+        assert draw.sum() == n
+        assert np.all((draw >= 0) & (draw <= left))
+        if n == n_left:
+            assert np.array_equal(draw, left)
+        share = left * (n / n_left)
+        assert np.all(np.abs(draw - share) <= 5.0 * np.sqrt(share) + 1.0)
 
     @pytest.mark.parametrize("colors, n, draws", [
         ([600, 250, 100, 40, 10], 200, 4000),

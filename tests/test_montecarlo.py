@@ -23,6 +23,9 @@ from tfqkd.montecarlo import (
 )
 
 
+LOCK_TOLERANCE = 0.05   # rad, |mean offset| of a locked full-regime trace
+
+
 @pytest.fixture(scope="module")
 def quick_link():
     return LinkBudget(20, 15, 9.0, 6.0)
@@ -276,7 +279,7 @@ class TestFeedback:
         assert coarse.residual_std() < free.residual_std() / 10.0
         cfg = PhaseConfig(regime="full")
         tail = full.delta_phi_rad[full.delta_phi_rad.size // 2:]
-        assert abs(np.mean(tail) - cfg.setpoint) < cfg.lock_tolerance
+        assert abs(np.mean(tail) - cfg.setpoint) < LOCK_TOLERANCE
 
 
 class TestDeadtimeFilter:
@@ -371,8 +374,25 @@ class TestRunProtocol:
                                    (field_link, field_detector, 10_000_000)):
             out = run_protocol(params, link, det, PhaseConfig(), n_slots,
                                seed=3)
-            batch = batch_rule(params, link, det, n_slots)
+            batch = batch_rule(n_slots, out.candidates)
             assert out.batches == -(-n_slots // batch)
+
+    def test_one_table_per_run_and_one_label_draw_per_batch(
+            self, params, quick_link, quick_det, monkeypatch):
+        calls = {"fair_sampled_classes": 0, "_subset_counts": 0}
+        for name in calls:
+            original = getattr(montecarlo, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(montecarlo, name, counting)
+        out = run_protocol(params, quick_link, quick_det, PhaseConfig(),
+                           10_000_000, seed=3)
+        assert out.batches > 1
+        assert calls == {"fair_sampled_classes": 1,
+                         "_subset_counts": out.batches}
 
     def test_different_seed_differs(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal")
@@ -408,12 +428,12 @@ class TestRunProtocol:
         assert abs(rate - expected) < 4 * sigma
 
     def test_deadtime_invariant_across_batches(self, params, quick_link,
-                                               monkeypatch, batch_rule):
+                                               monkeypatch):
         # Record the clicks run_protocol keeps, per detector, by wrapping
         # the module-level filter it calls (once per detector per batch).
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=2e-8)  # 10 protocol slots
-        n = batch_rule(params, quick_link, det, 1 << 50) + 60_000  # 2 batches
+        n = 4_000_000     # ~1.5 batches of ~2^14 candidates on this link
         kept = []
         original = montecarlo.filter_deadtime
 
@@ -423,7 +443,8 @@ class TestRunProtocol:
             return keep, last
 
         monkeypatch.setattr(montecarlo, "filter_deadtime", recording)
-        run_protocol(params, quick_link, det, PhaseConfig(), n, seed=8)
+        out = run_protocol(params, quick_link, det, PhaseConfig(), n, seed=8)
+        assert out.batches == 2
         assert len(kept) == 4
         for stream in (np.concatenate(kept[0::2]), np.concatenate(kept[1::2])):
             assert stream.size > 1
