@@ -181,6 +181,7 @@ def cmd_montecarlo(args) -> int:
         "out": str(out),
         "n_slots": outcome.n_slots,
         "wall_s": outcome.wall_s,
+        "stage_s": outcome.stage_s,
         "candidates": outcome.candidates,
         "batches": outcome.batches,
         "accepted": outcome.accepted,

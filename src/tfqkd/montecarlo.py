@@ -51,6 +51,13 @@ exact, not an approximation, for five reasons:
   law t P1(o).  Slots without a click are all "neither", so one binomial
   per run tags them.
 
+Deadtime.  Each detector's clicks pass the sequential non-paralyzable rule
+(drop a click less than a deadtime after the last kept one), resolved in
+numpy with the same result (``filter_deadtime``): a click at least a
+deadtime after its predecessor and the carried last kept time is always
+kept, and within the clusters between such clicks the kept clicks are the
+chain of next-kept indices from the cluster's kept anchor.
+
 Z-window bit convention (truth table):
 
     Alice sends  -> Alice records 1      Bob sends  -> Bob records 0
@@ -112,6 +119,7 @@ _ZZ = (_PAIR_A <= Z_NOSEND) & (_PAIR_B <= Z_NOSEND)
 _XX = (_PAIR_A == _PAIR_B) & ((_PAIR_A == X_U) | (_PAIR_A == X_V))
 _ALICE_BIT = (_PAIR_A == Z_SEND).astype(np.uint8)
 _BOB_BIT = (_PAIR_B == Z_NOSEND).astype(np.uint8)
+_TAG_BIT = 0x80      # a key event's code byte: pair code, | this if tagged
 _XUXU = 5 * X_U + X_U
 _XVXV = 5 * X_V + X_V
 
@@ -198,25 +206,91 @@ def click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
             p_dark - (1.0 - p_dark) * np.expm1(-mu_minus))
 
 
+def _first_kept_time(kept: np.ndarray, deadtime_s: float) -> np.ndarray:
+    """Smallest time t with not (t - kept < deadtime_s), per kept time.
+
+    The test is the sequential rule's own, in the times' dtype; it is
+    monotone in t, so the smallest passing t sits within a few ulps of
+    kept + deadtime_s and a few nextafter steps find it exactly.
+    """
+    t = kept + deadtime_s
+    while (low := t - kept < deadtime_s).any():
+        t[low] = np.nextafter(t[low], np.inf)
+    while (high := ~(np.nextafter(t, -np.inf) - kept < deadtime_s)).any():
+        t[high] = np.nextafter(t[high], -np.inf)
+    return t
+
+
 def filter_deadtime(times: np.ndarray, deadtime_s: float,
                     last_retained: float = -np.inf) -> tuple[np.ndarray, float]:
     """Non-paralyzable deadtime: keep clicks >= deadtime after the last kept.
 
     ``times`` must be sorted.  Returns the retain mask and the time of the
     last retained click (carry state for the next batch).
+
+    The result is that of the sequential rule (walk the clicks, drop one
+    if ``t - last < deadtime_s``, else keep it and set ``last = t``),
+    resolved in numpy.  The last kept time before click i is at most its
+    predecessor p_i = max(t_{i-1}, last_retained), and rounded subtraction
+    is monotone, so a *clear* click, t_i - p_i >= deadtime_s, is always
+    kept.  Clear clicks cut the rest into clusters, each led by an anchor
+    that is kept: the clear click before it, or ``last_retained`` for a
+    cluster at the start.  The anchor's time is the predecessor of the
+    cluster's first click, so that click is always dropped, and clusters
+    of one click need nothing more.  After a kept time T the next kept
+    click is the first j with not (t_j - T < deadtime_s), a test monotone
+    in j, so one ``searchsorted`` on the exact threshold time
+    (``_first_kept_time``) gives it; it never passes the clear click that
+    ends the cluster.  The kept clicks of a cluster are the chain of these
+    next-kept links from its anchor, marked by pointer doubling in
+    log2(chain length) passes (``_resolve_clusters``).  Sparse clicks
+    rarely form a cluster of two, and then no chain is resolved at all.
     """
-    keep = np.ones(times.size, dtype=bool)
     if times.size == 0:
-        return keep, last_retained
+        return np.ones(0, dtype=bool), last_retained
     if deadtime_s <= 0:
-        return keep, float(times[-1])
-    last = last_retained
-    for idx in range(times.size):
-        if times[idx] - last < deadtime_s:
-            keep[idx] = False
-        else:
-            last = times[idx]
-    return keep, last
+        return np.ones(times.size, dtype=bool), float(times[-1])
+    pred = np.maximum(np.concatenate(([last_retained], times[:-1])),
+                      last_retained)
+    close = times - pred < deadtime_s
+    keep = ~close
+    if np.count_nonzero(close[1:] & close[:-1]):
+        keep[close] = _resolve_clusters(times, close, deadtime_s,
+                                        last_retained)
+    last = times.size - 1 - int(keep[::-1].argmax())
+    return keep, float(times[last]) if keep[last] else last_retained
+
+
+def _resolve_clusters(times: np.ndarray, close: np.ndarray, deadtime_s: float,
+                      last_retained: float) -> np.ndarray:
+    """Keep mask of the ``close`` clicks (see ``filter_deadtime``)."""
+    # Cluster nodes in click order: each run of close clicks, led by its
+    # anchor, the entry before the run.  Entry i + 1 of ``row`` is click i
+    # and entry 0 the carry.
+    row = np.concatenate(([False], close))
+    is_node = row.copy()
+    is_node[np.flatnonzero(row[1:] > row[:-1])] = True
+    node = np.flatnonzero(is_node)
+    anchor = ~row[node]
+    t_node = times[node - 1]
+    if node[0] == 0:
+        t_node[0] = last_retained
+    # Next kept node: the first later node at or past the threshold (node
+    # 0 is never one).  Past the cluster's last node that is the next
+    # anchor or none, and the chain goes to the sentinel m, which maps to
+    # itself.
+    m = node.size
+    threshold = _first_kept_time(t_node, deadtime_s)
+    nxt = np.searchsorted(t_node[1:], threshold) + 1
+    jump = np.append(np.where(np.append(anchor, True)[nxt], m, nxt), m)
+    # Pointer doubling: after each pass ``kept`` holds the chain's first
+    # 2^k nodes from each anchor and ``jump`` leaps 2^k links; stop when
+    # every leap from a kept node lands on the sentinel.
+    kept = np.append(anchor, False)
+    while (hit := jump[kept]).min() < m:
+        kept[hit] = True
+        jump = jump[jump]
+    return kept[:m][~anchor]
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +411,31 @@ def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
     phase is exact.  Each block is shifted by the accumulated correction
     ``carry["c_f"]``, which the block's estimate then updates for the next
     block.
+
+    The RNG call order is part of the seeded contract: each block, in
+    order, makes two scalar ``rng_ref.poisson`` draws, n1 then n2, and
+    nothing else reads ``rng_ref``, so the same seed gives the same loop.
     """
     ends = _fine_block_ends(cfg, int(slots[-1]) + 1, dt)
     block_sums = np.diff(sums[np.searchsorted(slots, ends)], prepend=0.0)
     lengths = np.diff(ends, prepend=-1)
-    shift = np.empty(ends.size)
-    for i in range(ends.size):
-        shift[i] = carry["c_f"]
-        mid = block_sums[i] / lengths[i] + carry["c_f"]
-        n_ref = lengths[i] * ref_flux_per_slot / 2.0
-        n1 = rng_ref.poisson(max(n_ref * (1.0 + visibility * math.cos(mid)), 0.0))
-        n2 = rng_ref.poisson(max(n_ref * (1.0 - visibility * math.cos(mid)), 0.0))
-        carry["c_f"] += fine_feedback((n1, n2), cfg.fine_gain, cfg.setpoint)
-        if abs(carry["c_f"]) > 1e6:
+    means = (block_sums / lengths).tolist()
+    n_refs = (lengths * ref_flux_per_slot / 2.0).tolist()
+    poisson = rng_ref.poisson
+    gain, setpoint = cfg.fine_gain, cfg.setpoint
+    c_f = carry["c_f"]
+    shift = []
+    for mean, n_ref in zip(means, n_refs):
+        shift.append(c_f)
+        v_cos = visibility * math.cos(mean + c_f)
+        n1 = poisson(max(n_ref * (1.0 + v_cos), 0.0))
+        n2 = poisson(max(n_ref * (1.0 - v_cos), 0.0))
+        c_f += fine_feedback((n1, n2), gain, setpoint)
+        if abs(c_f) > 1e6:
+            carry["c_f"] = c_f
             raise FeedbackDivergence("fine loop diverged")
-    return phases + shift[np.searchsorted(ends, slots)]
+    carry["c_f"] = c_f
+    return phases + np.array(shift)[np.searchsorted(ends, slots)]
 
 
 def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
@@ -423,7 +507,11 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
 class SimOutcome:
     """Result of one Monte Carlo protocol run.
 
-    ``wall_s`` is the run's wall time; ``candidates`` counts the thinning
+    ``wall_s`` is the run's wall time and ``stage_s`` splits it into wall
+    seconds per stage: "draws" (set-up, the run's pair table and
+    candidates, each batch's label draw and slots), "phase" (channel
+    phase), "thinning" (click outcomes and tags), "deadtime" and "tally"
+    (counts, keys and the outcome); ``candidates`` counts the thinning
     candidates the run drew over every pair code, the single-sender Z
     windows included, and ``accepted`` those of them that clicked, so
     accepted / candidates is the thinning's acceptance ratio; ``batches``
@@ -438,6 +526,7 @@ class SimOutcome:
     n_slots: int
     ground_truth: dict = field(default_factory=dict)
     wall_s: float = 0.0
+    stage_s: dict = field(default_factory=dict)
     candidates: int = 0
     accepted: int = 0
     batches: int = 0
@@ -528,10 +617,24 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     The channel phase (``_channel_phase``) is evaluated only at XX
     candidate slots, at ~4096 trace slots spread over the run and at
     fine-block ends; the fine blocks restart at each batch boundary.
+
+    Each Z-window herald keeps one code byte, its pair code with
+    ``_TAG_BIT`` set when tagged, until the raw keys are built at the end.
     """
     t_start = time.perf_counter()
     if n_slots < MIN_SLOTS:
         raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
+    stage_s = dict.fromkeys(("draws", "phase", "thinning", "deadtime",
+                             "tally"), 0.0)
+    lap_start = t_start
+
+    def lap(stage):
+        """Charge the wall time since the previous lap to ``stage``."""
+        nonlocal lap_start
+        now = time.perf_counter()
+        stage_s[stage] += now - lap_start
+        lap_start = now
+
     seeds = np.random.SeedSequence(seed)
     rng_run = np.random.default_rng(seeds)
     sent = fair_sampled_classes(params.alice, params.bob, n_slots,
@@ -577,7 +680,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     tag_heralded = np.zeros(25, dtype=np.int64)
     x_matched = np.zeros(25, dtype=np.int64)
     x_errors = np.zeros(25, dtype=np.int64)
-    key_codes, key_tags = [], []
+    key_codes = []
     phase_carry = {}
     last_retained = [-np.inf, -np.inf]
     trace_t, trace_phi = [], []
@@ -592,6 +695,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         left -= drawn
         code = np.repeat(np.arange(25, dtype=np.uint8), drawn[:25])
         slot = _scatter(code, n, rng_slot)
+        lap("draws")
 
         # Channel phase at the XX candidate slots, the trace slots, the
         # fine-block ends and the batch's last slot (the carried state).
@@ -604,6 +708,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                              phase_carry, ref_flux, visibility)
         trace_t.append((lo + trace_slots) * slot_dt)
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
+        lap("phase")
 
         # Thinning: candidate (c1, c2) with probability P(c1, c2 | delta)/p_bar.
         dtheta = rng_slot.random(code.size) * (2.0 * np.pi)
@@ -616,6 +721,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         c1 = u < p1
         c2 = (u >= p1 - both) & (u < p1 + p2 - both)
         fired = np.flatnonzero(c1 | c2)
+        del delta, p1, p2, u, both   # candidate-sized: free before the clicks
 
         order = fired[np.argsort(slot[fired])]
         slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]
@@ -625,7 +731,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         # that did not click are all "neither" (3), tagged after the loop.
         outcome = np.where(c1, 2 * c2, 1)
         tags = rng_slot.random(code.size) < tag_prob[code, outcome]
-        tag_sent += np.bincount(code[tags], minlength=25)
+        lap("thinning")
         if det.deadtime_s > 0:
             for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
@@ -633,15 +739,16 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                     (lo + slot[hit]) * slot_dt, det.deadtime_s,
                     last_retained[det_idx])
                 clicks[hit[~keep]] = False
+        lap("deadtime")
 
         h1 = c1 & ~c2
         h2 = c2 & ~c1
         heralded = h1 | h2
+        tag_sent += np.bincount(code[tags], minlength=25)
         heralds += np.bincount(code[heralded], minlength=25)
         tag_heralded += np.bincount(code[tags & heralded], minlength=25)
         zz = _ZZ[code] & heralded
-        key_codes.append(code[zz])
-        key_tags.append(tags[zz])
+        key_codes.append(code[zz] | tags[zz] * np.uint8(_TAG_BIT))
 
         xx = _XX[code] & heralded
         dt_xx = dtheta[xx]
@@ -652,8 +759,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])
         x_matched += np.bincount(code[xx][near0 | nearpi], minlength=25)
         x_errors += np.bincount(code[xx][errors], minlength=25)
+        lap("tally")
 
     tag_sent += rng_run.binomial(sent - clicked, tag_prob[:, 3])
+    lap("draws")
 
     def per_category(tally):
         return {k: float(tally[5 * a + b])
@@ -666,8 +775,11 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                          sent=per_category(sent), qber_xuu=qber(_XUXU),
                          qber_xvv=qber(_XVXV))
     key = np.concatenate(key_codes)
+    del key_codes
+    tags = key >= _TAG_BIT
+    key &= _TAG_BIT - 1
     raw = RawKeyPair(alice_bits=_ALICE_BIT[key], bob_bits=_BOB_BIT[key],
-                     tags=np.concatenate(key_tags))
+                     tags=tags)
 
     gt = {"sn_sent": int(tag_sent[_SN]),
           "sn_heralded": int(tag_heralded[_SN]),
@@ -689,8 +801,11 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     trace = PhaseTrace(times_s=np.concatenate(trace_t),
                        delta_phi_rad=np.concatenate(trace_phi),
                        regime=phase_cfg.regime, seed=seed)
-    return SimOutcome(counts=counts, qber_z=raw.error_rate(), raw_keys=raw,
+    qber_z = raw.error_rate()
+    lap("tally")
+    return SimOutcome(counts=counts, qber_z=qber_z, raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
-                      ground_truth=gt, wall_s=time.perf_counter() - t_start,
+                      ground_truth=gt, wall_s=lap_start - t_start,
+                      stage_s=stage_s,
                       candidates=n_cand, accepted=int(clicked.sum()),
                       batches=n_batches)

@@ -185,6 +185,31 @@ class TestCriterion5OracleEquivalence:
         verdict(5, ok, f"1e8-slot run at 25 dB: all 25 categories within "
                        f"3 sigma (worst {worst_key}: z={worst_z:+.2f})")
 
+    def test_field_deadtime_categories_within_poisson_bands(
+            self, params, bundle, field_link, field_detector):
+        # The bundled field link and detector (10 us deadtime) in the full
+        # drift regime: the forward model's deadtime retention factor
+        # against the Monte Carlo's non-paralyzable filter.
+        extras = bundle["extras"]
+        n = 10_000_000_000
+        out = run_protocol(params, field_link, field_detector,
+                           PhaseConfig(regime="full"), n_slots=n, seed=2029,
+                           visibility=extras["visibility"])
+        pred = keyrate.expected_rates_model(
+            params, field_link, field_detector,
+            visibility=extras["visibility"],
+            misalignment_sigma_rad=extras["misalignment_sigma_rad"], n_tot=n)
+        worst_key, worst_z = "", 0.0
+        for k in decoy.CATEGORIES:
+            sigma = max(math.sqrt(pred.detected[k]), 1.0)
+            z = (out.counts.detected[k] - pred.detected[k]) / sigma
+            if abs(z) > abs(worst_z):
+                worst_key, worst_z = k, z
+        ok = abs(worst_z) <= 3.0
+        verdict(5, ok, f"1e10-slot field-link run, 10 us deadtime: all 25 "
+                       f"categories within 3 sigma (worst {worst_key}: "
+                       f"z={worst_z:+.2f})")
+
     def test_s1_bound_covers_mc_truth(self, params, security):
         # The coverage link of test_s1_coverage_over_seeds at 1e9 slots,
         # where the bound is informative: it must be nonzero, below the

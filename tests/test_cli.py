@@ -104,6 +104,16 @@ class TestMonteCarlo:
         assert counts.with_suffix(".phase.csv").exists()
         assert run_cli(["keyrate", "--counts", str(counts)]) == cli.EXIT_OK
 
+    def test_prints_stage_times_next_to_wall_time(self, tmp_path, capsys):
+        assert run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
+                        "--out", str(tmp_path / "sim.json")]) == cli.EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        stages = out["stage_s"]
+        assert list(stages) == ["draws", "phase", "thinning", "deadtime",
+                                "tally"]
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) == pytest.approx(out["wall_s"])
+
     def test_deterministic_given_seed(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
 from tfqkd import decoy, keyrate, montecarlo
@@ -282,7 +284,100 @@ class TestFeedback:
         assert abs(np.mean(tail) - cfg.setpoint) < LOCK_TOLERANCE
 
 
+def sequential_deadtime(times, deadtime_s, last_retained=-np.inf):
+    """Reference: the non-paralyzable rule, one click at a time."""
+    keep = np.ones(times.size, dtype=bool)
+    if times.size == 0:
+        return keep, last_retained
+    if deadtime_s <= 0:
+        return keep, float(times[-1])
+    last = last_retained
+    for idx in range(times.size):
+        if times[idx] - last < deadtime_s:
+            keep[idx] = False
+        else:
+            last = times[idx]
+    return keep, last
+
+
+def assert_same_as_sequential(times, deadtime_s, last_retained):
+    keep, last = filter_deadtime(times, deadtime_s, last_retained)
+    ref_keep, ref_last = sequential_deadtime(times, deadtime_s, last_retained)
+    assert keep.dtype == bool
+    assert np.array_equal(keep, ref_keep)
+    assert last == ref_last
+
+
+# Sorted slot indices with duplicates, a carry given as an offset from the
+# first, middle or last click (or none), and a deadtime in slots.
+_SLOTS = st.lists(st.integers(0, 60), max_size=80).map(sorted)
+_CARRY = st.one_of(st.none(), st.tuples(st.sampled_from([0, 0.5, 1]),
+                                        st.integers(-8, 8)))
+
+
+def _carry_time(times, carry, slot_dt):
+    if carry is None:
+        return -np.inf
+    where, offset = carry
+    if times.size == 0:
+        return offset * slot_dt
+    return float(times[int(where * (times.size - 1))]) + offset * slot_dt
+
+
 class TestDeadtimeFilter:
+    @settings(max_examples=400)
+    @given(_SLOTS, _CARRY, st.integers(0, 12),
+           st.floats(1e-3, 1e3, allow_nan=False))
+    def test_matches_sequential_rule(self, slots, carry, dead_slots, scale):
+        times = np.asarray(slots, dtype=float) * scale
+        assert_same_as_sequential(times, dead_slots * scale * 0.7,
+                                  _carry_time(times, carry, scale))
+
+    @settings(max_examples=400)
+    @given(_SLOTS, _CARRY, st.integers(0, 10**12), st.integers(1, 8),
+           st.sampled_from([2e-9, 1e-9, 1.0 / 3.0, 0.1]))
+    def test_whole_slot_deadtime_rounding_edge(self, slots, carry, lo,
+                                               dead_slots, slot_dt):
+        # Times and deadtime built as run_protocol builds them: differences
+        # of a whole number of slots round either side of the deadtime.
+        times = (lo + np.asarray(slots, dtype=np.int64)) * slot_dt
+        assert_same_as_sequential(times, dead_slots * slot_dt,
+                                  _carry_time(times, carry, slot_dt))
+
+    @settings(max_examples=400)
+    @given(st.floats(-1e4, 1e4), st.floats(1e-9, 1e4),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    # Pairs where the click one ulp below t0 + deadtime_s is kept.
+    @example(1.973813028204784e-09, 4.676502203717799e-09, [-1])
+    @example(24.38305098152499, 168.70871523434863, [-1, 1])
+    def test_clicks_ulps_from_the_threshold(self, t0, deadtime_s, ulps):
+        # Clicks a few ulps either side of t0 + deadtime_s, where rounded
+        # subtraction decides; as the carry and as the batch's first click.
+        edge = t0 + deadtime_s
+        times = [edge]
+        for k in ulps:
+            times.append(np.nextafter(times[-1], np.inf if k > 0 else -np.inf)
+                         if k else edge)
+        times = np.sort(np.asarray(times))
+        assert_same_as_sequential(times, deadtime_s, t0)
+        assert_same_as_sequential(np.append(t0, times), deadtime_s, -np.inf)
+
+    @given(_SLOTS, _CARRY, st.sampled_from([0.0, -1e-6, -np.inf]))
+    def test_no_deadtime_and_empty_input(self, slots, carry, deadtime_s):
+        times = np.asarray(slots, dtype=float) * 1e-9
+        assert_same_as_sequential(times, deadtime_s,
+                                  _carry_time(times, carry, 1e-9))
+        assert_same_as_sequential(np.array([]), 1e-6,
+                                  _carry_time(times, carry, 1e-9))
+
+    def test_long_chain(self):
+        # A click on every slot and a 3-slot deadtime: one cluster of 1e5
+        # clicks whose kept chain has tens of thousands of links.
+        slot_dt = 2e-9
+        times = (12_345 + np.arange(100_000)) * slot_dt
+        assert_same_as_sequential(times, 3 * slot_dt, -np.inf)
+        assert_same_as_sequential(times, 3 * slot_dt, float(times[7]))
+
     def test_empty(self):
         keep, last = filter_deadtime(np.array([]), 1e-6)
         assert keep.size == 0
@@ -487,6 +582,12 @@ class TestRunProtocol:
         assert 0.0 <= gt["s1_true"] <= 1.0
         tags = out.raw_keys.tags
         assert tags is not None and tags.shape == out.raw_keys.alice_bits.shape
+        # Tags ride in the key events' code bytes: every tagged herald is
+        # in the key, and tagged events come from one sender, so match.
+        assert tags.dtype == bool
+        assert tags.sum() == gt["sn_heralded"] + gt["ns_heralded"] > 0
+        assert np.array_equal(out.raw_keys.alice_bits[tags],
+                              out.raw_keys.bob_bits[tags])
 
     def test_counts_roundtrip_through_pipeline(self, params, quick_link,
                                                quick_det, security):
