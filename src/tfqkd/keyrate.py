@@ -214,10 +214,13 @@ def expected_rates_model(params: ProtocolParams, link: LinkBudget,
     """Predict category-resolved detection counts for one operating point.
 
     Encoding phases are uniform, so every category's heralding probability
-    is the interference click model averaged over the relative phase.  A
-    first-order non-paralyzable deadtime retention factor
-    1 / (1 + rate * deadtime) rescales all counts.  Returns a DecoyCounts
-    with fractional expected counts and predicted Xuu/Xvv QBERs.
+    is the interference click model averaged over the relative phase.
+    Deadtime rescales all counts by the renewal factor 1 / (1 + r D) of a
+    non-paralyzable detector whose clicks arrive as a Bernoulli stream of
+    r per slot and which is dead for D = ``det.dead_slots`` slots after
+    each kept click: a cycle lasts D + 1/r slots on average and keeps one
+    of its 1 + r D clicks.  Returns a DecoyCounts with fractional expected
+    counts and predicted Xuu/Xvv QBERs.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
@@ -237,8 +240,8 @@ def expected_rates_model(params: ProtocolParams, link: LinkBudget,
         heralded[key] = _heralded_mean(*args)
         click_rate += pa[ia] * pb[ib] * _single_click_mean(*args)
 
-    deadtime_slots = det.deadtime_s * params.protocol_rate_hz
-    retention = 1.0 / (1.0 + click_rate * deadtime_slots)
+    dead_slots = det.dead_slots(params.protocol_rate_hz)
+    retention = 1.0 / (1.0 + click_rate * dead_slots)
 
     sent = decoy.sent_counts(params, n_tot)
     detected = {k: sent[k] * heralded[k] * retention for k in decoy.CATEGORIES}

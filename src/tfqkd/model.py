@@ -160,6 +160,20 @@ class DetectorParams:
             raise ValueError("dark probability per gate must lie in [0, 1)")
         return p
 
+    def dead_slots(self, protocol_rate_hz: float) -> int:
+        """Whole slots after a kept click in which a click is dropped.
+
+        The slots k >= 1 with k < deadtime_s * rate, so a click exactly
+        one deadtime after the last kept one is kept.  The product is first
+        rounded to 1e-6 slot, so a deadtime that is a whole number of slots
+        counts as one even where the float product is not (122 ns at 5e8 Hz
+        gives 61.00000000000001).  The one place the deadtime turns into
+        slots: the Monte Carlo filter and the forward model's retention
+        factor both read it.
+        """
+        slots = round(self.deadtime_s * protocol_rate_hz, 6)
+        return max(math.ceil(slots) - 1, 0)
+
     def dark_prob_per_use(self, protocol_rate_hz: float) -> float:
         """Dark-count probability per protocol channel use (per detector)."""
         p = self.dark_rate_hz / protocol_rate_hz

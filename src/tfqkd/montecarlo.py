@@ -51,12 +51,14 @@ exact, not an approximation, for five reasons:
   law t P1(o).  Slots without a click are all "neither", so one binomial
   per run tags them.
 
-Deadtime.  Each detector's clicks pass the sequential non-paralyzable rule
-(drop a click less than a deadtime after the last kept one), resolved in
-numpy with the same result (``filter_deadtime``): a click at least a
-deadtime after its predecessor and the carried last kept time is always
-kept, and within the clusters between such clicks the kept clicks are the
-chain of next-kept indices from the cluster's kept anchor.
+Deadtime.  Deadtime lives on the slot clock: after a kept click a detector
+drops every click in the next ``DetectorParams.dead_slots`` slots (the
+whole slots closer than ``deadtime_s``), the sequential non-paralyzable
+rule.  ``filter_deadtime`` resolves it in integer numpy with the same
+result: a click more than the dead slots after its predecessor and the
+carried last kept slot is always kept, and within the clusters between
+such clicks the kept clicks are the chain of next-kept indices from the
+cluster's kept anchor.
 
 Z-window bit convention (truth table):
 
@@ -182,7 +184,8 @@ def fine_feedback(counts, gain: float, setpoint: float) -> float:
 def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
     """Mean photon numbers of the two interferometer outputs.
 
-    Vectorised and dtype-preserving (float32 inputs stay float32).
+    Vectorised over broadcastable inputs; the sampler and the forward model
+    both evaluate it in float64.
     """
     a = eta_a * np.asarray(mu_a)
     b = eta_b * np.asarray(mu_b)
@@ -196,7 +199,8 @@ def click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
     """Threshold click probabilities of the two interferometer outputs.
 
     p = 1 - (1 - p_dark) exp(-mu) per output, written with expm1 so that it
-    keeps full relative precision when mu is tiny (deep loss, float32).
+    keeps full relative precision when mu is tiny (deep loss): the direct
+    form cancels and loses digits in proportion to 1/mu.
     The one click model of the package: the Monte Carlo sampler and the
     analytic forward model both call it.
     """
@@ -206,63 +210,45 @@ def click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
             p_dark - (1.0 - p_dark) * np.expm1(-mu_minus))
 
 
-def _first_kept_time(kept: np.ndarray, deadtime_s: float) -> np.ndarray:
-    """Smallest time t with not (t - kept < deadtime_s), per kept time.
+def filter_deadtime(slots: np.ndarray, dead_slots: int,
+                    last_kept: int) -> tuple[np.ndarray, int]:
+    """Non-paralyzable deadtime on the slot clock.
 
-    The test is the sequential rule's own, in the times' dtype; it is
-    monotone in t, so the smallest passing t sits within a few ulps of
-    kept + deadtime_s and a few nextafter steps find it exactly.
-    """
-    t = kept + deadtime_s
-    while (low := t - kept < deadtime_s).any():
-        t[low] = np.nextafter(t[low], np.inf)
-    while (high := ~(np.nextafter(t, -np.inf) - kept < deadtime_s)).any():
-        t[high] = np.nextafter(t[high], -np.inf)
-    return t
-
-
-def filter_deadtime(times: np.ndarray, deadtime_s: float,
-                    last_retained: float = -np.inf) -> tuple[np.ndarray, float]:
-    """Non-paralyzable deadtime: keep clicks >= deadtime after the last kept.
-
-    ``times`` must be sorted.  Returns the retain mask and the time of the
-    last retained click (carry state for the next batch).
+    ``slots`` are one detector's sorted int64 global slot indices and
+    ``last_kept`` the slot of its last kept click (carry state; a detector
+    with no click yet carries ``-(dead_slots + 1)``).  A click is dropped
+    when ``slot - last kept <= dead_slots``.  Returns the keep mask and the
+    slot of the last kept click, the carry for the next batch.
 
     The result is that of the sequential rule (walk the clicks, drop one
-    if ``t - last < deadtime_s``, else keep it and set ``last = t``),
-    resolved in numpy.  The last kept time before click i is at most its
-    predecessor p_i = max(t_{i-1}, last_retained), and rounded subtraction
-    is monotone, so a *clear* click, t_i - p_i >= deadtime_s, is always
-    kept.  Clear clicks cut the rest into clusters, each led by an anchor
-    that is kept: the clear click before it, or ``last_retained`` for a
-    cluster at the start.  The anchor's time is the predecessor of the
-    cluster's first click, so that click is always dropped, and clusters
-    of one click need nothing more.  After a kept time T the next kept
-    click is the first j with not (t_j - T < deadtime_s), a test monotone
-    in j, so one ``searchsorted`` on the exact threshold time
-    (``_first_kept_time``) gives it; it never passes the clear click that
-    ends the cluster.  The kept clicks of a cluster are the chain of these
-    next-kept links from its anchor, marked by pointer doubling in
-    log2(chain length) passes (``_resolve_clusters``).  Sparse clicks
-    rarely form a cluster of two, and then no chain is resolved at all.
+    within the dead slots of ``last``, else keep it and set ``last`` to its
+    slot), resolved in numpy.  The last kept slot before click i is at most
+    its predecessor p_i = max(s_{i-1}, last_kept), so a *clear* click,
+    s_i - p_i > dead_slots, is always kept.  Clear clicks cut the rest into
+    clusters, each led by an anchor that is kept: the clear click before
+    it, or ``last_kept`` for a cluster at the start.  The anchor is the
+    predecessor of the cluster's first click, so that click is always
+    dropped, and clusters of one click need nothing more.  After a kept
+    slot T the next kept click is the first at or past T + dead_slots + 1,
+    one ``searchsorted`` away, and never past the clear click that ends the
+    cluster.  The kept clicks of a cluster are the chain of these next-kept
+    links from its anchor, marked by pointer doubling in log2(chain
+    length) passes (``_resolve_clusters``).  Sparse clicks rarely form a
+    cluster of two, and then no chain is resolved at all.
     """
-    if times.size == 0:
-        return np.ones(0, dtype=bool), last_retained
-    if deadtime_s <= 0:
-        return np.ones(times.size, dtype=bool), float(times[-1])
-    pred = np.maximum(np.concatenate(([last_retained], times[:-1])),
-                      last_retained)
-    close = times - pred < deadtime_s
+    if slots.size == 0:
+        return np.ones(0, dtype=bool), last_kept
+    pred = np.maximum(np.concatenate(([last_kept], slots[:-1])), last_kept)
+    close = slots - pred <= dead_slots
     keep = ~close
     if np.count_nonzero(close[1:] & close[:-1]):
-        keep[close] = _resolve_clusters(times, close, deadtime_s,
-                                        last_retained)
-    last = times.size - 1 - int(keep[::-1].argmax())
-    return keep, float(times[last]) if keep[last] else last_retained
+        keep[close] = _resolve_clusters(slots, close, dead_slots, last_kept)
+    last = slots.size - 1 - int(keep[::-1].argmax())
+    return keep, int(slots[last]) if keep[last] else last_kept
 
 
-def _resolve_clusters(times: np.ndarray, close: np.ndarray, deadtime_s: float,
-                      last_retained: float) -> np.ndarray:
+def _resolve_clusters(slots: np.ndarray, close: np.ndarray, dead_slots: int,
+                      last_kept: int) -> np.ndarray:
     """Keep mask of the ``close`` clicks (see ``filter_deadtime``)."""
     # Cluster nodes in click order: each run of close clicks, led by its
     # anchor, the entry before the run.  Entry i + 1 of ``row`` is click i
@@ -272,16 +258,14 @@ def _resolve_clusters(times: np.ndarray, close: np.ndarray, deadtime_s: float,
     is_node[np.flatnonzero(row[1:] > row[:-1])] = True
     node = np.flatnonzero(is_node)
     anchor = ~row[node]
-    t_node = times[node - 1]
+    s_node = slots[node - 1]
     if node[0] == 0:
-        t_node[0] = last_retained
-    # Next kept node: the first later node at or past the threshold (node
-    # 0 is never one).  Past the cluster's last node that is the next
-    # anchor or none, and the chain goes to the sentinel m, which maps to
-    # itself.
+        s_node[0] = last_kept
+    # Next kept node: the first later node past the dead slots (node 0 is
+    # never one).  Past the cluster's last node that is the next anchor or
+    # none, and the chain goes to the sentinel m, which maps to itself.
     m = node.size
-    threshold = _first_kept_time(t_node, deadtime_s)
-    nxt = np.searchsorted(t_node[1:], threshold) + 1
+    nxt = np.searchsorted(s_node[1:], s_node + (dead_slots + 1)) + 1
     jump = np.append(np.where(np.append(anchor, True)[nxt], m, nxt), m)
     # Pointer doubling: after each pass ``kept`` holds the chain's first
     # 2^k nodes from each anchor and ``jump`` leaps 2^k links; stop when
@@ -682,7 +666,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     x_errors = np.zeros(25, dtype=np.int64)
     key_codes = []
     phase_carry = {}
-    last_retained = [-np.inf, -np.inf]
+    dead_slots = det.dead_slots(params.protocol_rate_hz)
+    last_kept = [-(dead_slots + 1)] * 2
     trace_t, trace_phi = [], []
 
     for b in range(n_batches):
@@ -732,12 +717,11 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         outcome = np.where(c1, 2 * c2, 1)
         tags = rng_slot.random(code.size) < tag_prob[code, outcome]
         lap("thinning")
-        if det.deadtime_s > 0:
+        if dead_slots > 0:
             for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
-                keep, last_retained[det_idx] = filter_deadtime(
-                    (lo + slot[hit]) * slot_dt, det.deadtime_s,
-                    last_retained[det_idx])
+                keep, last_kept[det_idx] = filter_deadtime(
+                    lo + slot[hit], dead_slots, last_kept[det_idx])
                 clicks[hit[~keep]] = False
         lap("deadtime")
 

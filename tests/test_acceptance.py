@@ -18,6 +18,8 @@ from tfqkd.aopp import ZBitTally, aopp_estimate, aopp_pair, aopp_sift
 from tfqkd.model import DetectorParams, LinkBudget
 from tfqkd.montecarlo import PhaseConfig, run_protocol, simulate_phase_trace
 
+from synthetic_keys import synthetic_sns_keys
+
 FIELD_R = 2.20e-7          # bit per signal
 FIELD_BPS = 110.1          # bit per second
 FIELD_PHASE_ERROR = 0.0508
@@ -298,15 +300,6 @@ class TestCriterion5OracleEquivalence:
         ok = covered >= 95 and nonzero >= 95
         verdict(5, ok, f"s1_lower <= tagged truth in {covered}/100 seeded "
                        f"runs at 20 dB, nonzero in {nonzero}/100")
-
-
-def synthetic_sns_keys(n_bits, seed):
-    fractions = np.array([0.29132, 0.38035, 0.31323, 0.015097])
-    rng = np.random.default_rng(seed)
-    kinds = rng.choice(4, size=n_bits, p=fractions / fractions.sum())
-    alice = ((kinds == 0) | (kinds == 1)).astype(np.uint8)
-    bob = ((kinds == 1) | (kinds == 3)).astype(np.uint8)
-    return alice, bob
 
 
 class TestCriterion6AoppOracle:

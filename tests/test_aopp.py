@@ -15,6 +15,8 @@ from tfqkd.aopp import (
     pair_phase_error_rate,
 )
 
+from synthetic_keys import synthetic_sns_keys
+
 
 def bits(s: str) -> np.ndarray:
     return np.array([int(c) for c in s], dtype=np.uint8)
@@ -127,22 +129,6 @@ class TestEnumerationOracle:
         est = aopp_estimate(sns_tally(alice, bob), 0.0, 0.0, 0.0)
         assert est.n_t_prime == pytest.approx(exp_surv, abs=1e-9)
         assert est.e_z_prime == pytest.approx(exp_err, abs=1e-9)
-
-
-def synthetic_sns_keys(n_bits: int, seed: int, fractions=None):
-    """Raw keys with the four Z-window event types in given proportions.
-
-    Event types map to (alice, bob) bits as: both-sent (1, 0), alice-only
-    (1, 1), bob-only (0, 0), neither (0, 1); the first and last are the
-    errors.  Default fractions follow the reference dataset.
-    """
-    if fractions is None:
-        fractions = (0.29132, 0.38035, 0.31323, 0.015097)
-    rng = np.random.default_rng(seed)
-    kinds = rng.choice(4, size=n_bits, p=np.array(fractions) / sum(fractions))
-    alice = ((kinds == 0) | (kinds == 1)).astype(np.uint8)
-    bob = ((kinds == 1) | (kinds == 3)).astype(np.uint8)
-    return alice, bob
 
 
 class TestAggregateVsBitLevel:

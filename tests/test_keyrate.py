@@ -142,6 +142,19 @@ class TestForwardModel:
         assert b.detected["ZZsn"] == pytest.approx(2 * a.detected["ZZsn"],
                                                    rel=1e-12)
 
+    def test_deadtime_retention_counts_whole_dead_slots(self, params):
+        # At 2 ns slots a 2 ns deadtime leaves no dead slot, so it keeps
+        # every count, and 3 ns and 4 ns both leave one.
+        link = LinkBudget(0, 0, 0.0, 0.0)
+
+        def detected(deadtime_s):
+            det = DetectorParams(0.5, 0.0, deadtime_s=deadtime_s)
+            return expected_rates_model(params, link, det,
+                                        n_tot=1e6).detected["ZZss"]
+
+        assert detected(2e-9) == detected(0.0)
+        assert detected(3e-9) == detected(4e-9) < detected(0.0)
+
     def test_qber_depends_on_visibility(self, params, field_detector):
         link = LinkBudget(1, 1, 15.0, 10.0)
         good = expected_rates_model(params, link, field_detector,

@@ -4,8 +4,9 @@ Package modules import each other at module top, so the dependency graph is
 visible in one place and a cycle fails at import time rather than on some
 later call; every package import points down the layers (physics and
 statistics, then the samplers and the decoy analysis, then the forward model
-and key rate, then the CLI); and every name a module exports through
-``__all__`` exists.
+and key rate, then the CLI); every name a module exports through
+``__all__`` exists; and every layer the benchmark tracer wraps by module
+attribute resolves to a callable.
 """
 
 import ast
@@ -13,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import tfqkd
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tfqkd"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -96,4 +99,29 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(
         "tfqkd" if name == "__init__" else f"tfqkd.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+BENCH_TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
+
+
+def _wrapped_targets() -> list[tuple[str, str]]:
+    """(module, attribute) pairs of the benchmark tracer's ``WRAPPED``
+    table, read from its source without importing it."""
+    tree = ast.parse(BENCH_TRACING.read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == ["WRAPPED"]):
+            return [tuple(entry)[:2] for entry in ast.literal_eval(node.value)]
+    raise AssertionError("bench/tracing.py defines no WRAPPED table")
+
+
+def test_every_traced_layer_resolves():
+    # The tracer swaps these module attributes for timing wrappers; one
+    # that no longer exists or is not callable breaks a traced run.
+    targets = _wrapped_targets()
+    assert ("montecarlo", "filter_deadtime") in targets
+    missing = [f"{mod}.{attr}" for mod, attr in targets
+               if not callable(getattr(getattr(tfqkd, mod, None), attr, None))]
     assert missing == []

@@ -420,6 +420,18 @@ class TestParamsIO:
         assert det.dark_prob_per_gate(1e9) == pytest.approx(4.5e-7)
         assert det.dark_prob_per_use(5e8) == pytest.approx(9e-7)
 
+    @pytest.mark.parametrize("deadtime_s, rate, dead", [
+        (0.0, 5e8, 0), (1e-9, 5e8, 0), (2e-9, 5e8, 0), (3e-9, 5e8, 1),
+        (122e-9, 5e8, 60), (61e-9, 1e9, 60), (64e-9, 5e8, 31),
+        (1e-5, 5e8, 4999), (1e-5, 1e9, 9999)])
+    def test_dead_slots(self, deadtime_s, rate, dead):
+        # Slots k >= 1 closer than the deadtime; a whole number of slots
+        # stays whole where the float product lands an ulp above it
+        # (122e-9 * 5e8 and 61e-9 * 1e9 do).
+        det = DetectorParams(0.145, 450.0, deadtime_s=deadtime_s)
+        assert det.dead_slots(rate) == dead
+        assert isinstance(det.dead_slots(rate), int)
+
     def test_detector_validation(self):
         with pytest.raises(ValueError):
             DetectorParams(efficiency=1.5, dark_rate_hz=0.0)

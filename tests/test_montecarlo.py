@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
@@ -81,9 +81,10 @@ class TestInterfere:
         assert np.mean(p1) == pytest.approx(oracle, rel=1e-6)
 
     def test_float32_tiny_mean_keeps_precision(self):
-        # The sampler evaluates clicks in float32.  At mu ~ 1e-8 exp(-mu)
-        # rounds to 1 there, so 1 - (1 - pd) exp(-mu) loses the click
-        # probability entirely; the expm1 form keeps it to float32 precision.
+        # expm1 keeps relative precision at tiny means, where the direct
+        # form 1 - (1 - pd) exp(-mu) cancels.  float32 makes the loss total
+        # at mu ~ 1e-8, where exp(-mu) rounds to 1; the expm1 form keeps
+        # the click probability to float32 precision.
         mu = np.float32(2e-8) * np.arange(1, 65, dtype=np.float32)
         pd = 0.0
         p1, _ = click_probs(mu, np.float32(0.0), np.float32(0.0),
@@ -284,126 +285,110 @@ class TestFeedback:
         assert abs(np.mean(tail) - cfg.setpoint) < LOCK_TOLERANCE
 
 
-def sequential_deadtime(times, deadtime_s, last_retained=-np.inf):
-    """Reference: the non-paralyzable rule, one click at a time."""
-    keep = np.ones(times.size, dtype=bool)
-    if times.size == 0:
-        return keep, last_retained
-    if deadtime_s <= 0:
-        return keep, float(times[-1])
-    last = last_retained
-    for idx in range(times.size):
-        if times[idx] - last < deadtime_s:
+def sequential_deadtime(slots, dead_slots, last_kept):
+    """Reference: the non-paralyzable rule on the slot clock, one click at a
+    time."""
+    keep = np.ones(slots.size, dtype=bool)
+    last = last_kept
+    for idx, slot in enumerate(slots.tolist()):
+        if slot - last <= dead_slots:
             keep[idx] = False
         else:
-            last = times[idx]
+            last = slot
     return keep, last
 
 
-def assert_same_as_sequential(times, deadtime_s, last_retained):
-    keep, last = filter_deadtime(times, deadtime_s, last_retained)
-    ref_keep, ref_last = sequential_deadtime(times, deadtime_s, last_retained)
+def assert_same_as_sequential(slots, dead_slots, last_kept):
+    keep, last = filter_deadtime(slots, dead_slots, last_kept)
+    ref_keep, ref_last = sequential_deadtime(slots, dead_slots, last_kept)
     assert keep.dtype == bool
     assert np.array_equal(keep, ref_keep)
     assert last == ref_last
 
 
-# Sorted slot indices with duplicates, a carry given as an offset from the
-# first, middle or last click (or none), and a deadtime in slots.
+# Sorted slot indices with duplicates, and a carry given as an offset from
+# the first, middle or last click, or none (a detector with no click yet).
 _SLOTS = st.lists(st.integers(0, 60), max_size=80).map(sorted)
 _CARRY = st.one_of(st.none(), st.tuples(st.sampled_from([0, 0.5, 1]),
-                                        st.integers(-8, 8)))
+                                        st.integers(-14, 14)))
 
 
-def _carry_time(times, carry, slot_dt):
+def _slots(values, lo=0):
+    return lo + np.asarray(values, dtype=np.int64)
+
+
+def _carry_slot(slots, carry, dead_slots):
     if carry is None:
-        return -np.inf
+        return -(dead_slots + 1)
     where, offset = carry
-    if times.size == 0:
-        return offset * slot_dt
-    return float(times[int(where * (times.size - 1))]) + offset * slot_dt
+    if slots.size == 0:
+        return offset
+    return int(slots[int(where * (slots.size - 1))]) + offset
 
 
 class TestDeadtimeFilter:
     @settings(max_examples=400)
-    @given(_SLOTS, _CARRY, st.integers(0, 12),
-           st.floats(1e-3, 1e3, allow_nan=False))
-    def test_matches_sequential_rule(self, slots, carry, dead_slots, scale):
-        times = np.asarray(slots, dtype=float) * scale
-        assert_same_as_sequential(times, dead_slots * scale * 0.7,
-                                  _carry_time(times, carry, scale))
+    @given(_SLOTS, _CARRY, st.integers(0, 10**12), st.integers(0, 12))
+    def test_matches_sequential_rule(self, values, carry, lo, dead_slots):
+        slots = _slots(values, lo)
+        assert_same_as_sequential(slots, dead_slots,
+                                  _carry_slot(slots, carry, dead_slots))
 
-    @settings(max_examples=400)
-    @given(_SLOTS, _CARRY, st.integers(0, 10**12), st.integers(1, 8),
-           st.sampled_from([2e-9, 1e-9, 1.0 / 3.0, 0.1]))
-    def test_whole_slot_deadtime_rounding_edge(self, slots, carry, lo,
-                                               dead_slots, slot_dt):
-        # Times and deadtime built as run_protocol builds them: differences
-        # of a whole number of slots round either side of the deadtime.
-        times = (lo + np.asarray(slots, dtype=np.int64)) * slot_dt
-        assert_same_as_sequential(times, dead_slots * slot_dt,
-                                  _carry_time(times, carry, slot_dt))
-
-    @settings(max_examples=400)
-    @given(st.floats(-1e4, 1e4), st.floats(1e-9, 1e4),
-           st.lists(st.integers(-3, 3), min_size=1, max_size=6))
-    # Pairs where the click one ulp below t0 + deadtime_s is kept.
-    @example(1.973813028204784e-09, 4.676502203717799e-09, [-1])
-    @example(24.38305098152499, 168.70871523434863, [-1, 1])
-    def test_clicks_ulps_from_the_threshold(self, t0, deadtime_s, ulps):
-        # Clicks a few ulps either side of t0 + deadtime_s, where rounded
-        # subtraction decides; as the carry and as the batch's first click.
-        edge = t0 + deadtime_s
-        times = [edge]
-        for k in ulps:
-            times.append(np.nextafter(times[-1], np.inf if k > 0 else -np.inf)
-                         if k else edge)
-        times = np.sort(np.asarray(times))
-        assert_same_as_sequential(times, deadtime_s, t0)
-        assert_same_as_sequential(np.append(t0, times), deadtime_s, -np.inf)
-
-    @given(_SLOTS, _CARRY, st.sampled_from([0.0, -1e-6, -np.inf]))
-    def test_no_deadtime_and_empty_input(self, slots, carry, deadtime_s):
-        times = np.asarray(slots, dtype=float) * 1e-9
-        assert_same_as_sequential(times, deadtime_s,
-                                  _carry_time(times, carry, 1e-9))
-        assert_same_as_sequential(np.array([]), 1e-6,
-                                  _carry_time(times, carry, 1e-9))
+    @given(_SLOTS, _CARRY, st.integers(0, 12))
+    def test_no_deadtime_and_empty_input(self, values, carry, dead_slots):
+        # With no dead slots every click past the carry, each on its own
+        # slot, is kept.
+        slots = _slots(sorted(set(values)))
+        carry_slot = _carry_slot(slots, carry, 0)
+        keep, _ = filter_deadtime(slots, 0, carry_slot)
+        assert np.array_equal(keep, slots > carry_slot)
+        assert_same_as_sequential(slots, 0, carry_slot)
+        carry_slot = _carry_slot(slots, carry, dead_slots)
+        keep, last = filter_deadtime(_slots([]), dead_slots, carry_slot)
+        assert keep.size == 0 and last == carry_slot
 
     def test_long_chain(self):
-        # A click on every slot and a 3-slot deadtime: one cluster of 1e5
-        # clicks whose kept chain has tens of thousands of links.
-        slot_dt = 2e-9
-        times = (12_345 + np.arange(100_000)) * slot_dt
-        assert_same_as_sequential(times, 3 * slot_dt, -np.inf)
-        assert_same_as_sequential(times, 3 * slot_dt, float(times[7]))
+        # A click on every slot and 3 dead slots: one cluster of 1e5 clicks
+        # whose kept chain has 25 000 links.
+        slots = _slots(np.arange(100_000), 12_345)
+        assert_same_as_sequential(slots, 3, -4)
+        assert_same_as_sequential(slots, 3, int(slots[7]))
+        keep, _ = filter_deadtime(slots, 3, -4)
+        assert np.count_nonzero(keep) == 25_000
 
     def test_empty(self):
-        keep, last = filter_deadtime(np.array([]), 1e-6)
+        keep, last = filter_deadtime(_slots([]), 499, -500)
         assert keep.size == 0
+        assert last == -500
 
     def test_no_deadtime_keeps_all(self):
-        times = np.array([0.0, 1e-9, 2e-9])
-        keep, last = filter_deadtime(times, 0.0)
+        keep, last = filter_deadtime(_slots([0, 1, 2]), 0, -1)
         assert keep.all()
-        assert last == 2e-9
+        assert last == 2
 
     def test_blocks_within_window(self):
-        times = np.array([0.0, 0.5e-6, 1.1e-6, 1.5e-6, 2.3e-6])
-        keep, _ = filter_deadtime(times, 1e-6)
+        # 1 us at 2 ns slots: 499 dead slots.
+        dead = DetectorParams(0.5, 0.0, deadtime_s=1e-6).dead_slots(5e8)
+        assert dead == 499
+        keep, _ = filter_deadtime(_slots([0, 250, 550, 750, 1150]), dead,
+                                  -(dead + 1))
+        assert keep.tolist() == [True, False, True, False, True]
+        # A click exactly one deadtime after the kept one is kept.
+        keep, _ = filter_deadtime(_slots([0, 499, 500, 999, 1000]), dead,
+                                  -(dead + 1))
         assert keep.tolist() == [True, False, True, False, True]
 
     def test_carry_state_across_batches(self):
-        keep1, last = filter_deadtime(np.array([0.0]), 1e-6)
-        keep2, _ = filter_deadtime(np.array([0.4e-6, 1.2e-6]), 1e-6, last)
+        keep1, last = filter_deadtime(_slots([0]), 499, -500)
+        assert keep1.tolist() == [True] and last == 0
+        keep2, _ = filter_deadtime(_slots([200, 600]), 499, last)
         assert keep2.tolist() == [False, True]
 
     def test_retained_spacing_property(self):
         rng = np.random.default_rng(3)
-        times = np.sort(rng.uniform(0, 1e-3, 500))
-        keep, _ = filter_deadtime(times, 5e-6)
-        kept = times[keep]
-        assert np.all(np.diff(kept) >= 5e-6)
+        slots = np.sort(rng.choice(500_000, 500, replace=False))
+        keep, _ = filter_deadtime(slots, 2_499, -2_500)
+        assert np.all(np.diff(slots[keep]) >= 2_500)
 
 
 class TestRunProtocol:
@@ -528,22 +513,65 @@ class TestRunProtocol:
         # the module-level filter it calls (once per detector per batch).
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                              deadtime_s=2e-8)  # 10 protocol slots
+        dead = det.dead_slots(params.protocol_rate_hz)
+        assert dead == 9
         n = 4_000_000     # ~1.5 batches of ~2^14 candidates on this link
-        kept = []
+        kept, carries = [], []
         original = montecarlo.filter_deadtime
 
-        def recording(times, deadtime_s, last_retained):
-            keep, last = original(times, deadtime_s, last_retained)
-            kept.append(times[keep])
+        def recording(slots, dead_slots, last_kept):
+            keep, last = original(slots, dead_slots, last_kept)
+            kept.append(slots[keep])
+            carries.append(last_kept)
             return keep, last
 
         monkeypatch.setattr(montecarlo, "filter_deadtime", recording)
         out = run_protocol(params, quick_link, det, PhaseConfig(), n, seed=8)
         assert out.batches == 2
         assert len(kept) == 4
+        # A detector with no click yet keeps a click on the run's slot 0.
+        assert carries[:2] == [-(dead + 1)] * 2
         for stream in (np.concatenate(kept[0::2]), np.concatenate(kept[1::2])):
+            assert stream.dtype == np.int64
             assert stream.size > 1
-            assert np.min(np.diff(stream)) >= det.deadtime_s - 1e-15
+            assert np.min(np.diff(stream)) >= dead + 1
+
+    def test_deadtime_retention_matches_renewal_factor(self, params,
+                                                       monkeypatch):
+        # Oracle for the forward model's retention factor: a detector whose
+        # clicks arrive as a Bernoulli stream of r per slot and which is
+        # dead for D slots after each kept click keeps 1 / (1 + r D) of
+        # them.  A lossless, dark-free link in the ideal regime clicks
+        # densely; D = 9 (20 ns at 2 ns slots).  By the delta method, with
+        # a = 1 + r D, kept/offered - 1/(1 + (offered/N) D) has standard
+        # deviation sqrt((1 - r) D / (a^4 N)) over N slots.
+        det = DetectorParams(efficiency=0.5, dark_rate_hz=0.0,
+                             deadtime_s=2e-8)
+        link = LinkBudget(0, 0, 0.0, 0.0)
+        dead = det.dead_slots(params.protocol_rate_hz)
+        assert dead == 9
+        calls = []
+        original = montecarlo.filter_deadtime
+
+        def recording(slots, dead_slots, last_kept):
+            keep, last = original(slots, dead_slots, last_kept)
+            calls.append((slots.size, int(np.count_nonzero(keep))))
+            return keep, last
+
+        monkeypatch.setattr(montecarlo, "filter_deadtime", recording)
+        n_slots = 0
+        for seed in (31, 32, 33):
+            out = run_protocol(params, link, det, PhaseConfig(regime="ideal"),
+                               2_000_000, seed=seed)
+            n_slots += out.n_slots
+        assert len(calls) % 2 == 0      # detector 1, then 2, per batch
+        for per_detector in (calls[0::2], calls[1::2]):
+            offered, kept = np.sum(per_detector, axis=0)
+            r = offered / n_slots
+            a = 1.0 + r * dead
+            sigma = math.sqrt((1.0 - r) * dead / (a**4 * n_slots))
+            z = (kept / offered - 1.0 / a) / sigma
+            assert abs(z) < 4.0, (kept / offered, 1.0 / a, z)
 
     def test_noiseless_matched_vv_qber(self, params):
         # Lossless arms, no dark counts, perfect visibility, no drift: with
