@@ -210,7 +210,7 @@ def cmd_phasestab(args) -> int:
     print(json.dumps({
         "regime": trace.regime,
         "residual_std_rad": trace.residual_std(),
-        "mean_offset_rad": trace.mean_offset(cfg.setpoint),
+        "mean_offset_rad": trace.mean_offset(),
     }, indent=2))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .aopp import ZBitTally
 from .finitestats import BoundedValue, bound_expected, bounded_rate
 from .model import (
     X_U,
@@ -131,17 +132,16 @@ class DecoyCounts:
             out["Xvv_error_rate"] = self.qber_xvv
         return out
 
-    def z_bit_tally(self) -> tuple[float, float, float, float]:
-        """(n0, n1, err0, err1) of the receiver-side raw key.
+    def z_bit_tally(self) -> ZBitTally:
+        """Composition (n0, n1, err0, err1) of the receiver-side raw key.
 
         Bit convention: the sender of a pulse records 1 on Alice's side and
         0 on Bob's side, so Bob's 0-bits come from ZZss/ZZns events and his
         1-bits from ZZsn/ZZnn; ss and nn events are the bit errors.
         """
         d = self.detected
-        n0 = d["ZZss"] + d["ZZns"]
-        n1 = d["ZZsn"] + d["ZZnn"]
-        return n0, n1, d["ZZss"], d["ZZnn"]
+        return ZBitTally(n0=d["ZZss"] + d["ZZns"], n1=d["ZZsn"] + d["ZZnn"],
+                         err0=d["ZZss"], err1=d["ZZnn"])
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,20 @@ def binary_entropy(x):
 def hbar(x):
     """Bosonic entropy h(x) = (x+1) log2 (x+1) - x log2 x for x >= 0.
 
-    h(0) = 0 by continuity; strictly increasing on x > 0.
+    h(0) = 0 by continuity; strictly increasing on x > 0.  Evaluated as
+    [log1p(x) + x log(1 + 1/x)] / ln 2, a sum of non-negative terms, free of
+    the cancellation between the two terms of the definition at small x;
+    below x = 1, log(1 + 1/x) is log1p(x) - log(x), so 1/x cannot overflow.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("hbar argument must be non-negative")
     pos = x > 0.0
     xs = np.where(pos, x, 1.0)
-    h = np.where(pos, (xs + 1.0) * np.log2(xs + 1.0) - xs * np.log2(xs), 0.0)
+    lo = np.minimum(xs, 1.0)
+    log_inv = np.where(xs < 1.0, np.log1p(lo) - np.log(lo),
+                       np.log1p(1.0 / np.maximum(xs, 1.0)))
+    h = np.where(pos, (np.log1p(xs) + xs * log_inv) / np.log(2.0), 0.0)
     return float(h) if h.ndim == 0 else h
 
 

@@ -10,16 +10,18 @@ simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import decoy
-from .aopp import AoppOutput, ZBitTally, aopp_estimate
+from .aopp import AoppOutput, aopp_estimate
 from .finitestats import binary_entropy
 from .model import (
     DetectorParams,
     LinkBudget,
+    X_U,
+    X_V,
     ProtocolParams,
     SecurityParams,
     transmissivities,
@@ -55,18 +57,11 @@ class KeyRateReport:
     bits_per_second: float
     secure_bits: float
     r_printed_formula_convention: float
-    intermediates: dict = field(default_factory=dict)
     convention_note: str = _CONVENTION_NOTE
+    intermediates: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "r_per_signal": self.r_per_signal,
-            "bits_per_second": self.bits_per_second,
-            "secure_bits": self.secure_bits,
-            "r_printed_formula_convention": self.r_printed_formula_convention,
-            "convention_note": self.convention_note,
-            "intermediates": dict(self.intermediates),
-        }
+        return asdict(self)
 
 
 def finite_size_correction(sec: SecurityParams) -> float:
@@ -129,31 +124,19 @@ def analyze_counts(counts: decoy.DecoyCounts, params: ProtocolParams,
     Estimation failures (e.g. a vanishing single-photon yield bound) give
     a zero-rate report rather than an exception.
     """
-    n0, n1, err0, err1 = counts.z_bit_tally()
-    tally = ZBitTally(n0=n0, n1=n1, err0=err0, err1=err1)
+    tally = counts.z_bit_tally()
     try:
         est = decoy.estimate(counts, params, sec)
     except decoy.EstimationError as exc:
         zero = AoppOutput(n_t_prime=0.0, e_z_prime=0.0, n1_prime=0.0,
                           e1ph_prime=0.0)
-        report = secret_key_rate(zero, sec, counts.n_tot,
-                                 params.clock_rate_hz, params.duty_cycle)
-        report.intermediates["diagnostic"] = f"estimation failure: {exc}"
-        return report
+        return secret_key_rate(
+            zero, sec, counts.n_tot, params.clock_rate_hz, params.duty_cycle,
+            extra_intermediates={"diagnostic": f"estimation failure: {exc}"})
     aopp_out = aopp_estimate(tally, est.n01_lower, est.n10_lower,
                              est.e1ph_upper)
-    extra = {
-        "s01_lower": est.s01_lower,
-        "s10_lower": est.s10_lower,
-        "s1_lower": est.s1_lower,
-        "n01_lower": est.n01_lower,
-        "n10_lower": est.n10_lower,
-        "n1_lower": est.n1_lower,
-        "t_x1_upper": est.t_x1_upper,
-        "e1ph_upper": est.e1ph_upper,
-        "n_t": tally.n_t,
-        "e_z": tally.e_z,
-    }
+    # vars() is asdict() for these flat float fields, at 1/20 the cost.
+    extra = {**vars(est), "n_t": tally.n_t, "e_z": tally.e_z}
     return secret_key_rate(aopp_out, sec, counts.n_tot,
                            params.clock_rate_hz, params.duty_cycle,
                            extra_intermediates=extra)
@@ -192,12 +175,8 @@ def _windowed_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
     identical by symmetry.
     """
     theta = np.linspace(-window_rad, window_rad, 129)
-    if jitter_sigma > 0:
-        delta = theta[:, None] + jitter_sigma * _HERMITE_NODES[None, :]
-        weights = _HERMITE_WEIGHTS[None, :]
-    else:
-        delta = theta[:, None]
-        weights = np.ones((1, 1))
+    delta = theta[:, None] + jitter_sigma * _HERMITE_NODES[None, :]
+    weights = _HERMITE_WEIGHTS[None, :]
     p1, p2 = click_probs(mu_a, mu_b, delta, eta_a, eta_b,
                          det_eff, p_dark, visibility)
     wrong = np.sum(p2 * (1.0 - p1) * weights, axis=1)
@@ -224,8 +203,7 @@ def expected_rates_model(params: ProtocolParams, link: LinkBudget,
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    etas = transmissivities(link, det)
-    eta_a, eta_b = etas["eta_a"], etas["eta_b"]
+    eta_a, eta_b = transmissivities(link)
     p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()
     mu_b = params.bob.intensity_of()
@@ -246,13 +224,11 @@ def expected_rates_model(params: ProtocolParams, link: LinkBudget,
     sent = decoy.sent_counts(params, n_tot)
     detected = {k: sent[k] * heralded[k] * retention for k in decoy.CATEGORIES}
 
-    window = params.phase_window_rad()
-    qber_xuu = _windowed_qber(mu_a[2], mu_b[2], eta_a, eta_b, det.efficiency,
-                              p_dark, visibility, window,
-                              misalignment_sigma_rad)
-    qber_xvv = _windowed_qber(mu_a[3], mu_b[3], eta_a, eta_b, det.efficiency,
-                              p_dark, visibility, window,
-                              misalignment_sigma_rad)
+    qber_xuu, qber_xvv = (
+        _windowed_qber(mu_a[c], mu_b[c], eta_a, eta_b, det.efficiency, p_dark,
+                       visibility, params.phase_window_rad(),
+                       misalignment_sigma_rad)
+        for c in (X_U, X_V))
     return decoy.DecoyCounts(n_tot=n_tot, detected=detected, sent=sent,
                              qber_xuu=qber_xuu, qber_xvv=qber_xvv)
 
@@ -287,7 +263,6 @@ def split_loss_link(loss_db: float, params: ProtocolParams,
         length_ac_km=loss_a / attenuation_db_per_km,
         length_bc_km=loss_b / attenuation_db_per_km,
         loss_ac_db=loss_a, loss_bc_db=loss_b,
-        attenuation_coeff_db_per_km=attenuation_db_per_km,
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +126,6 @@ class LinkBudget:
     length_bc_km: float
     loss_ac_db: float
     loss_bc_db: float
-    attenuation_coeff_db_per_km: float | None = None
 
     def __post_init__(self):
         if min(self.length_ac_km, self.length_bc_km) < 0:
@@ -144,7 +143,7 @@ class DetectorParams:
     """Threshold single-photon detector behind the interference node."""
 
     efficiency: float
-    dark_rate_hz: float
+    dark_rate_hz: float = 0.0
     deadtime_s: float = 0.0
 
     def __post_init__(self):
@@ -411,21 +410,12 @@ def fair_sampled_classes(side_a: SideParams, side_b: SideParams,
     return table
 
 
-def transmissivities(link: LinkBudget, det: DetectorParams) -> dict[str, float]:
-    """Arm, channel and total transmissivities from dB losses.
+def transmissivities(link: LinkBudget) -> tuple[float, float]:
+    """Arm transmissivities (eta_a, eta_b), eta = 10^(-loss_db/10) per arm.
 
-    eta = 10^(-loss_db/10) per arm; eta_channel is their product and
-    eta_total additionally includes the detector efficiency.
+    The detector efficiency is not included; the click model applies it.
     """
-    eta_a = 10.0 ** (-link.loss_ac_db / 10.0)
-    eta_b = 10.0 ** (-link.loss_bc_db / 10.0)
-    eta_channel = eta_a * eta_b
-    return {
-        "eta_a": eta_a,
-        "eta_b": eta_b,
-        "eta_channel": eta_channel,
-        "eta_total": eta_channel * det.efficiency,
-    }
+    return 10.0 ** (-link.loss_ac_db / 10.0), 10.0 ** (-link.loss_bc_db / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +423,34 @@ def transmissivities(link: LinkBudget, det: DetectorParams) -> dict[str, float]:
 # conventional table naming (s_A, u_A, ..., p_z_A, eps_A, p_u_A, ...,
 # phase_slices_M, clock_rate_hz, duty_cycle).  Optional link / detector /
 # security keys ride along in the same object; _PROTOCOL_KEYS lists the
-# required keys and the *_from_dict readers below the optional ones.
+# required keys, and an optional key left out takes its dataclass default.
 # ---------------------------------------------------------------------------
 
+# File key stem of each SideParams field; one side's keys end in _A or _B.
+_SIDE_KEYS = {"s": "s", "u": "u", "v": "v", "w": "w", "p_z": "p_z",
+              "send_prob": "eps", "p_u": "p_u", "p_v": "p_v", "p_w": "p_w"}
 _PROTOCOL_KEYS = [
-    "s_A", "u_A", "v_A", "w_A", "s_B", "u_B", "v_B", "w_B",
-    "p_z_A", "p_z_B", "eps_A", "eps_B",
-    "p_u_A", "p_v_A", "p_w_A", "p_u_B", "p_v_B", "p_w_B",
+    *(f"{stem}_{side}" for side in "AB" for stem in _SIDE_KEYS.values()),
     "phase_slices_M", "clock_rate_hz", "duty_cycle",
 ]
+
+
+def _given(raw: dict, *keys: str) -> dict:
+    """The entries of ``raw`` under ``keys`` that the file sets."""
+    return {k: raw[k] for k in keys if k in raw}
+
+
+def _side_from_dict(raw: dict, side: str) -> SideParams:
+    return SideParams(**{name: raw[f"{stem}_{side}"]
+                         for name, stem in _SIDE_KEYS.items()})
 
 
 def params_from_dict(raw: dict) -> ProtocolParams:
     missing = [k for k in _PROTOCOL_KEYS if k not in raw]
     if missing:
         raise KeyError(f"parameter file is missing keys: {missing}")
-    alice = SideParams(
-        s=raw["s_A"], u=raw["u_A"], v=raw["v_A"], w=raw["w_A"],
-        p_z=raw["p_z_A"], send_prob=raw["eps_A"],
-        p_u=raw["p_u_A"], p_v=raw["p_v_A"], p_w=raw["p_w_A"],
-    )
-    bob = SideParams(
-        s=raw["s_B"], u=raw["u_B"], v=raw["v_B"], w=raw["w_B"],
-        p_z=raw["p_z_B"], send_prob=raw["eps_B"],
-        p_u=raw["p_u_B"], p_v=raw["p_v_B"], p_w=raw["p_w_B"],
-    )
     return ProtocolParams(
-        alice=alice, bob=bob,
+        alice=_side_from_dict(raw, "A"), bob=_side_from_dict(raw, "B"),
         phase_slices_m=int(raw["phase_slices_M"]),
         clock_rate_hz=float(raw["clock_rate_hz"]),
         duty_cycle=float(raw["duty_cycle"]),
@@ -470,31 +461,19 @@ def link_from_dict(raw: dict) -> LinkBudget | None:
     keys = ("length_ac_km", "length_bc_km", "loss_ac_db", "loss_bc_db")
     if not all(k in raw for k in keys):
         return None
-    return LinkBudget(
-        length_ac_km=raw["length_ac_km"], length_bc_km=raw["length_bc_km"],
-        loss_ac_db=raw["loss_ac_db"], loss_bc_db=raw["loss_bc_db"],
-        attenuation_coeff_db_per_km=raw.get("attenuation_coeff_db_per_km"),
-    )
+    return LinkBudget(**_given(raw, *keys))
 
 
 def detector_from_dict(raw: dict) -> DetectorParams | None:
     if "detector_efficiency" not in raw:
         return None
-    return DetectorParams(
-        efficiency=raw["detector_efficiency"],
-        dark_rate_hz=raw.get("dark_rate_hz", 0.0),
-        deadtime_s=raw.get("deadtime_s", 0.0),
-    )
+    return DetectorParams(efficiency=raw["detector_efficiency"],
+                          **_given(raw, "dark_rate_hz", "deadtime_s"))
 
 
 def security_from_dict(raw: dict) -> SecurityParams:
     return SecurityParams(
-        eps_cor=raw.get("eps_cor", 1e-10),
-        eps_pa=raw.get("eps_pa", 1e-10),
-        eps_hat=raw.get("eps_hat", 1e-10),
-        f_ec=raw.get("f_ec", 1.05),
-        chernoff_xi=raw.get("chernoff_xi", 1e-5),
-    )
+        **_given(raw, *(f.name for f in fields(SecurityParams))))
 
 
 def load_params_file_from_dict(raw: dict) -> dict:
@@ -513,7 +492,6 @@ def load_params_file_from_dict(raw: dict) -> dict:
             "visibility": raw.get("visibility", 0.97),
             "misalignment_sigma_rad": raw.get("misalignment_sigma_rad", 0.0),
         },
-        "raw": raw,
     }
 
 

@@ -451,6 +451,13 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
 
 @dataclass(frozen=True)
 class PhaseTrace:
+    """Channel phase over time, as the residual from the lock setpoint.
+
+    ``delta_phi_rad`` is in the protocol frame of ``_channel_phase``: a
+    perfect lock reads zero, in every regime and from both
+    ``simulate_phase_trace`` and ``run_protocol``.
+    """
+
     times_s: np.ndarray
     delta_phi_rad: np.ndarray
     regime: str
@@ -459,8 +466,9 @@ class PhaseTrace:
     def residual_std(self) -> float:
         return float(np.std(self.delta_phi_rad))
 
-    def mean_offset(self, setpoint: float) -> float:
-        return float(np.mean(self.delta_phi_rad) - setpoint)
+    def mean_offset(self) -> float:
+        """Mean residual, the trace's offset from the setpoint."""
+        return float(np.mean(self.delta_phi_rad))
 
 
 def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
@@ -468,7 +476,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     """Standalone stabilisation-loop run producing a phase trace.
 
     The same phase code as ``run_protocol``, evaluated at every step and
-    reported around the setpoint.  The drift increments come from a stream
+    reported as the residual from the setpoint, in the frame of
+    ``run_protocol``'s trace.  The drift increments come from a stream
     independent of the sensor and reference streams, so runs with the same
     seed experience the same physical drift in every regime.
     """
@@ -477,8 +486,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(seed).spawn(3)]
     slots = np.arange(n_steps)
-    phases = cfg.setpoint + _channel_phase(cfg, slots, dt, rngs, {},
-                                           cfg.ref_intensity, visibility=0.99)
+    phases = _channel_phase(cfg, slots, dt, rngs, {}, cfg.ref_intensity,
+                            visibility=0.99)
     return PhaseTrace(times_s=slots * dt, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
 
@@ -624,16 +633,14 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     sent = fair_sampled_classes(params.alice, params.bob, n_slots,
                                 rng_run).ravel()
 
-    etas = transmissivities(link, det)
-    eta_a, eta_b = etas["eta_a"], etas["eta_b"]
+    eta_a, eta_b = transmissivities(link)
     p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()[_PAIR_A]
     mu_b = params.bob.intensity_of()[_PAIR_B]
-    p_plus, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
-                            p_dark, visibility)
-    _, p_minus = click_probs(mu_a, mu_b, np.pi, eta_a, eta_b, det.efficiency,
-                             p_dark, visibility)
-    p_bar = p_plus + p_minus - p_plus * p_minus
+    # p2 at cos(delta) = -1 is p1 at cos(delta) = 1, to the bit.
+    p, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
+                       p_dark, visibility)
+    p_bar = p + p - p * p
     cand = rng_run.binomial(sent, p_bar)
     n_cand = int(cand.sum())
     # ceil(2^14 n_slots / n_cand) in integers; no candidates, one batch.
@@ -645,8 +652,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     left = np.append(cand, n_slots - n_cand)
     tag_prob = np.zeros((25, 4))     # pair code, outcome -> P(tag | outcome)
     for code, mu_send, mu_silent, eta_send in (
-            (_SN, params.alice.s, params.bob.w, eta_a),
-            (_NS, params.bob.s, params.alice.w, eta_b)):
+            (_SN, mu_a[_SN], mu_b[_SN], eta_a),
+            (_NS, mu_b[_NS], mu_a[_NS], eta_b)):
         tag_prob[code] = _tag_posterior(
             mu_send, mu_silent, eta_send * det.efficiency, p_dark,
             _phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,

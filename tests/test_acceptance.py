@@ -262,15 +262,15 @@ class TestCriterion5OracleEquivalence:
         rates = decoy.counting_rates(pred, security.chernoff_xi)
         s1_lower = decoy.bound_s1(decoy.bound_s01(rates, params),
                                   decoy.bound_s10(rates, params), params)
-        etas = model.transmissivities(link, det)
+        eta_a, eta_b = model.transmissivities(link)
         pd = det.dark_prob_per_gate(params.clock_rate_hz)
 
         def one_photon_yield(q):
             return q * (1 - pd) + (1 - q) * 2 * pd * (1 - pd)
 
         v_a, v_b = params.alice.v, params.bob.v
-        s1_true = (v_a * one_photon_yield(etas["eta_a"] * det.efficiency)
-                   + v_b * one_photon_yield(etas["eta_b"] * det.efficiency)
+        s1_true = (v_a * one_photon_yield(eta_a * det.efficiency)
+                   + v_b * one_photon_yield(eta_b * det.efficiency)
                    ) / (v_a + v_b)
         ok = 0.0 < s1_lower <= s1_true and s1_lower >= 0.8 * s1_true
         verdict(5, ok, f"decoy bound at field statistics: s1_lower="
@@ -374,7 +374,7 @@ class TestCriterion7PhaseStabilisation:
         cfg = PhaseConfig(regime="full")
         trace = simulate_phase_trace(cfg, 150_000, 1e-5, seed=41)
         tail = trace.delta_phi_rad[trace.delta_phi_rad.size // 2:]
-        offset = abs(float(np.mean(tail)) - cfg.setpoint)
+        offset = abs(float(np.mean(tail)))
         ok = offset <= LOCK_TOLERANCE
         verdict(7, ok, f"coarse+fine mean offset {offset:.4f} rad within "
                        f"lock tolerance {LOCK_TOLERANCE}")

@@ -143,4 +143,4 @@ class TestSweep:
     def test_point_at_3db(self):
         point = capacity_point(10 * math.log10(2.0), det_efficiency=1.0,
                                dark_prob=0.0)
-        assert point.skc0 == pytest.approx(1.0, rel=1e-12)
+        assert point["skc0"] == pytest.approx(1.0, rel=1e-12)

@@ -183,3 +183,22 @@ class TestPhasestab:
         assert header == "t_s,delta_phi_rad"
         summary = json.loads(capsys.readouterr().out)
         assert summary["regime"] == "coarse"
+
+
+LOCK_TOLERANCE = 0.05   # rad, |mean offset| of a locked full-regime trace
+
+
+def test_both_phase_traces_are_residuals(tmp_path):
+    # A locked full-regime run reads about zero in the trace CSVs of both
+    # subcommands: each writes the residual from the lock setpoint.
+    run = tmp_path / "run.json"
+    assert run_cli(["montecarlo", "--regime", "full", "--slots", "100000000",
+                    "--seed", "4", "--out", str(run)]) == cli.EXIT_OK
+    stab = tmp_path / "stab.csv"
+    assert run_cli(["phasestab", "--regime", "full", "--steps", "100000",
+                    "--seed", "4", "--out", str(stab)]) == cli.EXIT_OK
+    for path in (run.with_suffix(".phase.csv"), stab):
+        with open(path, newline="") as fh:
+            phi = [float(row["delta_phi_rad"]) for row in csv.DictReader(fh)]
+        tail = phi[len(phi) // 2:]
+        assert abs(sum(tail) / len(tail)) < LOCK_TOLERANCE, path.name

@@ -207,13 +207,12 @@ class TestFullEstimate:
         assert a == b
 
     def test_z_bit_tally(self, field_counts):
-        n0, n1, err0, err1 = field_counts.z_bit_tally()
-        assert n0 == 80342420 + 86381667
-        assert n1 == 104894262 + 4163565
-        assert err0 == 80342420
-        assert err1 == 4163565
-        e_z = (err0 + err1) / (n0 + n1)
-        assert e_z == pytest.approx(0.3064, abs=5e-4)
+        tally = field_counts.z_bit_tally()
+        assert tally.n0 == 80342420 + 86381667
+        assert tally.n1 == 104894262 + 4163565
+        assert tally.err0 == 80342420
+        assert tally.err1 == 4163565
+        assert tally.e_z == pytest.approx(0.3064, abs=5e-4)
 
     def test_roundtrip_counts_dict(self, field_counts, params):
         raw = field_counts.to_counts_dict()

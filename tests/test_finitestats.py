@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -61,9 +63,26 @@ class TestHbar:
     @given(st.floats(min_value=1e-9, max_value=100.0),
            st.floats(min_value=1e-9, max_value=100.0))
     def test_strictly_increasing(self, a, b):
+        # Near x = 100 adjacent floats differ in true hbar by less than half
+        # an ulp of hbar, so no float hbar is strictly increasing there;
+        # pairs 1e-12 apart (relative) are far enough for any argument.
         lo, hi = sorted((a, b))
-        if hi > lo:
+        if hi - lo >= 1e-12 * hi:
             assert hbar(hi) > hbar(lo)
+
+    @given(st.floats(min_value=1e-9, max_value=100.0))
+    def test_against_decimal_reference(self, x):
+        # 60 digits keep the cancellation in (x+1) log(x+1) - x log x exact
+        # enough down to x = 1e-9.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d, two = decimal.Decimal(x), decimal.Decimal(2)
+            ref = ((d + 1) * (d + 1).ln() - d * d.ln()) / two.ln()
+        assert hbar(x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+    def test_array_input(self):
+        x = np.array([0.0, 9e-7, 1.0, 100.0])
+        assert hbar(x).tolist() == [hbar(float(v)) for v in x]
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Package modules import each other at module top, so the dependency graph is
 visible in one place and a cycle fails at import time rather than on some
-later call; every package import points down the layers (physics and
+later call; every module-level import is read or re-exported through
+``__all__``; every package import points down the layers (physics and
 statistics, then the samplers and the decoy analysis, then the forward model
 and key rate, then the CLI); every name a module exports through
 ``__all__`` exists; and every layer the benchmark tracer wraps by module
@@ -49,6 +50,47 @@ def test_the_check_sees_a_function_local_import():
     tree = ast.parse("def f():\n    from .montecarlo import detector_means\n")
     assert _function_local_package_imports(tree) == [
         "f: from .montecarlo import ..."]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads and
+    does not re-export through ``__all__``."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == ["__all__"]):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(name for name in bound
+                  if name not in read and name not in exported)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert _unused_imports(tree) == []
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from dataclasses import dataclass, field\n"
+                     "from . import model\n"
+                     "__all__ = ['model']\n"
+                     "x: np.ndarray = os.sep\n"
+                     "@dataclass\n"
+                     "class C:\n"
+                     "    pass\n")
+    assert _unused_imports(tree) == ["field"]
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

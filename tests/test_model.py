@@ -14,6 +14,7 @@ from tfqkd.model import (
     PatternError,
     SideParams,
     ProtocolParams,
+    SecurityParams,
     class_totals,
     fair_sampled_classes,
     largest_remainder_counts,
@@ -373,33 +374,24 @@ class TestPatternSynthesis:
 
 class TestTransmissivities:
     def test_lossless(self):
-        link = LinkBudget(0, 0, 0.0, 0.0)
-        det = DetectorParams(efficiency=1.0, dark_rate_hz=0.0)
-        etas = transmissivities(link, det)
-        assert all(v == 1.0 for v in etas.values())
+        assert transmissivities(LinkBudget(0, 0, 0.0, 0.0)) == (1.0, 1.0)
 
     def test_half_loss_per_arm(self):
-        link = LinkBudget(10, 10, 3.0103, 3.0103)
-        det = DetectorParams(efficiency=1.0, dark_rate_hz=0.0)
-        etas = transmissivities(link, det)
-        assert etas["eta_a"] == pytest.approx(0.5, rel=1e-4)
-        assert etas["eta_channel"] == pytest.approx(0.25, rel=1e-4)
+        eta_a, eta_b = transmissivities(LinkBudget(10, 10, 3.0103, 3.0103))
+        assert eta_a == pytest.approx(0.5, rel=1e-4)
+        assert eta_a * eta_b == pytest.approx(0.25, rel=1e-4)
 
     def test_field_operating_point(self):
-        # total 56.0 dB with 14.5% detectors
-        link = LinkBudget(156.7, 97.2, 32.12, 23.88)
-        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
-        etas = transmissivities(link, det)
-        assert etas["eta_channel"] == pytest.approx(2.5119e-6, rel=1e-3)
-        assert etas["eta_total"] == pytest.approx(3.642e-7, rel=1e-3)
+        # total 56.0 dB
+        eta_a, eta_b = transmissivities(LinkBudget(156.7, 97.2, 32.12, 23.88))
+        assert eta_a * eta_b == pytest.approx(2.5119e-6, rel=1e-3)
 
     @given(st.floats(min_value=0.0, max_value=80.0),
            st.floats(min_value=0.1, max_value=20.0))
     def test_monotone_decreasing_in_loss(self, loss, extra):
-        det = DetectorParams(efficiency=0.5, dark_rate_hz=0.0)
-        lo = transmissivities(LinkBudget(1, 1, loss, 10.0), det)
-        hi = transmissivities(LinkBudget(1, 1, loss + extra, 10.0), det)
-        assert hi["eta_channel"] < lo["eta_channel"]
+        lo = transmissivities(LinkBudget(1, 1, loss, 10.0))
+        hi = transmissivities(LinkBudget(1, 1, loss + extra, 10.0))
+        assert hi[0] < lo[0] and hi[1] == lo[1]
 
 
 class TestParamsIO:
@@ -414,6 +406,30 @@ class TestParamsIO:
     def test_missing_key_raises(self):
         with pytest.raises(KeyError):
             model.params_from_dict({"s_A": 0.5})
+
+    def test_each_side_reads_its_own_keys(self, bundle, params):
+        assert set(bundle) == {"protocol", "link", "detector", "security",
+                               "extras"}
+        assert params.alice == SideParams(s=0.52, u=0.52, v=0.08, w=0.0002,
+                                          p_z=0.8, send_prob=0.42, p_u=0.05,
+                                          p_v=0.8, p_w=0.15)
+        assert params.bob == SideParams(s=0.24, u=0.13, v=0.012, w=0.0002,
+                                        p_z=0.8, send_prob=0.15, p_u=0.05,
+                                        p_v=0.8, p_w=0.15)
+
+    def test_security_defaults_come_from_the_dataclass(self):
+        assert model.security_from_dict({}) == SecurityParams()
+        assert model.security_from_dict({"f_ec": 1.2, "eps_pa": 1e-9}) == (
+            dataclasses.replace(SecurityParams(), f_ec=1.2, eps_pa=1e-9))
+
+    def test_detector_defaults_come_from_the_dataclass(self):
+        assert model.detector_from_dict({}) is None
+        det = model.detector_from_dict({"detector_efficiency": 0.3})
+        assert det == DetectorParams(efficiency=0.3)
+        assert det.dark_rate_hz == 0.0 and det.deadtime_s == 0.0
+        det = model.detector_from_dict({"detector_efficiency": 0.3,
+                                        "deadtime_s": 1e-6})
+        assert (det.dark_rate_hz, det.deadtime_s) == (0.0, 1e-6)
 
     def test_dark_prob_per_gate(self):
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)

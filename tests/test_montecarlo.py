@@ -280,9 +280,8 @@ class TestFeedback:
         full = simulate_phase_trace(PhaseConfig(regime="full"), 100_000,
                                     1e-5, seed=11)
         assert coarse.residual_std() < free.residual_std() / 10.0
-        cfg = PhaseConfig(regime="full")
         tail = full.delta_phi_rad[full.delta_phi_rad.size // 2:]
-        assert abs(np.mean(tail) - cfg.setpoint) < LOCK_TOLERANCE
+        assert abs(np.mean(tail)) < LOCK_TOLERANCE
 
 
 def sequential_deadtime(slots, dead_slots, last_kept):
@@ -638,8 +637,7 @@ class TestModelAgreement:
         a, b = params.alice, params.bob
         for loss_db in (0.0, 10.0, 56.0):
             link = keyrate.split_loss_link(loss_db, params)
-            eta = transmissivities(link, det)
-            eta_a, eta_b = eta["eta_a"], eta["eta_b"]
+            eta_a, eta_b = transmissivities(link)
             for mu_a, mu_b, send, silent, eta_send in (
                     (a.s, b.w, a.s, b.w, eta_a), (a.w, b.s, b.s, a.w, eta_b)):
                 args = (mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark, 0.97)
@@ -666,13 +664,13 @@ class TestModelAgreement:
         link = keyrate.split_loss_link(20.0, params)
         cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
         out = run_protocol(params, link, det, cfg, 100_000_000, seed=5)
-        eta = transmissivities(link, det)
+        eta_a, eta_b = transmissivities(link)
         p_d = det.dark_prob_per_gate(params.clock_rate_hz)
         gt = out.ground_truth
         a, b = params.alice, params.bob
         for key, category, truth, send, silent, eta_send in (
-                ("sn", "ZZsn", "s10_true", a.s, b.w, eta["eta_a"]),
-                ("ns", "ZZns", "s01_true", b.s, a.w, eta["eta_b"])):
+                ("sn", "ZZsn", "s10_true", a.s, b.w, eta_a),
+                ("ns", "ZZns", "s01_true", b.s, a.w, eta_b)):
             slots = out.counts.sent[category]
             t = math.exp(-silent) * send * math.exp(-send)
             tagged = gt[f"{key}_sent"]
