@@ -100,7 +100,7 @@ def cmd_keyrate(args) -> int:
     raw_counts = _load_json(args.counts)
     try:
         counts = decoy.DecoyCounts.from_counts_dict(raw_counts, bundle["protocol"])
-    except KeyError as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"counts file {args.counts}: {exc}") from exc
     report = keyrate.analyze_counts(counts, bundle["protocol"], bundle["security"])
     text = json.dumps(report.as_dict(), indent=2)

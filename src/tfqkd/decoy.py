@@ -75,7 +75,8 @@ class DecoyCounts:
     ``sent`` to the number of pulse pairs emitted in that category.  The
     X-basis QBERs are measured on phase-matched same-decoy pairs and are
     carried alongside the counts because they cannot be reconstructed from
-    the 25 category totals.
+    the 25 category totals.  Non-finite counts, and QBERs that are neither
+    None nor a number in [0, 1] (NaN included), raise ValueError.
     """
 
     n_tot: float
@@ -88,12 +89,21 @@ class DecoyCounts:
         missing = [k for k in CATEGORIES if k not in self.detected]
         if missing:
             raise ValueError(f"detected counts missing categories: {missing}")
+        if not math.isfinite(self.n_tot):
+            raise ValueError(f"n_tot must be finite, got {self.n_tot}")
         for k in CATEGORIES:
             n, big_n = self.detected[k], self.sent.get(k, 0.0)
+            if not (math.isfinite(n) and math.isfinite(big_n)):
+                raise ValueError(
+                    f"non-finite count for category {k}: detected {n}, sent {big_n}")
             if n < 0:
                 raise ValueError(f"negative detected count for {k}")
             if n > big_n:
                 raise ValueError(f"detected > sent for category {k}: {n} > {big_n}")
+        for name in ("qber_xuu", "qber_xvv"):
+            q = getattr(self, name)
+            if q is not None and not 0.0 <= q <= 1.0:
+                raise ValueError(f"{name} must be None or lie in [0, 1], got {q}")
 
     @classmethod
     def from_detected(cls, params: ProtocolParams, n_tot: float,

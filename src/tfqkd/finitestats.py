@@ -1,12 +1,16 @@
 """Finite-size statistical primitives for the key-rate analysis.
 
 Entropy helpers plus closed-form Chernoff-style interval bounds that turn
-an observed count into a bounded expected value.  All functions are pure
-and accept scalars or numpy arrays.
+an observed count into a bounded expected value.  All functions are pure.
+``binary_entropy``, ``bound_expected`` and ``bounded_rate`` take and return
+Python floats and use the ``math`` module: the analysis calls them once per
+value, where numpy's fixed per-call cost on 0-d arrays would dominate the
+arithmetic.  ``hbar`` also accepts numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +44,17 @@ class BoundedValue:
             )
 
 
-def binary_entropy(x):
+def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit, h(x) = -x log2 x - (1-x) log2 (1-x).
 
     Extended by continuity with h(0) = h(1) = 0.  Raises for arguments
-    outside [0, 1].
+    outside [0, 1], NaN included.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("binary_entropy argument must lie in [0, 1]")
-    inner = (x > 0.0) & (x < 1.0)
-    xs = np.where(inner, x, 0.5)  # dummy value, masked out below
-    h = np.where(inner, -xs * np.log2(xs) - (1.0 - xs) * np.log2(1.0 - xs), 0.0)
-    return float(h) if h.ndim == 0 else h
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def hbar(x):
@@ -75,7 +77,8 @@ def hbar(x):
     return float(h) if h.ndim == 0 else h
 
 
-def bound_expected(observed, failure_prob: float, direction: str):
+def bound_expected(observed: float, failure_prob: float,
+                   direction: str) -> float:
     """Chernoff-style bound on the expected value behind an observed count.
 
     With beta = ln(1/failure_prob):
@@ -83,22 +86,21 @@ def bound_expected(observed, failure_prob: float, direction: str):
         upper = observed + beta + sqrt(2*beta*observed + beta**2)
         lower = max(0, observed - sqrt(2*beta*observed))
 
-    The relative width shrinks as 1/sqrt(observed).  ``observed`` need not
-    be an integer (fractional effective counts are allowed).
+    (Zhang et al., PRA 95, 012333 (2017)).  The relative width shrinks as
+    1/sqrt(observed).  ``observed`` is a float and need not be an integer
+    (fractional effective counts are allowed); a negative or NaN count
+    raises.
     """
     if not 0.0 < failure_prob < 1.0:
         raise ValueError("failure_prob must lie in (0, 1)")
-    observed = np.asarray(observed, dtype=float)
-    if np.any(observed < 0.0):
-        raise ValueError("observed count must be non-negative")
-    beta = np.log(1.0 / failure_prob)
+    if not observed >= 0.0:
+        raise ValueError(f"observed count must be non-negative, got {observed}")
+    beta = math.log(1.0 / failure_prob)
     if direction == "upper":
-        out = observed + beta + np.sqrt(2.0 * beta * observed + beta**2)
-    elif direction == "lower":
-        out = np.maximum(0.0, observed - np.sqrt(2.0 * beta * observed))
-    else:
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    return float(out) if out.ndim == 0 else out
+        return observed + beta + math.sqrt(2.0 * beta * observed + beta**2)
+    if direction == "lower":
+        return max(0.0, observed - math.sqrt(2.0 * beta * observed))
+    raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
 
 
 def bounded_rate(count: float, trials: float, failure_prob: float) -> BoundedValue:

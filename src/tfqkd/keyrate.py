@@ -18,6 +18,8 @@ from . import decoy
 from .aopp import AoppOutput, aopp_estimate
 from .finitestats import binary_entropy
 from .model import (
+    DEFAULT_MISALIGNMENT_SIGMA_RAD,
+    DEFAULT_VISIBILITY,
     DetectorParams,
     LinkBudget,
     X_U,
@@ -88,9 +90,10 @@ def secret_key_rate(aopp: AoppOutput, sec: SecurityParams, n_tot: float,
     if aopp.n1_prime is None or aopp.e1ph_prime is None:
         raise ValueError("aggregate AOPP output with n1' and e1ph' required")
     delta_fs = finite_size_correction(sec)
+    leak_ec = sec.f_ec * aopp.n_t_prime * binary_entropy(min(aopp.e_z_prime, 0.5))
     brace = (
         aopp.n1_prime * (1.0 - binary_entropy(min(aopp.e1ph_prime, 0.5)))
-        - sec.f_ec * aopp.n_t_prime * binary_entropy(min(aopp.e_z_prime, 0.5))
+        - leak_ec
         - delta_fs
     )
     secure_bits = max(0.0, brace)
@@ -101,7 +104,7 @@ def secret_key_rate(aopp: AoppOutput, sec: SecurityParams, n_tot: float,
         "e1ph_prime": aopp.e1ph_prime,
         "n_t_prime": aopp.n_t_prime,
         "e_z_prime": aopp.e_z_prime,
-        "leak_ec": sec.f_ec * aopp.n_t_prime * binary_entropy(min(aopp.e_z_prime, 0.5)),
+        "leak_ec": leak_ec,
         "brace_raw": brace,
     }
     if brace < 0:
@@ -186,10 +189,11 @@ def _windowed_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
     return float(num / den) if den > 0 else 0.0
 
 
-def expected_rates_model(params: ProtocolParams, link: LinkBudget,
-                         det: DetectorParams, visibility: float = 0.97,
-                         misalignment_sigma_rad: float = 0.0,
-                         n_tot: float = 1.0e13) -> decoy.DecoyCounts:
+def expected_rates_model(
+        params: ProtocolParams, link: LinkBudget, det: DetectorParams,
+        visibility: float = DEFAULT_VISIBILITY,
+        misalignment_sigma_rad: float = DEFAULT_MISALIGNMENT_SIGMA_RAD,
+        n_tot: float = 1.0e13) -> decoy.DecoyCounts:
     """Predict category-resolved detection counts for one operating point.
 
     Encoding phases are uniform, so every category's heralding probability
@@ -266,13 +270,13 @@ def split_loss_link(loss_db: float, params: ProtocolParams,
     )
 
 
-def skr_vs_distance(sweep_loss_db, params: ProtocolParams,
-                    det: DetectorParams, sec: SecurityParams,
-                    n_tot: float = 1.36581e13,
-                    visibility: float = 0.97,
-                    misalignment_sigma_rad: float = 0.0,
-                    arm_delta_db: float | None = None,
-                    attenuation_db_per_km: float = 0.22) -> list[dict]:
+def skr_vs_distance(
+        sweep_loss_db, params: ProtocolParams, det: DetectorParams,
+        sec: SecurityParams, n_tot: float = 1.36581e13,
+        visibility: float = DEFAULT_VISIBILITY,
+        misalignment_sigma_rad: float = DEFAULT_MISALIGNMENT_SIGMA_RAD,
+        arm_delta_db: float | None = None,
+        attenuation_db_per_km: float = 0.22) -> list[dict]:
     """Key rate across a sweep of total channel losses.
 
     Each point runs expected_rates_model and the full analysis pipeline

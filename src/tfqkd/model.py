@@ -40,6 +40,8 @@ __all__ = [
     "ValidationReport",
     "PatternError",
     "CLASS_NAMES",
+    "DEFAULT_VISIBILITY",
+    "DEFAULT_MISALIGNMENT_SIGMA_RAD",
     "Z_SEND",
     "Z_NOSEND",
     "X_U",
@@ -55,6 +57,11 @@ __all__ = [
 # Per-side slot class codes used throughout the simulator.
 Z_SEND, Z_NOSEND, X_U, X_V, X_W = 0, 1, 2, 3, 4
 CLASS_NAMES = ("Zs", "Zn", "Xu", "Xv", "Xw")
+
+# Interference visibility and residual phase misalignment (rad, Gaussian
+# sigma) assumed when a parameter file or caller gives none.
+DEFAULT_VISIBILITY = 0.97
+DEFAULT_MISALIGNMENT_SIGMA_RAD = 0.0
 
 
 class PatternError(ValueError):
@@ -489,8 +496,9 @@ def load_params_file_from_dict(raw: dict) -> dict:
         "detector": detector_from_dict(raw),
         "security": security_from_dict(raw),
         "extras": {
-            "visibility": raw.get("visibility", 0.97),
-            "misalignment_sigma_rad": raw.get("misalignment_sigma_rad", 0.0),
+            "visibility": raw.get("visibility", DEFAULT_VISIBILITY),
+            "misalignment_sigma_rad": raw.get("misalignment_sigma_rad",
+                                              DEFAULT_MISALIGNMENT_SIGMA_RAD),
         },
     }
 

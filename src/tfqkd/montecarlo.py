@@ -80,6 +80,7 @@ import numpy as np
 from .aopp import RawKeyPair
 from .decoy import CATEGORY_CLASSES, DecoyCounts
 from .model import (
+    DEFAULT_VISIBILITY,
     DetectorParams,
     LinkBudget,
     ProtocolParams,
@@ -577,7 +578,7 @@ def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                  phase_cfg: PhaseConfig, n_slots: int, seed: int,
-                 visibility: float = 0.97) -> SimOutcome:
+                 visibility: float = DEFAULT_VISIBILITY) -> SimOutcome:
     """Simulate ``n_slots`` protocol pulse pairs end to end.
 
     The outcome has the law of the slot-by-slot protocol: fair-sampled

@@ -60,6 +60,22 @@ class TestKeyrate:
         assert run_cli(["keyrate", "--counts", str(counts)]) == cli.EXIT_SCHEMA
         assert "Detected-XXvv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("Detected-XXww", -1),                  # negative count
+        ("Detected-XXww", 1e14),                # detected > sent
+        ("Detected-XXww", float("nan")),
+        ("Xvv_error_rate", float("nan")),
+        ("Xuu_error_rate", 2.0),
+        ("Xuu_error_rate", "0.05"),             # not a number
+    ])
+    def test_bad_counts_are_schema_errors(self, tmp_path, capsys, key, value):
+        raw = json.loads(Path(cli.DEFAULT_COUNTS).read_text())
+        raw[key] = value
+        counts = tmp_path / "bad.json"
+        counts.write_text(json.dumps(raw))
+        assert run_cli(["keyrate", "--counts", str(counts)]) == cli.EXIT_SCHEMA
+        assert "counts file" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_half_transmissivity_row(self, tmp_path):

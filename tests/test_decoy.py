@@ -75,6 +75,29 @@ class TestCountingRates:
         with pytest.raises(ValueError):
             DecoyCounts.from_detected(params, 1e9, detected)
 
+    @pytest.mark.parametrize("qber", [float("nan"), float("inf"), -0.1, 1.5])
+    @pytest.mark.parametrize("which", ["qber_xuu", "qber_xvv"])
+    def test_bad_qber_rejected(self, field_counts, params, which, qber):
+        # A NaN Xvv QBER makes T_X1 NaN, which the phase-error clamp would
+        # turn into e1ph = 0 and an inflated rate.
+        raw = field_counts.to_counts_dict()
+        raw["Xuu_error_rate" if which == "qber_xuu" else "Xvv_error_rate"] = qber
+        with pytest.raises(ValueError, match=which):
+            DecoyCounts.from_counts_dict(raw, params)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_count_rejected(self, field_counts, params, value):
+        detected = dict(field_counts.detected, XXww=value)
+        with pytest.raises(ValueError, match="XXww"):
+            DecoyCounts.from_detected(params, field_counts.n_tot, detected,
+                                      field_counts.qber_xuu,
+                                      field_counts.qber_xvv)
+
+    def test_non_finite_n_tot_rejected(self, field_counts, params):
+        with pytest.raises(ValueError):
+            DecoyCounts.from_detected(params, float("nan"),
+                                      field_counts.detected)
+
     def test_missing_category_named(self, params):
         raw = {f"Detected-{k}": 1.0 for k in CATEGORIES if k != "XXvv"}
         raw["N_total_sent"] = 1e9

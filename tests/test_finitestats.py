@@ -44,9 +44,9 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.1)
 
-    def test_vectorised(self):
-        out = binary_entropy(np.array([0.0, 0.5, 1.0]))
-        assert np.allclose(out, [0.0, 1.0, 0.0])
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            binary_entropy(float("nan"))
 
 
 class TestHbar:
@@ -130,6 +130,11 @@ class TestBoundExpected:
             bound_expected(-1, 1e-5, "lower")
         with pytest.raises(ValueError):
             bound_expected(10, 1e-5, "sideways")
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_nan_observed_rejected(self, direction):
+        with pytest.raises(ValueError):
+            bound_expected(float("nan"), 1e-5, direction)
 
 
 class TestBoundedValue:

@@ -209,3 +209,33 @@ class TestSweep:
         report = analyze_counts(counts, params, security)
         assert report.r_per_signal == pytest.approx(2.20e-7, rel=2.0)
         assert report.r_per_signal > 0
+
+
+class TestPinnedOutputs:
+    """Analysis outputs pinned bit for bit.
+
+    Exact equality guards rewrites of the analysis that must not change
+    what it computes.  A change that is meant to move any of these values
+    updates them here and says so in CHANGES.md.
+    """
+
+    def test_field_analysis(self, field_counts, params, security):
+        report = analyze_counts(field_counts, params, security)
+        inter = report.intermediates
+        assert report.r_per_signal == 1.9829257697103943e-07
+        assert inter["e1ph_prime"] == 0.05145024314389009
+        assert inter["e_z_prime"] == 0.03560349033024192
+        assert inter["n1_prime"] == 22375496.411640614
+        assert inter["n_t_prime"] == 56353297.6385233
+
+    def test_sweep_rows(self, bundle, field_counts):
+        rows = skr_vs_distance(
+            [10.0, 30.0, 56.0], bundle["protocol"], bundle["detector"],
+            bundle["security"], n_tot=field_counts.n_tot,
+            visibility=bundle["extras"]["visibility"],
+            misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"])
+        assert [(r["skr_bit_per_pulse"], r["skr_bit_per_s"]) for r in rows] == [
+            (1.5449615412494257e-05, 7724.807706247128),
+            (9.737010064856167e-06, 4868.505032428084),
+            (3.620699799075137e-07, 181.03498995375685),
+        ]

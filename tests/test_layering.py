@@ -6,8 +6,9 @@ later call; every module-level import is read or re-exported through
 ``__all__``; every package import points down the layers (physics and
 statistics, then the samplers and the decoy analysis, then the forward model
 and key rate, then the CLI); every name a module exports through
-``__all__`` exists; and every layer the benchmark tracer wraps by module
-attribute resolves to a callable.
+``__all__`` exists; every layer the benchmark tracer wraps by module
+attribute resolves to a callable; and the analysis still reaches those
+layers through the wrapped attributes, as often as the benchmark expects.
 """
 
 import ast
@@ -167,3 +168,36 @@ def test_every_traced_layer_resolves():
     missing = [f"{mod}.{attr}" for mod, attr in targets
                if not callable(getattr(getattr(tfqkd, mod, None), attr, None))]
     assert missing == []
+
+
+def _count_calls(monkeypatch, targets) -> list[int]:
+    """Swap each (module, attribute) for a counting wrapper, as the tracer
+    does; the returned one-element list holds the number of calls."""
+    count = [0]
+    for mod, attr in targets:
+        module = getattr(tfqkd, mod)
+        fn = getattr(module, attr)
+
+        def counted(*args, _fn=fn, **kwargs):
+            count[0] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    return count
+
+
+def test_traced_layers_see_every_call(monkeypatch, bundle, field_counts):
+    # bench/test_bench.py pins these counts for the traced per-layer
+    # metrics; a bound inlined into bounded_rate, or a cached or batched
+    # click grid, would silently zero those metrics.
+    params, sec = bundle["protocol"], bundle["security"]
+    bounds = _count_calls(monkeypatch, [("finitestats", "bound_expected"),
+                                        ("decoy", "bound_expected")])
+    tfqkd.keyrate.analyze_counts(field_counts, params, sec)
+    assert bounds[0] == 51      # 50 counting-rate bounds and the T_X1 bound
+    grids = _count_calls(monkeypatch, [("montecarlo", "detector_means")])
+    tfqkd.keyrate.expected_rates_model(
+        params, bundle["link"], bundle["detector"],
+        bundle["extras"]["visibility"],
+        bundle["extras"]["misalignment_sigma_rad"], field_counts.n_tot)
+    assert grids[0] == 52       # 2 per category, 1 per X-basis QBER
