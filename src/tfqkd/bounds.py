@@ -87,7 +87,7 @@ def noisy_skc0_ub(eta: float, n_bar: float) -> tuple[float, bool]:
     return value, valid
 
 
-def capacity_point(total_loss_db: float, det_efficiency: float,
+def capacity_point(loss_db: float, det_efficiency: float,
                    dark_prob: float,
                    asym_split_fraction: float = 0.6) -> dict:
     """Every bound at one total channel loss, as a CSV row.
@@ -98,15 +98,15 @@ def capacity_point(total_loss_db: float, det_efficiency: float,
     holds).  ``dark_prob`` is the per-use, per-detector dark probability
     entering the thermal bound.
     """
-    eta = 10.0 ** (-total_loss_db / 10.0)
-    eta_half = 10.0 ** (-total_loss_db / 20.0)
-    eta_a = 10.0 ** (-total_loss_db * asym_split_fraction / 10.0)
+    eta = 10.0 ** (-loss_db / 10.0)
+    eta_half = 10.0 ** (-loss_db / 20.0)
+    eta_a = 10.0 ** (-loss_db * asym_split_fraction / 10.0)
     eta_b = eta / eta_a
     eta_det = eta * det_efficiency
     n_bar = thermal_mean_photon(dark_prob, eta_det)
     ub, valid = noisy_skc0_ub(eta_det, n_bar)
     return {
-        "loss_db": float(total_loss_db),
+        "loss_db": float(loss_db),
         "skc0": skc0(eta),
         "skc0_relative": relative_skc0(eta, det_efficiency),
         "skc1_sym": skc1(eta_half, eta_half),

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -50,12 +52,19 @@ def _load_bundle(path: str) -> dict:
         raise SchemaError(f"parameter file {path}: {exc}") from exc
 
 
-def _require_positive(args, *flags: str):
-    """Reject a flag whose value is not a positive number."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if not value > 0:
-            raise SchemaError(f"{flag} must be positive, got {value}")
+# Domains of numeric flag values: what a schema error says, and the test.
+FINITE = ("finite", math.isfinite)
+POSITIVE = ("finite and positive", lambda v: math.isfinite(v) and v > 0)
+NON_NEGATIVE = ("finite and non-negative",
+                lambda v: math.isfinite(v) and v >= 0)
+FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+
+
+def _check(flag: str, value, domain) -> None:
+    """Reject a flag value outside its domain; None (flag unset) passes."""
+    what, ok = domain
+    if value is not None and not ok(value):
+        raise SchemaError(f"{flag} must be {what}, got {value}")
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -63,32 +72,38 @@ def _parse_sweep(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise SchemaError(f"--sweep-db expects a:b:step, got {spec!r}") from exc
-    if step <= 0 or stop < start:
-        raise SchemaError(f"bad sweep range {spec!r}")
+    for value, domain in ((start, NON_NEGATIVE), (stop, NON_NEGATIVE),
+                          (step, POSITIVE)):
+        _check("--sweep-db", value, domain)
+    if stop < start:
+        raise SchemaError(f"--sweep-db range {spec!r} ends before it starts")
     return np.arange(start, stop + 0.5 * step, step)
+
+
+def _write_text(text: str, out: str | None):
+    """Write text to --out, else to stdout ending in one newline."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _write_rows(rows: list[dict], out: str | None, fmt: str):
     if fmt == "json":
         text = json.dumps(rows, indent=2)
+    elif not rows:
+        text = ""
     else:
-        if not rows:
-            text = ""
-        else:
-            import io
-
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-            text = buf.getvalue()
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    _write_text(text, out)
 
 
 def cmd_validate(args) -> int:
+    _check("--tolerance", args.tolerance, NON_NEGATIVE)
     bundle = _load_bundle(args.params)
     report = model.validate_params(bundle["protocol"], tolerance=args.tolerance)
     print(json.dumps(report.as_dict(), indent=2))
@@ -103,11 +118,7 @@ def cmd_keyrate(args) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"counts file {args.counts}: {exc}") from exc
     report = keyrate.analyze_counts(counts, bundle["protocol"], bundle["security"])
-    text = json.dumps(report.as_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _write_text(json.dumps(report.as_dict(), indent=2), args.out)
     return EXIT_OK
 
 
@@ -116,11 +127,10 @@ def cmd_simulate(args) -> int:
     det = bundle["detector"]
     if det is None:
         raise SchemaError("simulate needs detector keys in the parameter file")
-    _require_positive(args, "--n-tot", "--attenuation")
+    _check("--n-tot", args.n_tot, POSITIVE)
+    _check("--attenuation", args.attenuation, POSITIVE)
+    _check("--arm-delta-db", args.arm_delta_db, FINITE)
     sweep = _parse_sweep(args.sweep_db)
-    if sweep[0] < 0:
-        raise SchemaError(f"--sweep-db losses must be non-negative, "
-                          f"got {args.sweep_db!r}")
     rows = keyrate.skr_vs_distance(
         sweep, bundle["protocol"], det, bundle["security"],
         n_tot=args.n_tot,
@@ -138,8 +148,9 @@ def cmd_bounds(args) -> int:
     det = bundle["detector"]
     if det is None:
         raise SchemaError("bounds needs detector keys in the parameter file")
+    _check("--asym-split", args.asym_split, FRACTION)
     sweep = _parse_sweep(args.sweep_db)
-    dark_per_use = det.dark_prob_per_use(bundle["protocol"].protocol_rate_hz)
+    dark_per_use = det.dark_prob(bundle["protocol"].protocol_rate_hz)
     rows = bounds_mod.capacity_sweep(sweep, det.efficiency, dark_per_use,
                                      asym_split_fraction=args.asym_split)
     _write_rows(rows, args.out, args.format)
@@ -156,10 +167,9 @@ def cmd_montecarlo(args) -> int:
     if args.slots < montecarlo.MIN_SLOTS:
         raise SchemaError(f"--slots must be at least {montecarlo.MIN_SLOTS}, "
                           f"got {args.slots}")
+    _check("--seed", args.seed, NON_NEGATIVE)
+    _check("--loss-db", args.loss_db, NON_NEGATIVE)
     if args.loss_db is not None:
-        if args.loss_db < 0:
-            raise SchemaError(f"--loss-db must be non-negative, "
-                              f"got {args.loss_db}")
         link = keyrate.split_loss_link(args.loss_db, bundle["protocol"])
     cfg = montecarlo.PhaseConfig(
         regime=args.regime,
@@ -185,7 +195,7 @@ def cmd_montecarlo(args) -> int:
         "candidates": outcome.candidates,
         "batches": outcome.batches,
         "accepted": outcome.accepted,
-        "qber_z": outcome.qber_z,
+        "qber_z": outcome.raw_keys.error_rate(),
         "qber_xuu": outcome.counts.qber_xuu,
         "qber_xvv": outcome.counts.qber_xvv,
         "raw_key_bits": outcome.raw_keys.length,
@@ -201,7 +211,9 @@ def _write_trace_csv(trace: montecarlo.PhaseTrace, path: Path):
 
 
 def cmd_phasestab(args) -> int:
-    _require_positive(args, "--steps", "--dt")
+    _check("--steps", args.steps, POSITIVE)
+    _check("--dt", args.dt, POSITIVE)
+    _check("--seed", args.seed, NON_NEGATIVE)
     cfg = montecarlo.PhaseConfig(regime=args.regime)
     trace = montecarlo.simulate_phase_trace(cfg, n_steps=args.steps,
                                             dt=args.dt, seed=args.seed)

@@ -1,19 +1,16 @@
 """Finite-size statistical primitives for the key-rate analysis.
 
 Entropy helpers plus closed-form Chernoff-style interval bounds that turn
-an observed count into a bounded expected value.  All functions are pure.
-``binary_entropy``, ``bound_expected`` and ``bounded_rate`` take and return
-Python floats and use the ``math`` module: the analysis calls them once per
-value, where numpy's fixed per-call cost on 0-d arrays would dominate the
-arithmetic.  ``hbar`` also accepts numpy arrays.
+an observed count into a bounded expected value.  All functions are pure,
+take and return Python floats and use the ``math`` module: the analysis
+calls them once per value, where the fixed per-call cost of array code would
+dominate the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "BoundedValue",
@@ -28,14 +25,12 @@ __all__ = [
 class BoundedValue:
     """An observed quantity with lower/upper bounds on its expected value.
 
-    ``failure_prob`` is the per-bound failure probability used to derive
-    the interval.  Invariant: lower <= point <= upper.
+    Invariant: lower <= point <= upper.
     """
 
     lower: float
     point: float
     upper: float
-    failure_prob: float
 
     def __post_init__(self):
         if not (self.lower <= self.point <= self.upper):
@@ -57,24 +52,21 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def hbar(x):
+def hbar(x: float) -> float:
     """Bosonic entropy h(x) = (x+1) log2 (x+1) - x log2 x for x >= 0.
 
     h(0) = 0 by continuity; strictly increasing on x > 0.  Evaluated as
     [log1p(x) + x log(1 + 1/x)] / ln 2, a sum of non-negative terms, free of
     the cancellation between the two terms of the definition at small x;
     below x = 1, log(1 + 1/x) is log1p(x) - log(x), so 1/x cannot overflow.
+    Raises for negative arguments, NaN included.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("hbar argument must be non-negative")
-    pos = x > 0.0
-    xs = np.where(pos, x, 1.0)
-    lo = np.minimum(xs, 1.0)
-    log_inv = np.where(xs < 1.0, np.log1p(lo) - np.log(lo),
-                       np.log1p(1.0 / np.maximum(xs, 1.0)))
-    h = np.where(pos, (np.log1p(xs) + xs * log_inv) / np.log(2.0), 0.0)
-    return float(h) if h.ndim == 0 else h
+    if not x >= 0.0:
+        raise ValueError(f"hbar argument must be non-negative, got {x}")
+    if x == 0.0:
+        return 0.0
+    log_inv = math.log1p(x) - math.log(x) if x < 1.0 else math.log1p(1.0 / x)
+    return (math.log1p(x) + x * log_inv) / math.log(2.0)
 
 
 def bound_expected(observed: float, failure_prob: float,
@@ -115,5 +107,4 @@ def bounded_rate(count: float, trials: float, failure_prob: float) -> BoundedVal
         lower=bound_expected(count, failure_prob, "lower") / trials,
         point=count / trials,
         upper=bound_expected(count, failure_prob, "upper") / trials,
-        failure_prob=failure_prob,
     )

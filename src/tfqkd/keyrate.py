@@ -208,7 +208,7 @@ def expected_rates_model(
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     eta_a, eta_b = transmissivities(link)
-    p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
+    p_dark = det.dark_prob(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()
     mu_b = params.bob.intensity_of()
     pa = params.alice.class_probs().tolist()

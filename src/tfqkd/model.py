@@ -135,14 +135,11 @@ class LinkBudget:
     loss_bc_db: float
 
     def __post_init__(self):
-        if min(self.length_ac_km, self.length_bc_km) < 0:
+        # Each value is tested on its own, so that NaN fails too.
+        if not (self.length_ac_km >= 0 and self.length_bc_km >= 0):
             raise ValueError("fibre lengths must be non-negative")
-        if min(self.loss_ac_db, self.loss_bc_db) < 0:
+        if not (self.loss_ac_db >= 0 and self.loss_bc_db >= 0):
             raise ValueError("fibre losses must be non-negative")
-
-    @property
-    def total_loss_db(self) -> float:
-        return self.loss_ac_db + self.loss_bc_db
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,20 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.dark_rate_hz < 0 or self.deadtime_s < 0:
+        if not (self.dark_rate_hz >= 0 and self.deadtime_s >= 0):
             raise ValueError("dark rate and deadtime must be non-negative")
 
-    def dark_prob_per_gate(self, clock_rate_hz: float) -> float:
-        """Dark-count probability per detection gate."""
-        p = self.dark_rate_hz / clock_rate_hz
+    def dark_prob(self, rate_hz: float) -> float:
+        """Dark-count probability of one detector in a window of 1/rate_hz.
+
+        The Monte Carlo sampler (``run_protocol``) and the forward model
+        (``expected_rates_model``) pass the clock rate, one detection gate
+        per clock period; the capacity-bound sweep (``tfqkd bounds``)
+        passes the protocol rate, one window per channel use.
+        """
+        p = self.dark_rate_hz / rate_hz
         if not 0.0 <= p < 1.0:
-            raise ValueError("dark probability per gate must lie in [0, 1)")
+            raise ValueError("dark probability must lie in [0, 1)")
         return p
 
     def dead_slots(self, protocol_rate_hz: float) -> int:
@@ -179,13 +182,6 @@ class DetectorParams:
         """
         slots = round(self.deadtime_s * protocol_rate_hz, 6)
         return max(math.ceil(slots) - 1, 0)
-
-    def dark_prob_per_use(self, protocol_rate_hz: float) -> float:
-        """Dark-count probability per protocol channel use (per detector)."""
-        p = self.dark_rate_hz / protocol_rate_hz
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dark probability per use must lie in [0, 1)")
-        return p
 
 
 @dataclass(frozen=True)

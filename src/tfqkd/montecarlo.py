@@ -513,7 +513,6 @@ class SimOutcome:
     """
 
     counts: DecoyCounts
-    qber_z: float
     raw_keys: RawKeyPair
     phase_trace: PhaseTrace
     seed: int
@@ -635,7 +634,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                                 rng_run).ravel()
 
     eta_a, eta_b = transmissivities(link)
-    p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
+    p_dark = det.dark_prob(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()[_PAIR_A]
     mu_b = params.bob.intensity_of()[_PAIR_B]
     # p2 at cos(delta) = -1 is p1 at cos(delta) = 1, to the bit.
@@ -793,9 +792,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     trace = PhaseTrace(times_s=np.concatenate(trace_t),
                        delta_phi_rad=np.concatenate(trace_phi),
                        regime=phase_cfg.regime, seed=seed)
-    qber_z = raw.error_rate()
     lap("tally")
-    return SimOutcome(counts=counts, qber_z=qber_z, raw_keys=raw,
+    return SimOutcome(counts=counts, raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
                       ground_truth=gt, wall_s=lap_start - t_start,
                       stage_s=stage_s,

@@ -263,7 +263,7 @@ class TestCriterion5OracleEquivalence:
         s1_lower = decoy.bound_s1(decoy.bound_s01(rates, params),
                                   decoy.bound_s10(rates, params), params)
         eta_a, eta_b = model.transmissivities(link)
-        pd = det.dark_prob_per_gate(params.clock_rate_hz)
+        pd = det.dark_prob(params.clock_rate_hz)
 
         def one_photon_yield(q):
             return q * (1 - pd) + (1 - q) * 2 * pd * (1 - pd)

@@ -163,11 +163,45 @@ class TestMonteCarlo:
     (["simulate", "--attenuation", "0"], "--attenuation"),
     (["montecarlo", "--loss-db", "-5"], "--loss-db"),
     (["simulate", "--sweep-db=-10:0:5"], "--sweep-db"),
+    (["bounds", "--sweep-db=-10:0:5"], "--sweep-db"),
+    (["simulate", "--sweep-db", "nan:10:2"], "--sweep-db"),
+    (["bounds", "--sweep-db", "10:inf:2"], "--sweep-db"),
+    (["bounds", "--sweep-db", "10:20:nan"], "--sweep-db"),
+    (["montecarlo", "--loss-db", "nan"], "--loss-db"),
+    (["montecarlo", "--loss-db", "inf"], "--loss-db"),
+    (["montecarlo", "--seed", "-1"], "--seed"),
+    (["simulate", "--arm-delta-db", "nan"], "--arm-delta-db"),
+    (["simulate", "--n-tot", "inf"], "--n-tot"),
+    (["bounds", "--asym-split", "nan"], "--asym-split"),
+    (["bounds", "--asym-split", "1.5"], "--asym-split"),
+    (["bounds", "--asym-split", "-0.5"], "--asym-split"),
+    (["phasestab", "--dt", "inf"], "--dt"),
+    (["phasestab", "--seed", "-1"], "--seed"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_SCHEMA
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-0.1", "inf"])
+def test_bad_tolerance_is_a_schema_error(tolerance, capsys):
+    assert run_cli(["validate", "--tolerance", tolerance]) == cli.EXIT_SCHEMA
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["loss_ac_db", "loss_bc_db", "length_ac_km",
+                                 "dark_rate_hz", "deadtime_s"])
+def test_nan_parameter_is_a_schema_error(key, tmp_path, capsys):
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw[key] = float("nan")
+    params = tmp_path / "nan.json"
+    params.write_text(json.dumps(raw))     # json writes the NaN literal
+    out = tmp_path / "sim.json"
+    assert run_cli(["montecarlo", "--params", str(params), "--slots", "100000",
+                    "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "parameter file" in capsys.readouterr().err
     assert not out.exists()
 
 

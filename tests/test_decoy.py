@@ -23,8 +23,7 @@ from tfqkd.model import ProtocolParams, SideParams
 
 def exact(value):
     """Infinite-sample-limit rate: all three bounds coincide."""
-    return BoundedValue(lower=value, point=value, upper=value,
-                        failure_prob=1e-10)
+    return BoundedValue(lower=value, point=value, upper=value)
 
 
 def lossless_rate(mu):

@@ -3,16 +3,19 @@
 Package modules import each other at module top, so the dependency graph is
 visible in one place and a cycle fails at import time rather than on some
 later call; every module-level import is read or re-exported through
-``__all__``; every package import points down the layers (physics and
-statistics, then the samplers and the decoy analysis, then the forward model
-and key rate, then the CLI); every name a module exports through
-``__all__`` exists; every layer the benchmark tracer wraps by module
-attribute resolves to a callable; and the analysis still reaches those
-layers through the wrapped attributes, as often as the benchmark expects.
+``__all__``; no module imports anything but the standard library, numpy and
+the package itself, so numpy is the one runtime dependency; every package
+import points down the layers (physics and statistics, then the samplers and
+the decoy analysis, then the forward model and key rate, then the CLI);
+every name a module exports through ``__all__`` exists; every layer the
+benchmark tracer wraps by module attribute resolves to a callable; and the
+analysis still reaches those layers through the wrapped attributes, as often
+as the benchmark expects.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,35 @@ def test_the_check_sees_an_unused_import():
                      "class C:\n"
                      "    pass\n")
     assert _unused_imports(tree) == ["field"]
+
+
+def _runtime_dependencies(tree: ast.AST) -> list[str]:
+    """Top-level packages a module imports, at module level or inside a
+    function, that are neither the standard library, numpy nor tfqkd."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - sys.stdlib_module_names - {"numpy", "tfqkd"})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_numpy_is_the_only_runtime_dependency(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert _runtime_dependencies(tree) == []
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import math, numpy.linalg\n"
+                     "from . import model\n"
+                     "import scipy.special\n"
+                     "def f():\n"
+                     "    from pandas import DataFrame\n"
+                     "    from tfqkd.model import LinkBudget\n")
+    assert _runtime_dependencies(tree) == ["pandas", "scipy"]
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

@@ -401,7 +401,8 @@ class TestParamsIO:
         assert params.duty_cycle == 0.5
         assert params.protocol_rate_hz == 5e8
         assert bundle["detector"].efficiency == 0.145
-        assert bundle["link"].total_loss_db == pytest.approx(56.0)
+        link = bundle["link"]
+        assert link.loss_ac_db + link.loss_bc_db == pytest.approx(56.0)
 
     def test_missing_key_raises(self):
         with pytest.raises(KeyError):
@@ -431,10 +432,12 @@ class TestParamsIO:
                                         "deadtime_s": 1e-6})
         assert (det.dark_rate_hz, det.deadtime_s) == (0.0, 1e-6)
 
-    def test_dark_prob_per_gate(self):
+    def test_dark_prob(self):
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
-        assert det.dark_prob_per_gate(1e9) == pytest.approx(4.5e-7)
-        assert det.dark_prob_per_use(5e8) == pytest.approx(9e-7)
+        assert det.dark_prob(1e9) == pytest.approx(4.5e-7)
+        assert det.dark_prob(5e8) == pytest.approx(9e-7)
+        with pytest.raises(ValueError):
+            det.dark_prob(450.0)
 
     @pytest.mark.parametrize("deadtime_s, rate, dead", [
         (0.0, 5e8, 0), (1e-9, 5e8, 0), (2e-9, 5e8, 0), (3e-9, 5e8, 1),
@@ -451,6 +454,25 @@ class TestParamsIO:
     def test_detector_validation(self):
         with pytest.raises(ValueError):
             DetectorParams(efficiency=1.5, dark_rate_hz=0.0)
+
+    @pytest.mark.parametrize("field", ["efficiency", "dark_rate_hz",
+                                       "deadtime_s"])
+    def test_detector_rejects_nan(self, field):
+        kwargs = {"efficiency": 0.145, "dark_rate_hz": 450.0,
+                  "deadtime_s": 1e-5, field: float("nan")}
+        with pytest.raises(ValueError):
+            DetectorParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["length_ac_km", "length_bc_km",
+                                       "loss_ac_db", "loss_bc_db"])
+    def test_link_rejects_nan(self, field):
+        # min() with a NaN argument depends on the argument order, so each
+        # position is tried.
+        kwargs = {"length_ac_km": 1.0, "length_bc_km": 1.0,
+                  "loss_ac_db": 10.0, "loss_bc_db": 10.0,
+                  field: float("nan")}
+        with pytest.raises(ValueError):
+            LinkBudget(**kwargs)
 
     def test_matched_fraction(self, params):
         assert params.matched_fraction() == pytest.approx(0.25)

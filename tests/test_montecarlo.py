@@ -69,7 +69,7 @@ class TestInterfere:
         det = DetectorParams(efficiency=0.3, dark_rate_hz=1e5)
         eta_a, eta_b = 0.02, 0.15
         mu_a, mu_b = 0.4, 0.05
-        pd = det.dark_prob_per_gate(1e9)
+        pd = det.dark_prob(1e9)
         grid = np.linspace(0, 2 * np.pi, 20001)[:-1]
         p1, _ = click_probs(mu_a, mu_b, grid, eta_a, eta_b, det.efficiency,
                             pd, 0.9)
@@ -633,7 +633,7 @@ class TestModelAgreement:
         # The sn / ns windows take the forward model's phase-averaged law,
         # and tagging by the posterior keeps the Fock picture's tag share.
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
-        p_dark = det.dark_prob_per_gate(params.clock_rate_hz)
+        p_dark = det.dark_prob(params.clock_rate_hz)
         a, b = params.alice, params.bob
         for loss_db in (0.0, 10.0, 56.0):
             link = keyrate.split_loss_link(loss_db, params)
@@ -665,7 +665,7 @@ class TestModelAgreement:
         cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
         out = run_protocol(params, link, det, cfg, 100_000_000, seed=5)
         eta_a, eta_b = transmissivities(link)
-        p_d = det.dark_prob_per_gate(params.clock_rate_hz)
+        p_d = det.dark_prob(params.clock_rate_hz)
         gt = out.ground_truth
         a, b = params.alice, params.bob
         for key, category, truth, send, silent, eta_send in (
