@@ -95,7 +95,7 @@ def capacity_point(loss_db: float, det_efficiency: float,
     Columns: loss_db, skc0, skc0_relative, skc1_sym (repeater mid-channel),
     skc1_asym (repeater with ``asym_split_fraction`` of the loss on the A
     arm), noisy_ub and valid (1 when the thermal bound's validity condition
-    holds).  ``dark_prob`` is the per-use, per-detector dark probability
+    holds).  ``dark_prob`` is the per-gate, per-detector dark probability
     entering the thermal bound.
     """
     eta = 10.0 ** (-loss_db / 10.0)

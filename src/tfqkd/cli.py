@@ -150,8 +150,8 @@ def cmd_bounds(args) -> int:
         raise SchemaError("bounds needs detector keys in the parameter file")
     _check("--asym-split", args.asym_split, FRACTION)
     sweep = _parse_sweep(args.sweep_db)
-    dark_per_use = det.dark_prob(bundle["protocol"].protocol_rate_hz)
-    rows = bounds_mod.capacity_sweep(sweep, det.efficiency, dark_per_use,
+    dark_per_gate = det.dark_prob(bundle["protocol"].clock_rate_hz)
+    rows = bounds_mod.capacity_sweep(sweep, det.efficiency, dark_per_gate,
                                      asym_split_fraction=args.asym_split)
     _write_rows(rows, args.out, args.format)
     return EXIT_OK

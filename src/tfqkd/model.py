@@ -159,10 +159,8 @@ class DetectorParams:
     def dark_prob(self, rate_hz: float) -> float:
         """Dark-count probability of one detector in a window of 1/rate_hz.
 
-        The Monte Carlo sampler (``run_protocol``) and the forward model
-        (``expected_rates_model``) pass the clock rate, one detection gate
-        per clock period; the capacity-bound sweep (``tfqkd bounds``)
-        passes the protocol rate, one window per channel use.
+        Every caller passes the clock rate: one detection gate per clock
+        period.
         """
         p = self.dark_rate_hz / rate_hz
         if not 0.0 <= p < 1.0:

@@ -46,7 +46,8 @@ exact, not an approximation, for five reasons:
   slots and fine-block ends) through its exact k-step transitions gives
   the same joint law at those slots as the slot-by-slot walk.
 * Tags by posterior.  A single-sender slot's outcome o has the
-  phase-averaged law P_coh(o); tagging it with P(tag | o) = t P1(o) /
+  phase-averaged law P_coh(o), in closed form from
+  ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
   P_coh(o) (``_tag_posterior``) gives (o, tag) the Fock picture's joint
   law t P1(o).  Slots without a click are all "neither", so one binomial
   per run tags them.
@@ -101,6 +102,7 @@ __all__ = [
     "MIN_SLOTS",
     "detector_means",
     "click_probs",
+    "phase_averaged_law",
     "fine_feedback",
     "filter_deadtime",
     "simulate_phase_trace",
@@ -111,7 +113,6 @@ MIN_SLOTS = 10_000
 _MIN_BATCH_SLOTS = 1 << 20
 _BATCH_EVENTS = 1 << 14       # thinning candidates per batch above 2^20
 _TRACE_POINTS = 4096
-_PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
 _PAIR_A = np.repeat(np.arange(5), 5)
@@ -209,6 +210,46 @@ def click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff, p_dark, visibility):
                                        det_eff, visibility)
     return (p_dark - (1.0 - p_dark) * np.expm1(-mu_plus),
             p_dark - (1.0 - p_dark) * np.expm1(-mu_minus))
+
+
+def _i0_minus_one(b: float) -> float:
+    """I0(b) - 1 = sum_{k >= 1} (b^2/4)^k / (k!)^2, summed term by term.
+
+    np.i0(b) - 1 cancels when b is small (deep loss), where this sum keeps
+    full relative precision.
+    """
+    y = b * b / 4.0
+    total, term, k = 0.0, y, 1
+    while term > 1e-17 * total:
+        total += term
+        k += 1
+        term *= y / (k * k)
+    return total
+
+
+def phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
+                       visibility) -> list:
+    """Outcome probabilities (detector 1 only, 2 only, both, neither) of a
+    coherent slot at a uniform relative phase, in closed form.
+
+    The output means are A +- B cos(delta), A + B and A - B being the
+    ``detector_means`` at delta = 0, and the detectors click independently
+    given delta.  The phase average of exp(-B cos(delta)) is I0(B), so with
+    x = (1 - p_dark) exp(-A), gap = 1 - x and g = I0(B) - 1:
+    neither = x^2, each single = x (gap + g) and both = gap^2 - 2 x g.
+    gap takes the expm1 form of ``click_probs`` and g its power series, so
+    every outcome keeps full relative precision at deep loss.  Scalar
+    inputs; the sampler's tag table and the forward model both call it.
+    """
+    mu_plus, mu_minus = detector_means(mu_a, mu_b, 0.0, eta_a, eta_b,
+                                       det_eff, visibility)
+    a = float(mu_plus + mu_minus) / 2.0
+    b = float(mu_plus - mu_minus) / 2.0
+    x = (1.0 - p_dark) * math.exp(-a)
+    gap = p_dark - (1.0 - p_dark) * math.expm1(-a)
+    g = _i0_minus_one(b)
+    single = x * (gap + g)
+    return [single, single, gap * gap - 2.0 * x * g, x * x]
 
 
 def filter_deadtime(slots: np.ndarray, dead_slots: int,
@@ -525,32 +566,19 @@ class SimOutcome:
     batches: int = 0
 
 
-def _phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
-                        visibility) -> list:
-    """Outcome probabilities (detector 1 only, 2 only, both, neither) of a
-    coherent slot at a uniform relative phase.
-
-    Given the phase the two detectors click independently, so the joint
-    law is the phase average of products of ``click_probs``, taken over a
-    uniform grid as the forward model does.
-    """
-    p1, p2 = click_probs(mu_a, mu_b, _PHASE_GRID, eta_a, eta_b, det_eff,
-                         p_dark, visibility)
-    return [float(np.mean(p1 * (1.0 - p2))), float(np.mean(p2 * (1.0 - p1))),
-            float(np.mean(p1 * p2)), float(np.mean((1.0 - p1) * (1.0 - p2)))]
-
-
 def _tag_posterior(mu_send: float, mu_silent: float, q: float,
                    p_dark: float, coherent: list) -> np.ndarray:
     """P(tag | outcome) of a single-active-sender Z window, per outcome
     (1 only, 2 only, both, neither).
 
     Both pulses are phase-randomised, so the window's outcome law is the
-    phase-averaged coherent law ``coherent``.  With probability
-    t = exp(-mu_silent) mu_send exp(-mu_send) the silent side emits nothing
-    and the sender exactly one photon; such a slot is tagged (single-photon
-    ground truth) and has the one-photon law P1: the photon survives with q
-    and routes 50/50, and each detector adds its dark count.  Bayes gives
+    phase-averaged coherent law ``coherent`` (``phase_averaged_law``, which
+    the forward model's heralding probabilities also come from).  With
+    probability t = exp(-mu_silent) mu_send exp(-mu_send) the silent side
+    emits nothing and the sender exactly one photon; such a slot is tagged
+    (single-photon ground truth) and has the one-photon law P1: the photon
+    survives with q and routes 50/50, and each detector adds its dark
+    count.  Bayes gives
     P(tag | o) = t P1(o) / P_coh(o), capped at 1; an outcome that never
     occurs (P_coh(o) = 0, e.g. a blind, dark-free detector) gets 0.
     """
@@ -656,8 +684,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             (_NS, mu_b[_NS], mu_a[_NS], eta_b)):
         tag_prob[code] = _tag_posterior(
             mu_send, mu_silent, eta_send * det.efficiency, p_dark,
-            _phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
-                                det.efficiency, p_dark, visibility))
+            phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
+                               det.efficiency, p_dark, visibility))
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tfqkd import cli, keyrate, model, montecarlo
+from tfqkd import bounds, cli, keyrate, model, montecarlo
 from tfqkd.decoy import CATEGORIES
 
 
@@ -89,6 +89,20 @@ class TestBounds:
 
     def test_bad_sweep_spec(self):
         assert run_cli(["bounds", "--sweep-db", "oops"]) == cli.EXIT_SCHEMA
+
+    def test_dark_counts_per_clock_gate(self, tmp_path, bundle):
+        # The thermal bound charges the detector's dark counts per clock
+        # gate, as run_protocol and expected_rates_model do, not per
+        # protocol slot (twice as many at the bundled rates).
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--sweep-db", "30:30:1",
+                        "--out", str(out)]) == cli.EXIT_OK
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        det = bundle["detector"]
+        expected = bounds.capacity_point(
+            30.0, det.efficiency,
+            det.dark_prob(bundle["protocol"].clock_rate_hz))
+        assert float(row["noisy_ub"]) == expected["noisy_ub"]
 
 
 class TestSimulate:

@@ -235,7 +235,7 @@ class TestPinnedOutputs:
             visibility=bundle["extras"]["visibility"],
             misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"])
         assert [(r["skr_bit_per_pulse"], r["skr_bit_per_s"]) for r in rows] == [
-            (1.5449615412494257e-05, 7724.807706247128),
+            (1.544961541249426e-05, 7724.80770624713),
             (9.737010064856167e-06, 4868.505032428084),
-            (3.620699799075137e-07, 181.03498995375685),
+            (3.620699799075129e-07, 181.03498995375645),
         ]

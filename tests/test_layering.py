@@ -220,8 +220,9 @@ def _count_calls(monkeypatch, targets) -> list[int]:
 
 def test_traced_layers_see_every_call(monkeypatch, bundle, field_counts):
     # bench/test_bench.py pins these counts for the traced per-layer
-    # metrics; a bound inlined into bounded_rate, or a cached or batched
-    # click grid, would silently zero those metrics.
+    # metrics; a bound inlined into bounded_rate, or a phase-averaged law
+    # that is cached, batched or moved out of montecarlo, would silently
+    # zero those metrics.
     params, sec = bundle["protocol"], bundle["security"]
     bounds = _count_calls(monkeypatch, [("finitestats", "bound_expected"),
                                         ("decoy", "bound_expected")])

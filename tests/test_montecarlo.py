@@ -111,6 +111,47 @@ def _trajectory(cfg: PhaseConfig, n: int, x0: float, d0: float,
     return phases, carry
 
 
+class TestPhaseAveragedLaw:
+    # The closed form against its own reference: a fine uniform-phase
+    # average of click_probs.  A uniform grid integrates a smooth periodic
+    # function to rounding, so 4096 points is exact in float64.
+    GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+
+    def quadrature(self, mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, v):
+        p1, p2 = click_probs(mu_a, mu_b, self.GRID, eta_a, eta_b, det_eff,
+                             p_dark, v)
+        return [np.mean(p1 * (1.0 - p2)), np.mean(p2 * (1.0 - p1)),
+                np.mean(p1 * p2), np.mean((1.0 - p1) * (1.0 - p2))]
+
+    def cases(self, params, visibilities=(0.5, 0.97, 1.0)):
+        # Every class pair of the bundled link, 0-60 dB and three dark
+        # probabilities (none, the bundled one, a noisy one).  At 60 dB,
+        # V = 1 and no dark counts I0(B) - 1 is ~1e-14, and np.i0(B) - 1
+        # would put "both" up to 1.6% off.
+        for loss_db in range(0, 61, 10):
+            eta_a, eta_b = transmissivities(
+                keyrate.split_loss_link(float(loss_db), params))
+            for v in visibilities:
+                for p_dark in (0.0, 4.5e-7, 1e-3):
+                    for mu_a in params.alice.intensity_of():
+                        for mu_b in params.bob.intensity_of():
+                            yield (mu_a, mu_b, eta_a, eta_b, 0.145, p_dark, v)
+
+    def test_matches_the_quadrature(self, params):
+        for args in self.cases(params):
+            law = montecarlo.phase_averaged_law(*args)
+            np.testing.assert_allclose(law, self.quadrature(*args),
+                                       rtol=1e-13, atol=0.0, err_msg=str(args))
+            assert abs(math.fsum(law) - 1.0) <= 1e-15, args
+
+    def test_no_visibility_means_independent_detectors(self, params):
+        for args in self.cases(params, visibilities=(0.0,)):
+            one, two, both, neither = montecarlo.phase_averaged_law(*args)
+            p1, p2 = one + both, two + both
+            assert both == pytest.approx(p1 * p2, rel=1e-15, abs=0.0)
+            assert neither == pytest.approx((1 - p1) * (1 - p2), rel=1e-15)
+
+
 class TestPhaseDrift:
     def test_zero_sigma_constant(self):
         phases, carry = _trajectory(_quiet("free"), 100, x0=0.7, d0=0.0)
@@ -641,14 +682,12 @@ class TestModelAgreement:
             for mu_a, mu_b, send, silent, eta_send in (
                     (a.s, b.w, a.s, b.w, eta_a), (a.w, b.s, b.s, a.w, eta_b)):
                 args = (mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark, 0.97)
-                coherent = montecarlo._phase_averaged_law(*args)
+                coherent = montecarlo.phase_averaged_law(*args)
                 posterior = montecarlo._tag_posterior(
                     send, silent, eta_send * det.efficiency, p_dark, coherent)
                 assert np.dot(coherent, posterior) == pytest.approx(
                     math.exp(-silent) * send * math.exp(-send), rel=1e-12)
                 assert np.all((posterior >= 0.0) & (posterior <= 1.0))
-                assert coherent[0] + coherent[1] == pytest.approx(
-                    keyrate._heralded_mean(*args), rel=1e-12)
         # A blind, dark-free detector never clicks: the click outcomes get
         # P(tag | o) = 0, not 0 / 0.
         blind = montecarlo._tag_posterior(a.s, b.w, 0.0, 0.0, [0, 0, 0, 1])
