@@ -7,8 +7,7 @@ feedback.
 """
 
 from . import aopp, bounds, decoy, finitestats, keyrate, model, montecarlo
-
-__version__ = "0.1.0"
+from ._version import __version__
 
 __all__ = [
     "aopp",

@@ -2,7 +2,8 @@
 
 Subcommands: validate, keyrate, simulate, bounds, montecarlo, phasestab.
 Exit codes: 0 success, 2 validation failure, 3 schema error, 4 I/O error.
-All stochastic commands are deterministic given --seed.
+All stochastic commands are deterministic given --seed, apart from the wall
+times that a Monte Carlo outcome file records in its "provenance".
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import decoy, keyrate, model, montecarlo
+from ._version import __version__
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -177,8 +179,20 @@ def cmd_montecarlo(args) -> int:
     outcome = montecarlo.run_protocol(
         bundle["protocol"], link, det, cfg, n_slots=args.slots,
         seed=args.seed, visibility=bundle["extras"]["visibility"])
+    provenance = {
+        "version": __version__,
+        "seed": outcome.seed,
+        "n_slots": outcome.n_slots,
+        "wall_s": outcome.wall_s,
+        "stage_s": outcome.stage_s,
+        "candidates": outcome.candidates,
+        "accepted": outcome.accepted,
+        "batches": outcome.batches,
+        "ground_truth": outcome.ground_truth,
+    }
     out = Path(args.out) if args.out else Path("simoutcome.json")
-    out.write_text(json.dumps(outcome.counts.to_counts_dict(), indent=2))
+    out.write_text(json.dumps({**outcome.counts.to_counts_dict(),
+                               "provenance": provenance}, indent=2))
     np.savez_compressed(
         out.with_suffix(".keys.npz"),
         alice=np.packbits(outcome.raw_keys.alice_bits),
@@ -189,12 +203,7 @@ def cmd_montecarlo(args) -> int:
     _write_trace_csv(outcome.phase_trace, out.with_suffix(".phase.csv"))
     print(json.dumps({
         "out": str(out),
-        "n_slots": outcome.n_slots,
-        "wall_s": outcome.wall_s,
-        "stage_s": outcome.stage_s,
-        "candidates": outcome.candidates,
-        "batches": outcome.batches,
-        "accepted": outcome.accepted,
+        **provenance,
         "qber_z": outcome.raw_keys.error_rate(),
         "qber_xuu": outcome.counts.qber_xuu,
         "qber_xvv": outcome.counts.qber_xvv,

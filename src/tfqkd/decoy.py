@@ -116,7 +116,11 @@ class DecoyCounts:
 
     @classmethod
     def from_counts_dict(cls, raw: dict, params: ProtocolParams) -> "DecoyCounts":
-        """Build from the external counts schema (Detected-XXvv, ... keys)."""
+        """Build from the external counts schema (Detected-XXvv, ... keys).
+
+        Other keys, such as the "provenance" of a Monte Carlo outcome file,
+        are ignored.
+        """
         missing = [k for k in CATEGORIES if f"Detected-{k}" not in raw]
         if missing:
             raise KeyError(

@@ -1,4 +1,4 @@
-"""End-to-end stochastic protocol simulation, event-driven by thinning.
+"""End-to-end stochastic protocol simulation, event-driven.
 
 Pattern transmission through lossy asymmetric arms, first-order single-photon
 interference with phase noise, gated threshold detection with dark counts and
@@ -17,30 +17,40 @@ of mean -ln(1 - p_dark), is non-empty.  Z windows with a single active sender
 also carry a ground-truth single-photon tag.
 
 Sampling law.  At deep loss almost no slot clicks, so ``run_protocol`` pays
-per possible click, not per slot (Poisson/Bernoulli thinning, Lewis &
-Shedler, Naval Res. Logist. Q. 26, 1979), and cuts the run into batches
-that each hold about 2^14 possible clicks (at least 2^20 slots).  It is
-exact, not an approximation, for five reasons:
+per click, not per slot, and cuts the run into batches that each hold
+about 2^14 events (at least 2^20 slots).  It is exact, not an
+approximation, for six reasons:
 
 * Exchangeable slots.  Given the run's 5x5 (Alice, Bob) pair table every
   arrangement of its pair codes is equally likely (see ``model``), and a
   slot's global phase, click draw and tag do not depend on its position.
-* A per-slot bound.  With delta = theta_A - theta_B + phi the click
-  probabilities p1(delta), p2(delta) of a slot never exceed their values
-  at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 - (1 - p1(0))(1 -
-  p2(pi)).  Each pair code draws Bin(T_ab, p_bar_ab) candidates once per
-  run; a candidate takes outcome (c1, c2) with probability
-  P(c1, c2 | delta) / p_bar at its own delta and is dropped otherwise, so
-  every slot gets outcome (c1, c2) with probability P(c1, c2 | delta).
-* One subset draw per batch.  Candidacy is independent from slot to slot
-  given the code, so the slots labelled "candidate of code ab" or "no
-  candidate" stay exchangeable: a batch's label counts are a uniformly
+* Phase-blind codes by their law.  Every pulse is phase-randomised, and
+  only the phase-matched XX windows (XuXu, XvXv) read the relative phase.
+  In a slot of any other pair code theta_A - theta_B is uniform and
+  independent of the channel phase phi, so delta is uniform too and the
+  slot clicks i.i.d. with the phase-averaged law of
+  ``phase_averaged_law``.  Such a code draws its clicking slots
+  once per run, Bin(T_ab, q_ab) with q = P(1 only) + P(2 only) + P(both)
+  summed (1 - neither would cancel at deep loss), and each click takes
+  its outcome from the three click outcomes of the law.
+* A per-slot bound for the XX codes.  With delta = theta_A - theta_B + phi
+  the click probabilities p1(delta), p2(delta) of a slot never exceed
+  their values at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 -
+  (1 - p1(0))(1 - p2(pi)).  Each XX code draws Bin(T_ab, p_bar_ab)
+  candidates once per run (Poisson/Bernoulli thinning, Lewis & Shedler,
+  Naval Res. Logist. Q. 26, 1979); a candidate takes outcome (c1, c2)
+  with probability P(c1, c2 | delta) / p_bar at its own delta and is
+  dropped otherwise, so every slot gets outcome (c1, c2) with probability
+  P(c1, c2 | delta).
+* One subset draw per batch.  Clicks and candidacy are independent from
+  slot to slot given the code, so the slots labelled "event of code ab"
+  or "no event" stay exchangeable: a batch's label counts are a uniformly
   random subset of the labels not yet placed (one multivariate
-  hypergeometric draw over 26 labels), and its candidates sit at
-  uniformly random distinct slots of the batch, in random order.
+  hypergeometric draw over 26 labels), and its events sit at uniformly
+  random distinct slots of the batch, in random order.
 * Phase only where it is read.  theta_A - theta_B is uniform and
-  independent of phi, and only the XX matching windows read it, so every
-  other slot may take delta = theta_A - theta_B.  The channel phase is a
+  independent of phi, and only the XX matching windows read it, so no
+  other slot draws a phase at all.  The channel phase is a
   Gaussian Markov process (random walks, and the linearised coarse loop's
   AR(1)), so evaluating it only at the XX candidate slots (plus trace
   slots and fine-block ends) through its exact k-step transitions gives
@@ -111,7 +121,7 @@ __all__ = [
 
 MIN_SLOTS = 10_000
 _MIN_BATCH_SLOTS = 1 << 20
-_BATCH_EVENTS = 1 << 14       # thinning candidates per batch above 2^20
+_BATCH_EVENTS = 1 << 14       # events per batch above 2^20 slots
 _TRACE_POINTS = 4096
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
@@ -187,10 +197,11 @@ def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
     """Mean photon numbers of the two interferometer outputs.
 
     Vectorised over broadcastable inputs; the sampler and the forward model
-    both evaluate it in float64.
+    both evaluate it in float64.  Scalar inputs stay numpy scalars, not
+    0-d arrays, which keeps the forward model's scalar calls cheap.
     """
-    a = eta_a * np.asarray(mu_a)
-    b = eta_b * np.asarray(mu_b)
+    a = eta_a * mu_a
+    b = eta_b * mu_b
     cross = 2.0 * visibility * np.sqrt(a * b) * np.cos(delta)
     mu_plus = det_eff * (a + b + cross) / 2.0
     mu_minus = det_eff * (a + b - cross) / 2.0
@@ -227,6 +238,17 @@ def _i0_minus_one(b: float) -> float:
     return total
 
 
+def _closed_form_law(mu_plus: float, mu_minus: float, p_dark: float) -> list:
+    """The closed form of ``phase_averaged_law`` from the output means at
+    delta = 0, as Python floats."""
+    a = (mu_plus + mu_minus) / 2.0
+    x = (1.0 - p_dark) * math.exp(-a)
+    gap = p_dark - (1.0 - p_dark) * math.expm1(-a)
+    g = _i0_minus_one((mu_plus - mu_minus) / 2.0)
+    single = x * (gap + g)
+    return [single, single, gap * gap - 2.0 * x * g, x * x]
+
+
 def phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
                        visibility) -> list:
     """Outcome probabilities (detector 1 only, 2 only, both, neither) of a
@@ -239,17 +261,23 @@ def phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
     neither = x^2, each single = x (gap + g) and both = gap^2 - 2 x g.
     gap takes the expm1 form of ``click_probs`` and g its power series, so
     every outcome keeps full relative precision at deep loss.  Scalar
-    inputs; the sampler's tag table and the forward model both call it.
+    inputs; the forward model calls it, and the sampler's per-run table
+    (``_law_table``) shares its closed form.
     """
     mu_plus, mu_minus = detector_means(mu_a, mu_b, 0.0, eta_a, eta_b,
                                        det_eff, visibility)
-    a = float(mu_plus + mu_minus) / 2.0
-    b = float(mu_plus - mu_minus) / 2.0
-    x = (1.0 - p_dark) * math.exp(-a)
-    gap = p_dark - (1.0 - p_dark) * math.expm1(-a)
-    g = _i0_minus_one(b)
-    single = x * (gap + g)
-    return [single, single, gap * gap - 2.0 * x * g, x * x]
+    return _closed_form_law(float(mu_plus), float(mu_minus), p_dark)
+
+
+def _law_table(mu_a: np.ndarray, mu_b: np.ndarray, eta_a: float,
+               eta_b: float, det_eff: float, p_dark: float,
+               visibility: float) -> np.ndarray:
+    """``phase_averaged_law`` of each pair code, one row per code, from one
+    vectorised ``detector_means`` call."""
+    mu_plus, mu_minus = detector_means(mu_a, mu_b, 0.0, eta_a, eta_b,
+                                       det_eff, visibility)
+    return np.array([_closed_form_law(hi, lo, p_dark) for hi, lo
+                     in zip(mu_plus.tolist(), mu_minus.tolist())])
 
 
 def filter_deadtime(slots: np.ndarray, dead_slots: int,
@@ -546,11 +574,13 @@ class SimOutcome:
     seconds per stage: "draws" (set-up, the run's pair table and
     candidates, each batch's label draw and slots), "phase" (channel
     phase), "thinning" (click outcomes and tags), "deadtime" and "tally"
-    (counts, keys and the outcome); ``candidates`` counts the thinning
-    candidates the run drew over every pair code, the single-sender Z
-    windows included, and ``accepted`` those of them that clicked, so
-    accepted / candidates is the thinning's acceptance ratio; ``batches``
-    is the number of batches the run was cut into.
+    (counts, keys and the outcome); ``candidates`` counts the events the
+    run drew, the clicks of the 23 phase-blind pair codes plus the
+    thinning candidates of XuXu and XvXv, and ``accepted`` those of them
+    that clicked.  Every phase-blind event clicks, so candidates -
+    accepted is the XX candidates the thinning dropped, and accepted /
+    candidates is not an all-code acceptance ratio.  ``batches`` is the
+    number of batches the run was cut into.
     """
 
     counts: DecoyCounts
@@ -596,7 +626,7 @@ def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Slots of a batch's events labelled ``codes``: distinct, uniform, in
     random order (exact by exchangeability; see the module docstring).
 
-    A batch above 2^20 slots holds about 2^14 candidates, under 1/64 of its
+    A batch above 2^20 slots holds about 2^14 events, under 1/64 of its
     slots, below the 1/50 share at which numpy's ``choice`` allocates the
     whole slot range.
     """
@@ -614,22 +644,25 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     raw keys and X-window error tallies under the phase-matching rule.
     Identical seeds give identical outcomes.
 
-    The cost grows with the possible clicks, not the slots.  Before any
-    batch runs, ``fair_sampled_classes`` draws the run's pair table T (a
-    starved class raises PatternError) and each pair code draws its
-    thinning candidates C_ab ~ Bin(T_ab, p_bar_ab), p_bar_ab = 1 - (1 -
-    p1(cos delta = 1)) (1 - p2(cos delta = -1)) from ``click_probs``.  The
-    run is cut into batches of max(2^20, min(n_slots, ceil(2^14 n_slots /
-    sum C))) slots: dense links keep 2^20-slot batches, sparse ones pay a
-    batch's fixed cost once per ~2^14 candidates.  Each batch takes its
-    candidates per code by one subset draw over the 25 codes' remaining
-    candidates and the remaining other slots, and places them at uniformly
-    random distinct slots.  Each candidate draws its global phase
-    difference theta_A - theta_B uniform on [0, 2 pi) (only that
-    difference mod 2 pi enters the interference and the matching windows),
-    adds the channel phase at its slot if it is an XX candidate, and keeps
-    outcome (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double
-    clicks stay events, so both detectors' clicks reach
+    The cost grows with the clicks, not the slots.  Before any batch
+    runs, ``fair_sampled_classes`` draws the run's pair table T (a starved
+    class raises PatternError) and ``_law_table`` the phase-averaged law
+    of each pair code.  Each of the 23 phase-blind codes draws its clicks
+    C_ab ~ Bin(T_ab, q_ab), q the law's click outcomes summed; XuXu and
+    XvXv draw thinning candidates C_ab ~ Bin(T_ab, p_bar_ab), p_bar_ab =
+    1 - (1 - p1(cos delta = 1)) (1 - p2(cos delta = -1)) from
+    ``click_probs``.  The run is cut into batches of max(2^20, min(n_slots,
+    ceil(2^14 n_slots / sum C))) slots: dense links keep 2^20-slot batches,
+    sparse ones pay a batch's fixed cost once per ~2^14 events.  Each
+    batch takes its events per code by one subset draw over the 25 codes'
+    remaining events and the remaining other slots, and places them at
+    uniformly random distinct slots.  A phase-blind event takes outcome 1
+    only, 2 only or both in proportion to the law, with no phase draw.  An
+    XX candidate draws its global phase difference theta_A - theta_B
+    uniform on [0, 2 pi) (only that difference mod 2 pi enters the
+    interference and the matching windows), adds the channel phase at its
+    slot and keeps outcome (c1, c2) with probability P(c1, c2 | delta) /
+    p_bar.  Double clicks stay events, so both detectors' clicks reach
     ``filter_deadtime``.  Clicking sn / ns slots draw their single-photon
     tag from ``_tag_posterior`` given their outcome, and one binomial at
     the end of the run tags the sn / ns slots that did not click.  The
@@ -665,12 +698,22 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     p_dark = det.dark_prob(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()[_PAIR_A]
     mu_b = params.bob.intensity_of()[_PAIR_B]
+    law = _law_table(mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark,
+                     visibility)
     # p2 at cos(delta) = -1 is p1 at cos(delta) = 1, to the bit.
     p, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
                        p_dark, visibility)
-    p_bar = p + p - p * p
-    cand = rng_run.binomial(sent, p_bar)
+    # Candidates: the clicks of a phase-blind code, summed from the law's
+    # click outcomes (1 - neither cancels at deep loss), and the XX codes'
+    # thinning candidates under p_bar.
+    p_cand = np.where(_XX, p + p - p * p, law[:, 0] + law[:, 1] + law[:, 2])
+    cand = rng_run.binomial(sent, p_cand)
     n_cand = int(cand.sum())
+    # Per code, the uniform u on [0, p_cand) gives detector 1 alone below
+    # cuts[0], both below cuts[1] and detector 2 alone below cuts[2].  A
+    # phase-blind candidate always clicks; XX rows are replaced per
+    # candidate from its delta.
+    cuts = np.array([law[:, 0], law[:, 0] + law[:, 2], np.full(25, np.inf)])
     # ceil(2^14 n_slots / n_cand) in integers; no candidates, one batch.
     batch = max(_MIN_BATCH_SLOTS,
                 min(n_slots, -(-_BATCH_EVENTS * n_slots // max(n_cand, 1))))
@@ -684,8 +727,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             (_NS, mu_b[_NS], mu_a[_NS], eta_b)):
         tag_prob[code] = _tag_posterior(
             mu_send, mu_silent, eta_send * det.efficiency, p_dark,
-            phase_averaged_law(mu_a[code], mu_b[code], eta_a, eta_b,
-                               det.efficiency, p_dark, visibility))
+            law[code])
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)
@@ -730,18 +772,26 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
         lap("phase")
 
-        # Thinning: candidate (c1, c2) with probability P(c1, c2 | delta)/p_bar.
-        dtheta = rng_slot.random(code.size) * (2.0 * np.pi)
-        delta = dtheta.copy()
-        delta[in_xx] += phi[np.searchsorted(points, slot[in_xx])]
-        p1, p2 = click_probs(mu_a[code], mu_b[code], delta, eta_a, eta_b,
-                             det.efficiency, p_dark, visibility)
-        u = rng_slot.random(code.size) * p_bar[code]
+        # Click outcomes.  A phase-blind candidate takes its outcome from
+        # the law; an XX candidate keeps (c1, c2) with probability
+        # P(c1, c2 | delta) / p_bar at delta = theta_A - theta_B + phi.
+        u = rng_slot.random(code.size) * p_cand[code]
+        cut1, cut_both, cut2 = cuts.take(code, axis=1)
+        xx_at = np.flatnonzero(in_xx)
+        dtheta = np.zeros(code.size)
+        dtheta[xx_at] = rng_slot.random(xx_at.size) * (2.0 * np.pi)
+        xx_code = code[xx_at]
+        p1, p2 = click_probs(
+            mu_a[xx_code], mu_b[xx_code],
+            dtheta[xx_at] + phi[np.searchsorted(points, slot[xx_at])],
+            eta_a, eta_b, det.efficiency, p_dark, visibility)
         both = p1 * p2
-        c1 = u < p1
-        c2 = (u >= p1 - both) & (u < p1 + p2 - both)
+        cut1[xx_at], cut_both[xx_at], cut2[xx_at] = (p1 - both, p1,
+                                                     p1 + p2 - both)
+        c1 = u < cut_both
+        c2 = (u >= cut1) & (u < cut2)
         fired = np.flatnonzero(c1 | c2)
-        del delta, p1, p2, u, both   # candidate-sized: free before the clicks
+        del u, cut1, cut_both, cut2   # candidate-sized: free before the clicks
 
         order = fired[np.argsort(slot[fired])]
         slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]

@@ -48,7 +48,8 @@ def field_link(bundle):
 def _batch_rule(n_slots, candidates):
     """Slots per run_protocol batch by its documented rule,
     max(2^20, min(n_slots, ceil(2^14 n_slots / candidates))), with
-    candidates the run's drawn thinning candidates."""
+    candidates the run's drawn events: the phase-blind codes' clicks and
+    the XX codes' thinning candidates."""
     if candidates == 0:
         return max(1 << 20, n_slots)
     return max(1 << 20, min(n_slots, -(-2**14 * n_slots // candidates)))

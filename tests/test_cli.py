@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import tfqkd
 from tfqkd import bounds, cli, keyrate, model, montecarlo
 from tfqkd.decoy import CATEGORIES
 
@@ -145,12 +146,40 @@ class TestMonteCarlo:
         assert sum(stages.values()) == pytest.approx(out["wall_s"])
 
     def test_deterministic_given_seed(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        for path in (a, b):
+        # Everything but the run's wall times repeats.
+        runs = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
             run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
                      "--loss-db", "10", "--out", str(path)])
-        assert a.read_text() == b.read_text()
+            record = json.loads(path.read_text())
+            del record["provenance"]["wall_s"], record["provenance"]["stage_s"]
+            runs.append(record)
+        assert runs[0] == runs[1]
+
+    def test_outcome_file_carries_provenance(self, tmp_path):
+        # The provenance rides beside the counts, and keyrate reads the
+        # file as it reads the counts alone.
+        out = tmp_path / "simoutcome.json"
+        assert run_cli(["montecarlo", "--slots", "200000", "--seed", "7",
+                        "--loss-db", "12", "--out", str(out)]) == cli.EXIT_OK
+        record = json.loads(out.read_text())
+        prov = record.pop("provenance")
+        assert prov["version"] == tfqkd.__version__
+        assert prov["seed"] == 7 and prov["n_slots"] == 200_000
+        assert prov["batches"] >= 1
+        assert 0 < prov["accepted"] <= prov["candidates"]
+        assert sum(prov["stage_s"].values()) == pytest.approx(prov["wall_s"])
+        assert set(prov["ground_truth"]) >= {"sn_sent", "s1_true"}
+        counts_only = tmp_path / "counts.json"
+        counts_only.write_text(json.dumps(record))
+        reports = []
+        for path in (out, counts_only):
+            report = tmp_path / f"report-{path.stem}.json"
+            assert run_cli(["keyrate", "--counts", str(path),
+                            "--out", str(report)]) == cli.EXIT_OK
+            reports.append(json.loads(report.read_text()))
+        assert reports[0] == reports[1]
 
     def test_loss_db_uses_the_simulate_link(self, tmp_path):
         # --loss-db splits the loss as simulate does, and the phase residual
@@ -166,7 +195,9 @@ class TestMonteCarlo:
         direct = montecarlo.run_protocol(
             params, keyrate.split_loss_link(10.0, params), bundle["detector"],
             cfg, 100_000, seed=3, visibility=bundle["extras"]["visibility"])
-        assert json.loads(out.read_text()) == direct.counts.to_counts_dict()
+        record = json.loads(out.read_text())
+        del record["provenance"]
+        assert record == direct.counts.to_counts_dict()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -24,8 +24,8 @@ import tfqkd
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tfqkd"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-RANK = {"finitestats": 0, "model": 0, "aopp": 0, "bounds": 1, "decoy": 1,
-        "montecarlo": 2, "keyrate": 3, "cli": 4, "__init__": 5}
+RANK = {"_version": 0, "finitestats": 0, "model": 0, "aopp": 0, "bounds": 1,
+        "decoy": 1, "montecarlo": 2, "keyrate": 3, "cli": 4, "__init__": 5}
 
 
 def _function_local_package_imports(tree: ast.AST) -> list[str]:

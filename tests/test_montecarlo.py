@@ -514,6 +514,51 @@ class TestRunProtocol:
         assert calls == {"fair_sampled_classes": 1,
                          "_subset_counts": out.batches}
 
+    def test_phase_blind_codes_skip_the_thinning(self, params, quick_link,
+                                                 quick_det, monkeypatch):
+        # Only XuXu and XvXv candidates reach click_probs after the one
+        # p_bar call; every other event clicks, so the events drawn but not
+        # accepted are dropped XX candidates; and the sampler's law table
+        # is phase_averaged_law to the bit.
+        calls, tables = [], []
+        click_probs_, law_table = montecarlo.click_probs, montecarlo._law_table
+
+        def recording_probs(*args):
+            calls.append(args[:2])
+            return click_probs_(*args)
+
+        def recording_table(*args):
+            tables.append((args, law_table(*args)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(montecarlo, "click_probs", recording_probs)
+        monkeypatch.setattr(montecarlo, "_law_table", recording_table)
+        out = run_protocol(params, quick_link, quick_det,
+                           PhaseConfig(regime="ideal"), 10_000_000, seed=3)
+        assert out.batches > 1
+        sent, detected = out.counts.sent, out.counts.detected
+        points = [np.size(mu_a) for mu_a, _ in calls]
+        assert points[0] == 25
+        assert sum(points) <= 25 + sent["XXuu"] + sent["XXvv"]
+        a, b = params.alice, params.bob
+        xx_pairs = {(a.u, b.u), (a.v, b.v)}
+        for mu_a, mu_b in calls[1:]:
+            assert set(zip(mu_a.tolist(), mu_b.tolist())) <= xx_pairs
+        # No deadtime: XX heralds and all double clicks bound the XX
+        # clicks, and so the dropped XX candidates, from both sides.
+        dropped = out.candidates - out.accepted
+        xx_candidates = sum(points[1:])
+        xx_heralds = detected["XXuu"] + detected["XXvv"]
+        doubles = out.accepted - sum(detected.values())
+        assert doubles >= 0
+        assert (xx_candidates - xx_heralds - doubles <= dropped
+                <= xx_candidates - xx_heralds)
+        [(args, table)] = tables
+        mu_a, mu_b, *rest = args
+        for code in range(25):
+            assert table[code].tolist() == montecarlo.phase_averaged_law(
+                mu_a[code], mu_b[code], *rest)
+
     def test_different_seed_differs(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal")
         a = run_protocol(params, quick_link, quick_det, cfg, 50_000, seed=1)
@@ -738,6 +783,35 @@ class TestModelAgreement:
             sigma = max(math.sqrt(pred.detected[k]), 1.0)
             z = (out.counts.detected[k] - pred.detected[k]) / sigma
             assert abs(z) < 4.5, f"category {k}: z={z:.2f}"
+
+    def test_double_clicks_and_heralds_follow_the_law(self, params):
+        # A dense link with no deadtime keeps every click, so accepted -
+        # heralds counts the double clicks.  A slot of each pair code
+        # clicks with the phase-averaged law, the XX codes too (averaged
+        # over theta_A - theta_B), so both totals are sums of binomials
+        # with known means; each must lie within 4 sigma.  Double clicks
+        # are rarer than independent detectors would make them, which a
+        # sampler drawing "both" as the product of the two marginals
+        # misses by far more than 4 sigma here.
+        det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0)
+        link = LinkBudget(0, 0, 0.0, 0.0)
+        out = run_protocol(params, link, det, PhaseConfig(regime="ideal"),
+                           16_000_000, seed=11, visibility=0.97)
+        eta_a, eta_b = transmissivities(link)
+        p_dark = det.dark_prob(params.clock_rate_hz)
+        mu_a, mu_b = params.alice.intensity_of(), params.bob.intensity_of()
+        mean = np.zeros(2)      # heralds, double clicks
+        var = np.zeros(2)
+        for k, (a, b) in decoy.CATEGORY_CLASSES.items():
+            one, two, both, _ = montecarlo.phase_averaged_law(
+                mu_a[a], mu_b[b], eta_a, eta_b, det.efficiency, p_dark, 0.97)
+            p = np.array([one + two, both])
+            mean += out.counts.sent[k] * p
+            var += out.counts.sent[k] * p * (1.0 - p)
+        heralds = sum(out.counts.detected.values())
+        seen = np.array([heralds, out.accepted - heralds])
+        z = (seen - mean) / np.sqrt(var)
+        assert np.all(np.abs(z) < 4.0), z
 
     def test_categories_within_bands_at_30db(self, params, security):
         det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
