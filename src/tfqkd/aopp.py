@@ -29,30 +29,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawKeyPair:
-    """Matched raw keys from the Z windows, one bit per heralded event.
+    """Matched raw keys from the Z windows, one byte per heralded event.
 
-    ``tags`` optionally marks positions whose heralded event came from a
-    genuine single-photon emission (simulation ground truth only).
+    Bit 0 of an event byte is Alice's key bit, bit 1 Bob's, and bit 2
+    marks an event whose herald came from a genuine single-photon emission
+    (simulation ground truth only).
     """
 
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-    tags: np.ndarray | None = None
+    events: np.ndarray
 
-    def __post_init__(self):
-        if self.alice_bits.shape != self.bob_bits.shape:
-            raise ValueError("raw keys must have equal length")
-        if self.tags is not None and self.tags.shape != self.bob_bits.shape:
-            raise ValueError("tags must align with the raw keys")
+    @property
+    def alice_bits(self) -> np.ndarray:
+        return self.events & np.uint8(1)
+
+    @property
+    def bob_bits(self) -> np.ndarray:
+        bits = self.events >> 1
+        bits &= 1
+        return bits
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self.events >= 4      # bit 2 is the highest bit an event sets
 
     @property
     def length(self) -> int:
-        return int(self.alice_bits.size)
+        return int(self.events.size)
 
     def error_rate(self) -> float:
-        if self.length == 0:
-            return 0.0
-        return float(np.mean(self.alice_bits != self.bob_bits))
+        # Alice's bit XOR Bob's, in one byte-sized temporary.
+        mismatch = self.events >> 1
+        mismatch ^= self.events
+        mismatch &= 1
+        return np.count_nonzero(mismatch) / max(self.length, 1)
 
 
 @dataclass(frozen=True)

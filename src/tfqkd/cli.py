@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -176,11 +178,20 @@ def cmd_montecarlo(args) -> int:
     cfg = montecarlo.PhaseConfig(
         regime=args.regime,
         residual_sigma=bundle["extras"]["misalignment_sigma_rad"])
+    visibility = bundle["extras"]["visibility"]
     outcome = montecarlo.run_protocol(
         bundle["protocol"], link, det, cfg, n_slots=args.slots,
-        seed=args.seed, visibility=bundle["extras"]["visibility"])
+        seed=args.seed, visibility=visibility)
+    # The inputs the run saw, after --loss-db, in canonical JSON.
+    inputs = {"protocol": dataclasses.asdict(bundle["protocol"]),
+              "link": dataclasses.asdict(link),
+              "detector": dataclasses.asdict(det),
+              "phase": dataclasses.asdict(cfg),
+              "visibility": visibility}
     provenance = {
         "version": __version__,
+        "params_sha256": hashlib.sha256(
+            json.dumps(inputs, sort_keys=True).encode()).hexdigest(),
         "seed": outcome.seed,
         "n_slots": outcome.n_slots,
         "wall_s": outcome.wall_s,
@@ -193,11 +204,12 @@ def cmd_montecarlo(args) -> int:
     out = Path(args.out) if args.out else Path("simoutcome.json")
     out.write_text(json.dumps({**outcome.counts.to_counts_dict(),
                                "provenance": provenance}, indent=2))
+    # One unpacked property at a time: each is as large as the key.
     np.savez_compressed(
         out.with_suffix(".keys.npz"),
         alice=np.packbits(outcome.raw_keys.alice_bits),
         bob=np.packbits(outcome.raw_keys.bob_bits),
-        tags=np.packbits(outcome.raw_keys.tags.astype(np.uint8)),
+        tags=np.packbits(outcome.raw_keys.tags),
         n_bits=outcome.raw_keys.length,
     )
     _write_trace_csv(outcome.phase_trace, out.with_suffix(".phase.csv"))

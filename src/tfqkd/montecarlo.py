@@ -131,9 +131,7 @@ _SN = 5 * Z_SEND + Z_NOSEND
 _NS = 5 * Z_NOSEND + Z_SEND
 _ZZ = (_PAIR_A <= Z_NOSEND) & (_PAIR_B <= Z_NOSEND)
 _XX = (_PAIR_A == _PAIR_B) & ((_PAIR_A == X_U) | (_PAIR_A == X_V))
-_ALICE_BIT = (_PAIR_A == Z_SEND).astype(np.uint8)
-_BOB_BIT = (_PAIR_B == Z_NOSEND).astype(np.uint8)
-_TAG_BIT = 0x80      # a key event's code byte: pair code, | this if tagged
+_KEY_BITS = ((_PAIR_A == Z_SEND) | (_PAIR_B == Z_NOSEND) << 1).astype(np.uint8)
 _XUXU = 5 * X_U + X_U
 _XVXV = 5 * X_V + X_V
 
@@ -672,8 +670,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     candidate slots, at ~4096 trace slots spread over the run and at
     fine-block ends; the fine blocks restart at each batch boundary.
 
-    Each Z-window herald keeps one code byte, its pair code with
-    ``_TAG_BIT`` set when tagged, until the raw keys are built at the end.
+    Each Z-window herald keeps one ``RawKeyPair`` event byte, Alice's and
+    Bob's key bits from ``_KEY_BITS`` and its tag in bit 2; the raw keys
+    are the batches' bytes joined once at the end.
     """
     t_start = time.perf_counter()
     if n_slots < MIN_SLOTS:
@@ -741,7 +740,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     tag_heralded = np.zeros(25, dtype=np.int64)
     x_matched = np.zeros(25, dtype=np.int64)
     x_errors = np.zeros(25, dtype=np.int64)
-    key_codes = []
+    key_events = []
     phase_carry = {}
     dead_slots = det.dead_slots(params.protocol_rate_hz)
     last_kept = [-(dead_slots + 1)] * 2
@@ -817,7 +816,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         heralds += np.bincount(code[heralded], minlength=25)
         tag_heralded += np.bincount(code[tags & heralded], minlength=25)
         zz = _ZZ[code] & heralded
-        key_codes.append(code[zz] | tags[zz] * np.uint8(_TAG_BIT))
+        key_events.append(_KEY_BITS[code[zz]] | tags[zz] << np.uint8(2))
 
         xx = _XX[code] & heralded
         dt_xx = dtheta[xx]
@@ -843,12 +842,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     counts = DecoyCounts(n_tot=float(n_slots), detected=per_category(heralds),
                          sent=per_category(sent), qber_xuu=qber(_XUXU),
                          qber_xvv=qber(_XVXV))
-    key = np.concatenate(key_codes)
-    del key_codes
-    tags = key >= _TAG_BIT
-    key &= _TAG_BIT - 1
-    raw = RawKeyPair(alice_bits=_ALICE_BIT[key], bob_bits=_BOB_BIT[key],
-                     tags=tags)
+    raw = RawKeyPair(np.concatenate(key_events))
 
     gt = {"sn_sent": int(tag_sent[_SN]),
           "sn_heralded": int(tag_heralded[_SN]),

@@ -317,6 +317,36 @@ class TestCriterion6AoppOracle:
         verdict(6, ok, f"1e6-bit keys: |dE_Z'|={d_ez:.5f} (<=0.005), "
                        f"|dn_t'|/n_t'={d_nt:.5f} (<=0.02)")
 
+    def test_bit_level_on_sampler_keys(self, params):
+        # AOPP on run_protocol's own raw keys, tags included, against the
+        # aggregate estimator fed the run's tally and tagged heralds.  The
+        # decoy lower bounds are zero at 2e7 slots (EstimationError: s1
+        # lower bound is zero), so checking the bound n1' against the
+        # tagged survivors waits for larger runs.
+        seed = 0
+        out = run_protocol(params, LinkBudget(20, 15, 9.0, 6.0),
+                           DetectorParams(0.145, 450.0),
+                           PhaseConfig(regime="ideal", residual_sigma=0.1),
+                           20_000_000, seed)
+        raw, gt = out.raw_keys, out.ground_truth
+        bit_level = aopp_sift(raw.alice_bits, raw.bob_bits,
+                              aopp_pair(raw.bob_bits, seed), raw.tags)
+        tally = out.counts.z_bit_tally()
+        est = aopp_estimate(tally, gt["ns_heralded"], gt["sn_heralded"], 0.0)
+        n_pairs = min(tally.n0, tally.n1)
+        survival = est.n_t_prime / n_pairs
+        tagged = est.n1_prime / n_pairs
+        z_nt = ((bit_level.n_t_prime - est.n_t_prime)
+                / math.sqrt(n_pairs * survival * (1.0 - survival)))
+        z_ez = ((bit_level.e_z_prime - est.e_z_prime)
+                / math.sqrt(est.e_z_prime * (1.0 - est.e_z_prime)
+                            / est.n_t_prime))
+        z_n1 = ((bit_level.n1_prime - est.n1_prime)
+                / math.sqrt(n_pairs * tagged * (1.0 - tagged)))
+        ok = max(abs(z_nt), abs(z_ez), abs(z_n1)) <= 4.0
+        verdict(6, ok, f"{raw.length}-bit sampler keys: z(n_t')={z_nt:+.2f}, "
+                       f"z(E_Z')={z_ez:+.2f}, z(n1')={z_n1:+.2f} (|z|<=4)")
+
     def test_exhaustive_enumeration_agreement(self):
         # Sampled 20-bit cases with a small minority side so that every
         # pairing can be enumerated; the aggregate estimator must match the

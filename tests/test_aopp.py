@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,10 +192,27 @@ class TestPhaseErrorDoubling:
 
 
 class TestRawKeyPair:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            RawKeyPair(bits("010"), bits("01"))
-
     def test_error_rate(self):
-        rk = RawKeyPair(bits("0101"), bits("0111"))
+        # Alice 0101 against Bob 0111: event byte = Alice | Bob << 1.
+        rk = RawKeyPair(bits("0101") | bits("0111") << 1)
         assert rk.error_rate() == 0.25
+        assert RawKeyPair(bits("")).error_rate() == 0.0
+
+    def test_event_byte_layout(self):
+        rk = RawKeyPair(np.arange(8, dtype=np.uint8))
+        assert rk.length == 8
+        assert rk.alice_bits.tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
+        assert rk.bob_bits.tolist() == [0, 0, 1, 1, 0, 0, 1, 1]
+        assert rk.tags.tolist() == [False] * 4 + [True] * 4
+        assert rk.error_rate() == 0.5
+
+    def test_error_rate_needs_one_byte_per_event(self):
+        # Unpacking both keys and comparing them would take 3 bytes.
+        rk = RawKeyPair(np.tile(np.arange(8, dtype=np.uint8), 1 << 17))
+        tracemalloc.start()
+        try:
+            assert rk.error_rate() == 0.5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rk.length

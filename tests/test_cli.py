@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tfqkd
@@ -157,6 +158,18 @@ class TestMonteCarlo:
             runs.append(record)
         assert runs[0] == runs[1]
 
+    def test_params_digest_follows_the_effective_link(self, tmp_path):
+        digests = []
+        for loss_db in ("10", "12"):
+            path = tmp_path / f"sim-{loss_db}.json"
+            assert run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
+                            "--loss-db", loss_db, "--out", str(path)]
+                           ) == cli.EXIT_OK
+            digests.append(
+                json.loads(path.read_text())["provenance"]["params_sha256"])
+        assert all(len(d) == 64 for d in digests)
+        assert digests[0] != digests[1]
+
     def test_outcome_file_carries_provenance(self, tmp_path):
         # The provenance rides beside the counts, and keyrate reads the
         # file as it reads the counts alone.
@@ -198,6 +211,16 @@ class TestMonteCarlo:
         record = json.loads(out.read_text())
         del record["provenance"]
         assert record == direct.counts.to_counts_dict()
+        # The key file packs Alice's bits, Bob's bits and the tags.
+        with np.load(out.with_suffix(".keys.npz")) as keys:
+            n_bits = int(keys["n_bits"])
+            unpacked = {name: np.unpackbits(keys[name], count=n_bits)
+                        for name in ("alice", "bob", "tags")}
+        raw = direct.raw_keys
+        assert n_bits == raw.length > 0
+        assert np.array_equal(unpacked["alice"], raw.alice_bits)
+        assert np.array_equal(unpacked["bob"], raw.bob_bits)
+        assert np.array_equal(unpacked["tags"].astype(bool), raw.tags)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -485,6 +485,23 @@ class TestRunProtocol:
         assert batches[1] == 1
         assert peaks[0] <= peaks[1]
 
+    def test_raw_key_costs_about_two_bytes_per_event(self, params):
+        # The key is one event byte, kept per batch and joined once: about
+        # 2 bytes per event at the peak, plus one dense batch's working set
+        # (~12 MB).  Unpacking Alice's bits, Bob's bits and the tags beside
+        # the joined bytes would peak at 4 bytes per event (4.19 here).
+        tracemalloc.start()
+        try:
+            out = run_protocol(params, LinkBudget(0, 0, 0.0, 0.0),
+                               DetectorParams(0.145, 450.0),
+                               PhaseConfig(regime="ideal"), 300_000_000,
+                               seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.raw_keys.length > 6_000_000
+        assert peak / out.raw_keys.length <= 3.0
+
     def test_batch_count_follows_the_rule(self, params, field_link,
                                           field_detector, quick_link,
                                           quick_det, batch_rule):
@@ -694,8 +711,7 @@ class TestRunProtocol:
         assert 0.0 <= gt["s10_true"] <= 1.0
         assert 0.0 <= gt["s1_true"] <= 1.0
         tags = out.raw_keys.tags
-        assert tags is not None and tags.shape == out.raw_keys.alice_bits.shape
-        # Tags ride in the key events' code bytes: every tagged herald is
+        # Tags ride in the key's event bytes: every tagged herald is
         # in the key, and tagged events come from one sender, so match.
         assert tags.dtype == bool
         assert tags.sum() == gt["sn_heralded"] + gt["ns_heralded"] > 0
