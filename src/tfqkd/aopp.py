@@ -109,17 +109,24 @@ def aopp_pair(bob_bits: np.ndarray, seed: int) -> np.ndarray:
 
     Returns an array of shape (n_pairs, 2) with columns (0-position,
     1-position); n_pairs = min(#0s, #1s).  Leftover bits stay unpaired.
+    Positions are int32 while the key is shorter than 2^31 bits, and the
+    pairs fill one preallocated array, so a balanced key peaks at about 8
+    bytes per bit.  The shuffles draw the same numbers for either dtype.
     """
     bob_bits = np.asarray(bob_bits)
     if bob_bits.size == 0:
         raise ValueError("cannot pair an empty key")
+    index = np.int32 if bob_bits.size < 2**31 else np.int64
     rng = np.random.default_rng(seed)
-    zeros = np.flatnonzero(bob_bits == 0)
-    ones = np.flatnonzero(bob_bits == 1)
+    zeros = np.flatnonzero(bob_bits == 0).astype(index)
+    ones = np.flatnonzero(bob_bits == 1).astype(index)
     n_pairs = min(zeros.size, ones.size)
     rng.shuffle(zeros)
     rng.shuffle(ones)
-    return np.column_stack([zeros[:n_pairs], ones[:n_pairs]])
+    pairs = np.empty((n_pairs, 2), dtype=index)
+    pairs[:, 0] = zeros[:n_pairs]
+    pairs[:, 1] = ones[:n_pairs]
+    return pairs
 
 
 def aopp_sift(alice_bits: np.ndarray, bob_bits: np.ndarray,

@@ -4,15 +4,15 @@
 rate.  ``expected_rates_model`` predicts category-resolved detection counts
 and X-basis QBERs for a given link, detector and visibility, which drives
 ``skr_vs_distance`` sweeps and serves as the oracle for the Monte Carlo
-simulator.
+simulator.  Both come in closed form from the click model in
+``montecarlo``: the counts from ``phase_averaged_law``, the QBERs from
+``phase_matched_qber``; no phase grid is integrated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from . import decoy
 from .aopp import AoppOutput, aopp_estimate
@@ -28,7 +28,7 @@ from .model import (
     SecurityParams,
     transmissivities,
 )
-from .montecarlo import click_probs, phase_averaged_law
+from .montecarlo import phase_averaged_law, phase_matched_qber
 
 __all__ = [
     "KeyRateReport",
@@ -149,10 +149,6 @@ def analyze_counts(counts: decoy.DecoyCounts, params: ProtocolParams,
 # Analytic forward model
 # ---------------------------------------------------------------------------
 
-_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(21)
-_HERMITE_WEIGHTS = _HERMITE_WEIGHTS / np.sqrt(2.0 * np.pi)
-
-
 def _heralded_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
     """Phase-averaged probability of exactly one detector clicking.
 
@@ -178,27 +174,6 @@ def _single_click_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
     return law[0] + law[2]
 
 
-def _windowed_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
-                   window_rad, jitter_sigma):
-    """Expected QBER of phase-matched same-decoy pairs.
-
-    Integrates the wrong-detector heralding probability over the accepted
-    encoding-phase window around zero, convolved with a Gaussian residual
-    channel phase of width jitter_sigma.  The pi-shifted window is
-    identical by symmetry.
-    """
-    theta = np.linspace(-window_rad, window_rad, 129)
-    delta = theta[:, None] + jitter_sigma * _HERMITE_NODES[None, :]
-    weights = _HERMITE_WEIGHTS[None, :]
-    p1, p2 = click_probs(mu_a, mu_b, delta, eta_a, eta_b,
-                         det_eff, p_dark, visibility)
-    wrong = np.sum(p2 * (1.0 - p1) * weights, axis=1)
-    either = np.sum((p1 * (1.0 - p2) + p2 * (1.0 - p1)) * weights, axis=1)
-    num = np.trapezoid(wrong, theta)
-    den = np.trapezoid(either, theta)
-    return float(num / den) if den > 0 else 0.0
-
-
 def expected_rates_model(
         params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         visibility: float = DEFAULT_VISIBILITY,
@@ -213,15 +188,17 @@ def expected_rates_model(
     non-paralyzable detector whose clicks arrive as a Bernoulli stream of
     r per slot and which is dead for D = ``det.dead_slots`` slots after
     each kept click: a cycle lasts D + 1/r slots on average and keeps one
-    of its 1 + r D clicks.  Returns a DecoyCounts with fractional expected
-    counts and predicted Xuu/Xvv QBERs.
+    of its 1 + r D clicks.  The Xuu/Xvv QBERs are those of the
+    phase-matched windows under a Gaussian residual phase of width
+    ``misalignment_sigma_rad``, from ``phase_matched_qber``.  Returns a
+    DecoyCounts with fractional expected counts and the predicted QBERs.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     eta_a, eta_b = transmissivities(link)
     p_dark = det.dark_prob(params.clock_rate_hz)
-    mu_a = params.alice.intensity_of()
-    mu_b = params.bob.intensity_of()
+    mu_a = params.alice.intensity_of().tolist()
+    mu_b = params.bob.intensity_of().tolist()
     pa = params.alice.class_probs().tolist()
     pb = params.bob.class_probs().tolist()
 
@@ -240,9 +217,9 @@ def expected_rates_model(
     detected = {k: sent[k] * heralded[k] * retention for k in decoy.CATEGORIES}
 
     qber_xuu, qber_xvv = (
-        _windowed_qber(mu_a[c], mu_b[c], eta_a, eta_b, det.efficiency, p_dark,
-                       visibility, params.phase_window_rad(),
-                       misalignment_sigma_rad)
+        phase_matched_qber(mu_a[c], mu_b[c], eta_a, eta_b, det.efficiency,
+                           p_dark, visibility, params.phase_window_rad(),
+                           misalignment_sigma_rad)
         for c in (X_U, X_V))
     return decoy.DecoyCounts(n_tot=n_tot, detected=detected, sent=sent,
                              qber_xuu=qber_xuu, qber_xvv=qber_xvv)

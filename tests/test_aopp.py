@@ -52,6 +52,35 @@ class TestPairing:
         with pytest.raises(ValueError):
             aopp_pair(np.array([], dtype=np.uint8), seed=0)
 
+    def test_same_pairs_as_int64_positions(self):
+        # The int64 pairing: the shuffles draw the same numbers whatever
+        # the dtype, so the int32 positions pair the same bits.
+        b = np.random.default_rng(4).integers(0, 2, 100_001).astype(np.uint8)
+        for seed in (0, 9):
+            rng = np.random.default_rng(seed)
+            zeros = np.flatnonzero(b == 0)
+            ones = np.flatnonzero(b == 1)
+            n = min(zeros.size, ones.size)
+            rng.shuffle(zeros)
+            rng.shuffle(ones)
+            pairs = aopp_pair(b, seed)
+            assert pairs.dtype == np.int32
+            assert np.array_equal(pairs,
+                                  np.column_stack([zeros[:n], ones[:n]]))
+
+    def test_pairing_peaks_below_nine_bytes_per_bit(self):
+        # int64 positions and int64 pairs would take 16 bytes per bit.
+        events = np.random.default_rng(2).integers(0, 8, 2_000_000,
+                                                   dtype=np.uint8)
+        bob = RawKeyPair(events).bob_bits
+        tracemalloc.start()
+        try:
+            aopp_pair(bob, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * bob.size
+
 
 class TestSift:
     def test_error_free_keys_all_survive(self):

@@ -211,6 +211,36 @@ class TestSweep:
         assert report.r_per_signal > 0
 
 
+# expected_rates_model's counts on the bundled link, bit for bit.
+FORWARD_DETECTED = {
+    "ZZss": 69943475.1056548,
+    "ZZsn": 98878647.99425721,
+    "ZZns": 73023669.1811764,
+    "ZZnn": 2992483.0545716123,
+    "ZXsu": 3822075.9364626203,
+    "ZXsv": 26710077.017046265,
+    "ZXsw": 4362293.293864287,
+    "ZXnu": 3314227.9455326083,
+    "ZXnv": 5461048.340392412,
+    "ZXnw": 132021.31123110047,
+    "XZus": 2081651.0448111543,
+    "XZun": 2942816.9045909876,
+    "XZvs": 26428096.101616547,
+    "XZvn": 8102209.441354754,
+    "XZws": 4721357.921196747,
+    "XZwn": 193479.50783868172,
+    "XXuu": 113752.26001376843,
+    "XXuv": 794942.768364472,
+    "XXuw": 129830.1575554847,
+    "XXvu": 1246804.2529069409,
+    "XXvv": 3546712.531611252,
+    "XXvw": 357450.4165303566,
+    "XXwu": 214281.97923702197,
+    "XXwv": 353085.0220081299,
+    "XXww": 8535.860639941839,
+}
+
+
 class TestPinnedOutputs:
     """Analysis outputs pinned bit for bit.
 
@@ -235,7 +265,16 @@ class TestPinnedOutputs:
             visibility=bundle["extras"]["visibility"],
             misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"])
         assert [(r["skr_bit_per_pulse"], r["skr_bit_per_s"]) for r in rows] == [
-            (1.544961541249426e-05, 7724.80770624713),
-            (9.737010064856167e-06, 4868.505032428084),
-            (3.620699799075129e-07, 181.03498995375645),
+            (1.544994384231143e-05, 7724.971921155715),
+            (9.737226416816172e-06, 4868.613208408086),
+            (3.620954371761607e-07, 181.04771858808033),
         ]
+
+    def test_forward_counts(self, bundle):
+        counts = expected_rates_model(
+            bundle["protocol"], bundle["link"], bundle["detector"],
+            visibility=bundle["extras"]["visibility"],
+            misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"])
+        assert counts.detected == FORWARD_DETECTED
+        assert (counts.qber_xuu, counts.qber_xvv) == (0.04796574507105125,
+                                                      0.05768068182377466)

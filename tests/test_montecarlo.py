@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import i0
 
 from tfqkd import decoy, keyrate, montecarlo
-from tfqkd.model import (DetectorParams, LinkBudget, SideParams, ProtocolParams,
-                         transmissivities)
+from tfqkd.model import (X_U, X_V, DetectorParams, LinkBudget, SideParams,
+                         ProtocolParams, transmissivities)
 from tfqkd.montecarlo import (
     FeedbackDivergence,
     PhaseConfig,
@@ -150,6 +150,59 @@ class TestPhaseAveragedLaw:
             p1, p2 = one + both, two + both
             assert both == pytest.approx(p1 * p2, rel=1e-15, abs=0.0)
             assert neither == pytest.approx((1 - p1) * (1 - p2), rel=1e-15)
+
+
+class TestPhaseMatchedQber:
+    # The closed form against an independent quadrature of click_probs:
+    # 400 Gauss-Legendre nodes over the window times 101 Gauss-Hermite
+    # nodes over the jitter, both far past convergence for these smooth
+    # integrands.
+    LEGENDRE = np.polynomial.legendre.leggauss(400)
+    HERMITE = np.polynomial.hermite_e.hermegauss(101)
+
+    def quadrature(self, mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, v,
+                   window, sigma):
+        theta = window * self.LEGENDRE[0]
+        delta = theta[:, None] + sigma * self.HERMITE[0][None, :]
+        p1, p2 = click_probs(mu_a, mu_b, delta, eta_a, eta_b, det_eff,
+                             p_dark, v)
+        jitter = self.HERMITE[1] / math.sqrt(2.0 * math.pi)
+        wrong = (p2 * (1.0 - p1)) @ jitter
+        either = (p1 * (1.0 - p2) + p2 * (1.0 - p1)) @ jitter
+        return (wrong @ self.LEGENDRE[1]) / (either @ self.LEGENDRE[1])
+
+    def test_matches_the_quadrature(self, params):
+        # 0-90 dB, down to V = 1, sigma = 0 and no dark counts at 90 dB,
+        # where the window's first-order terms nearly cancel.
+        window = params.phase_window_rad()
+        for loss_db in range(0, 91, 10):
+            eta_a, eta_b = transmissivities(
+                keyrate.split_loss_link(float(loss_db), params))
+            for c in (X_U, X_V):
+                mu_a = float(params.alice.intensity_of()[c])
+                mu_b = float(params.bob.intensity_of()[c])
+                for v in (0.5, 0.97, 1.0):
+                    for sigma in (0.0, 0.1, 0.5, 1.2):
+                        for p_dark in (0.0, 4.5e-7, 1e-3):
+                            args = (mu_a, mu_b, eta_a, eta_b, 0.145, p_dark,
+                                    v, window, sigma)
+                            assert montecarlo.phase_matched_qber(
+                                *args) == pytest.approx(
+                                    self.quadrature(*args), rel=1e-12,
+                                    abs=0.0), args
+
+    def test_no_visibility_errs_half_the_time(self, params):
+        # Without interference the two detectors are alike at every phase.
+        args = (0.3, 0.1, 1e-3, 1e-2, 0.145, 4.5e-7, 0.0,
+                params.phase_window_rad(), 0.1)
+        assert montecarlo.phase_matched_qber(*args) == 0.5
+
+    def test_no_heralds_no_error(self):
+        # Blind, dark-free detectors, or detectors that always click.
+        assert montecarlo.phase_matched_qber(0.0, 0.0, 1.0, 1.0, 1.0, 0.0,
+                                             1.0, 0.4, 0.1) == 0.0
+        assert montecarlo.phase_matched_qber(0.3, 0.3, 1.0, 1.0, 1.0, 1.0,
+                                             1.0, 0.4, 0.1) == 0.0
 
 
 class TestPhaseDrift:
