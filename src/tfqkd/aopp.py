@@ -26,6 +26,8 @@ __all__ = [
     "pair_phase_error_rate",
 ]
 
+_PAIR_CHUNK = 1 << 16         # key bits per chunk of aopp_pair's positions
+
 
 @dataclass(frozen=True)
 class RawKeyPair:
@@ -104,22 +106,35 @@ class ZBitTally:
         return (self.err0 + self.err1) / self.n_t if self.n_t > 0 else 0.0
 
 
+def _positions(bits: np.ndarray, bit: int, index) -> np.ndarray:
+    """Positions of ``bit`` in ``bits`` as ``index``, filled chunk by chunk
+    so that no int64 position array of the whole key is made."""
+    out = np.empty(np.count_nonzero(bits == bit), dtype=index)
+    filled = 0
+    for lo in range(0, bits.size, _PAIR_CHUNK):
+        at = np.flatnonzero(bits[lo:lo + _PAIR_CHUNK] == bit) + lo
+        out[filled:filled + at.size] = at
+        filled += at.size
+    return out
+
+
 def aopp_pair(bob_bits: np.ndarray, seed: int) -> np.ndarray:
     """Randomly pair 0-bit positions with 1-bit positions.
 
     Returns an array of shape (n_pairs, 2) with columns (0-position,
     1-position); n_pairs = min(#0s, #1s).  Leftover bits stay unpaired.
-    Positions are int32 while the key is shorter than 2^31 bits, and the
-    pairs fill one preallocated array, so a balanced key peaks at about 8
-    bytes per bit.  The shuffles draw the same numbers for either dtype.
+    Positions are int32 while the key is shorter than 2^31 bits; they are
+    filled chunk by chunk and the pairs fill one preallocated array, so a
+    key of any balance peaks at about 8 bytes per bit.  The shuffles draw
+    the same numbers for either dtype.
     """
     bob_bits = np.asarray(bob_bits)
     if bob_bits.size == 0:
         raise ValueError("cannot pair an empty key")
     index = np.int32 if bob_bits.size < 2**31 else np.int64
     rng = np.random.default_rng(seed)
-    zeros = np.flatnonzero(bob_bits == 0).astype(index)
-    ones = np.flatnonzero(bob_bits == 1).astype(index)
+    zeros = _positions(bob_bits, 0, index)
+    ones = _positions(bob_bits, 1, index)
     n_pairs = min(zeros.size, ones.size)
     rng.shuffle(zeros)
     rng.shuffle(ones)

@@ -168,9 +168,9 @@ def cmd_montecarlo(args) -> int:
     if det is None or link is None:
         raise SchemaError("montecarlo needs link and detector keys in the "
                           "parameter file")
-    if args.slots < montecarlo.MIN_SLOTS:
-        raise SchemaError(f"--slots must be at least {montecarlo.MIN_SLOTS}, "
-                          f"got {args.slots}")
+    if not montecarlo.MIN_SLOTS <= args.slots < montecarlo.MAX_SLOTS:
+        raise SchemaError(f"--slots must be at least {montecarlo.MIN_SLOTS} "
+                          f"and below 2^55, got {args.slots}")
     _check("--seed", args.seed, NON_NEGATIVE)
     _check("--loss-db", args.loss_db, NON_NEGATIVE)
     if args.loss_db is not None:

@@ -29,10 +29,10 @@ approximation, for six reasons:
   In a slot of any other pair code theta_A - theta_B is uniform and
   independent of the channel phase phi, so delta is uniform too and the
   slot clicks i.i.d. with the phase-averaged law of
-  ``phase_averaged_law``.  Such a code draws its clicking slots
-  once per run, Bin(T_ab, q_ab) with q = P(1 only) + P(2 only) + P(both)
-  summed (1 - neither would cancel at deep loss), and each click takes
-  its outcome from the three click outcomes of the law.
+  ``phase_averaged_law``.  One multinomial per run splits such a
+  code's T_ab slots over the law's four outcomes; numpy draws it as
+  binomials in turn with "neither" the remainder, so no probability is
+  formed as 1 - neither, which would cancel at deep loss.
 * A per-slot bound for the XX codes.  With delta = theta_A - theta_B + phi
   the click probabilities p1(delta), p2(delta) of a slot never exceed
   their values at cos(delta) = 1 and -1, so P(any click) <= p_bar = 1 -
@@ -42,12 +42,14 @@ approximation, for six reasons:
   with probability P(c1, c2 | delta) / p_bar at its own delta and is
   dropped otherwise, so every slot gets outcome (c1, c2) with probability
   P(c1, c2 | delta).
-* One subset draw per batch.  Clicks and candidacy are independent from
-  slot to slot given the code, so the slots labelled "event of code ab"
-  or "no event" stay exchangeable: a batch's label counts are a uniformly
-  random subset of the labels not yet placed (one multivariate
-  hypergeometric draw over 26 labels), and its events sit at uniformly
-  random distinct slots of the batch, in random order.
+* One subset draw per batch.  A slot's fate (its outcome, tag or XX
+  candidacy) is independent from slot to slot given the code, so the
+  slots labelled with their fate, one label per (code, outcome, tag) and
+  one per XX code's candidates (77 labels), or "no event" stay
+  exchangeable: the run draws each label's count once, a batch's label
+  counts are a uniformly random subset of the labels not yet placed (one
+  multivariate hypergeometric draw over 78 labels), and its events sit
+  at uniformly random distinct slots of the batch.
 * Phase only where it is read.  theta_A - theta_B is uniform and
   independent of phi, and only the XX matching windows read it, so no
   other slot draws a phase at all.  The channel phase is a
@@ -59,8 +61,10 @@ approximation, for six reasons:
   phase-averaged law P_coh(o), in closed form from
   ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
   P_coh(o) (``_tag_posterior``) gives (o, tag) the Fock picture's joint
-  law t P1(o).  Slots without a click are all "neither", so one binomial
-  per run tags them.
+  law t P1(o).  Tags are independent from slot to slot given the
+  outcome, so one binomial per (sn / ns, outcome) per run tags them all,
+  the slots without a click ("neither") included, and the tag rides in
+  the event's label.
 
 Forward-model physics.  The click model's phase averages are in closed
 form here too, from one ``detector_means`` call each: the outcome law at
@@ -117,6 +121,7 @@ __all__ = [
     "SimOutcome",
     "FeedbackDivergence",
     "MIN_SLOTS",
+    "MAX_SLOTS",
     "detector_means",
     "click_probs",
     "phase_averaged_law",
@@ -128,6 +133,7 @@ __all__ = [
 ]
 
 MIN_SLOTS = 10_000
+MAX_SLOTS = 1 << 55           # exclusive: slot << 8 | label fits int64
 _MIN_BATCH_SLOTS = 1 << 20
 _BATCH_EVENTS = 1 << 14       # events per batch above 2^20 slots
 _TRACE_POINTS = 4096
@@ -142,6 +148,27 @@ _XX = (_PAIR_A == _PAIR_B) & ((_PAIR_A == X_U) | (_PAIR_A == X_V))
 _KEY_BITS = ((_PAIR_A == Z_SEND) | (_PAIR_B == Z_NOSEND) << 1).astype(np.uint8)
 _XUXU = 5 * X_U + X_U
 _XVXV = 5 * X_V + X_V
+
+# Event labels, grouped by pair code: one per (code, outcome, tag) an event
+# can take.  A phase-blind event carries its outcome (0: detector 1 only,
+# 1: 2 only, 2: both) and, for sn / ns, its single-photon tag, each tagged
+# label right after its untagged twin; an XX candidate draws its outcome
+# per event, so it has one label and no outcome.  A label's cell is its
+# entry in the run's (code, outcome) table of counts, outcome 0 for XX.
+_LABEL_CODE, _LABEL_OUTCOME, _LABEL_TAG = np.array([
+    (code, outcome, tag) for code in range(25)
+    for outcome in ((-1,) if _XX[code] else range(3))
+    for tag in ((0, 1) if code in (_SN, _NS) else (0,))]).T
+_N_LABELS = _LABEL_CODE.size
+_CODE_FIRST_LABEL = np.searchsorted(_LABEL_CODE, np.arange(25))
+_LABEL_XX = _XX[_LABEL_CODE]
+_LABEL_ZZ = _ZZ[_LABEL_CODE]
+_LABEL_C1 = (_LABEL_OUTCOME == 0) | (_LABEL_OUTCOME == 2)
+_LABEL_C2 = _LABEL_OUTCOME >= 1
+_LABEL_KEY = _KEY_BITS[_LABEL_CODE] | (_LABEL_TAG << 2).astype(np.uint8)
+_LABEL_CELL = 4 * _LABEL_CODE + np.maximum(_LABEL_OUTCOME, 0)
+_TAGGED_LABELS = np.array([np.flatnonzero((_LABEL_CODE == code) & _LABEL_TAG)
+                           for code in (_SN, _NS)])
 
 
 class FeedbackDivergence(RuntimeError):
@@ -631,15 +658,17 @@ class SimOutcome:
     """Result of one Monte Carlo protocol run.
 
     ``wall_s`` is the run's wall time and ``stage_s`` splits it into wall
-    seconds per stage: "draws" (set-up, the run's pair table and
-    candidates, each batch's label draw and slots), "phase" (channel
-    phase), "thinning" (click outcomes and tags), "deadtime" and "tally"
-    (counts, keys and the outcome); ``candidates`` counts the events the
-    run drew, the clicks of the 23 phase-blind pair codes plus the
-    thinning candidates of XuXu and XvXv, and ``accepted`` those of them
-    that clicked.  Every phase-blind event clicks, so candidates -
-    accepted is the XX candidates the thinning dropped, and accepted /
-    candidates is not an all-code acceptance ratio.  ``batches`` is the
+    seconds per stage: "draws" (set-up, the run's pair table, candidates
+    and label counts, each batch's label draw and slots), "phase" (channel
+    phase), "thinning" (label lookups and the XX candidates' outcomes),
+    "deadtime" and "tally" (label counts, keys and the outcome);
+    ``candidates`` counts the events the run drew, the clicks of the 23
+    phase-blind pair codes plus the thinning candidates of XuXu and XvXv,
+    and ``accepted`` those of them that clicked: the phase-blind clicks
+    from the run's label counts plus the XX candidates the thinning kept.
+    Every phase-blind event clicks, so candidates - accepted is the XX
+    candidates the thinning dropped, and accepted / candidates is not an
+    all-code acceptance ratio.  ``batches`` is the
     number of batches the run was cut into.
     """
 
@@ -682,19 +711,39 @@ def _tag_posterior(mu_send: float, mu_silent: float, q: float,
     return np.minimum(1.0, posterior)
 
 
-def _scatter(codes: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Slots of a batch's events labelled ``codes``: distinct, uniform, in
-    random order (exact by exchangeability; see the module docstring).
+def _scatter(labels: np.ndarray, n: int,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and labels, in slot order, of a batch's events labelled
+    ``labels``, placed at uniformly random distinct slots of the batch's
+    ``n`` (exact by exchangeability; see the module docstring).
 
-    numpy's ``choice`` allocates the whole slot range (8 bytes a slot)
-    once the events pass 1/50 of the slots, and otherwise memory in
-    proportion to the events.  A batch above 2^20 slots holds about 2^14
-    events, under 1/64 of its slots.  A 2^20-slot batch, the minimum,
-    holds 2^20 times the link's events per slot, a share with no bound
-    but 1: about 23k events (2.2%) on a near-lossless link, where
-    ``choice`` allocates 8.4 MB.
+    Each event draws a uniform slot, and one in-place sort of slot << 8 |
+    label puts the events in slot order.  Where events share a slot the
+    first keeps it, and the others take a uniformly random sample of the
+    free slots, without replacement and in random order: the r-th free
+    slot is r plus the taken slots t_i with t_i - i <= r.  Every step
+    commutes with any relabelling of the slots, so the events' slots are a
+    uniformly random injection, the law of ``choice(n, k,
+    replace=False)``, with no ``choice`` over the whole batch: memory stays
+    near 9 bytes per event, and only the sample of free slots (about
+    k^2 / 2n events) goes through ``choice``.
     """
-    return rng.choice(n, codes.size, replace=False)
+    events = rng.integers(0, n, labels.size)
+    events <<= 8
+    events |= labels
+    events.sort()
+    slot = events >> 8
+    shared = np.flatnonzero(slot[1:] == slot[:-1]) + 1
+    if shared.size:
+        kept = np.delete(events, shared)
+        taken = kept >> 8
+        rank = rng.choice(n - taken.size, shared.size, replace=False)
+        free = rank + np.searchsorted(taken - np.arange(taken.size), rank,
+                                      side="right")
+        moved = np.sort(free << 8 | events[shared] & 255)
+        events = np.insert(kept, np.searchsorted(kept, moved), moved)
+        slot = events >> 8
+    return slot, events.astype(np.uint8)
 
 
 def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
@@ -708,41 +757,47 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     raw keys and X-window error tallies under the phase-matching rule.
     Identical seeds give identical outcomes.
 
-    The cost grows with the clicks, not the slots.  Before any batch
-    runs, ``fair_sampled_classes`` draws the run's pair table T (a starved
-    class raises PatternError) and ``_law_table`` the phase-averaged law
-    of each pair code.  Each of the 23 phase-blind codes draws its clicks
-    C_ab ~ Bin(T_ab, q_ab), q the law's click outcomes summed; XuXu and
-    XvXv draw thinning candidates C_ab ~ Bin(T_ab, p_bar_ab), p_bar_ab =
-    1 - (1 - p1(cos delta = 1)) (1 - p2(cos delta = -1)) from
-    ``click_probs``.  The run is cut into batches of max(2^20, min(n_slots,
-    ceil(2^14 n_slots / sum C))) slots: dense links keep 2^20-slot batches,
-    sparse ones pay a batch's fixed cost once per ~2^14 events.  Each
-    batch takes its events per code by one subset draw over the 25 codes'
-    remaining events and the remaining other slots, and places them at
-    uniformly random distinct slots.  A phase-blind event takes outcome 1
-    only, 2 only or both in proportion to the law, with no phase draw.  An
-    XX candidate draws its global phase difference theta_A - theta_B
-    uniform on [0, 2 pi) (only that difference mod 2 pi enters the
-    interference and the matching windows), adds the channel phase at its
-    slot and keeps outcome (c1, c2) with probability P(c1, c2 | delta) /
-    p_bar.  Double clicks stay events, so both detectors' clicks reach
-    ``filter_deadtime``.  Clicking sn / ns slots draw their single-photon
-    tag from ``_tag_posterior`` given their outcome, and one binomial at
-    the end of the run tags the sn / ns slots that did not click.  The
-    module docstring says why this is exact.
+    The cost grows with the clicks, not the slots.  Before any batch runs,
+    ``fair_sampled_classes`` draws the run's pair table T (a starved class
+    raises PatternError) and ``_law_table`` the phase-averaged law of each
+    pair code.  Each slot's fate is then drawn as counts, once per run, by
+    one multinomial per code: each of the 23 phase-blind codes splits its
+    T_ab slots over the law's four outcomes (1 only, 2 only, both,
+    neither), and XuXu and XvXv draw thinning candidates C_ab ~ Bin(T_ab,
+    p_bar_ab), with p_bar_ab = 1 - (1 - p1(cos delta = 1)) (1 - p2(cos
+    delta = -1)) from ``click_probs``.  Binomials with ``_tag_posterior``
+    tag the sn / ns clicks per outcome and the sn / ns slots that did not
+    click.  Every event gets one byte-sized label, one per (code, outcome,
+    tag), and an XX code's candidates one label each (``_LABEL_CODE`` and
+    the tables beside it).  The run is cut into batches of max(2^20,
+    min(n_slots, ceil(2^14 n_slots / C))) slots, C the run's events (clicks
+    and candidates): dense links keep 2^20-slot batches, sparse ones pay a
+    batch's fixed cost once per ~2^14 events.  Each batch takes its events
+    per label by one subset draw over the labels' remaining events and the
+    remaining other slots, and ``_scatter`` places them at uniformly random
+    distinct slots, in slot order.  A phase-blind event's outcome, key bits
+    and tag are lookups of its label, with no phase or uniform draw.  An XX
+    candidate draws its global phase difference theta_A - theta_B uniform
+    on [0, 2 pi) (only that difference mod 2 pi enters the interference and
+    the matching windows), adds the channel phase at its slot and keeps
+    outcome (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double
+    clicks stay events, so both detectors' clicks reach
+    ``filter_deadtime``.  The module docstring says why this is exact.
 
     The channel phase (``_channel_phase``) is evaluated only at XX
     candidate slots, at ~4096 trace slots spread over the run and at
     fine-block ends; the fine blocks restart at each batch boundary.
 
-    Each Z-window herald keeps one ``RawKeyPair`` event byte, Alice's and
+    The tallies are one ``bincount`` of the heralded labels per batch,
+    folded by code at the end.  Each Z-window herald keeps one
+    ``RawKeyPair`` event byte, its label's ``_LABEL_KEY``: Alice's and
     Bob's key bits from ``_KEY_BITS`` and its tag in bit 2; the raw keys
     are the batches' bytes joined once at the end.
     """
     t_start = time.perf_counter()
-    if n_slots < MIN_SLOTS:
-        raise ValueError(f"run_protocol needs at least {MIN_SLOTS} slots")
+    if not MIN_SLOTS <= n_slots < MAX_SLOTS:
+        raise ValueError(f"run_protocol takes {MIN_SLOTS} to 2^55 - 1 "
+                         f"slots, not {n_slots}")
     stage_s = dict.fromkeys(("draws", "phase", "thinning", "deadtime",
                              "tally"), 0.0)
     lap_start = t_start
@@ -768,42 +823,43 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     # p2 at cos(delta) = -1 is p1 at cos(delta) = 1, to the bit.
     p, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
                        p_dark, visibility)
-    # Candidates: the clicks of a phase-blind code, summed from the law's
-    # click outcomes (1 - neither cancels at deep loss), and the XX codes'
-    # thinning candidates under p_bar.
-    p_cand = np.where(_XX, p + p - p * p, law[:, 0] + law[:, 1] + law[:, 2])
-    cand = rng_run.binomial(sent, p_cand)
-    n_cand = int(cand.sum())
-    # Per code, the uniform u on [0, p_cand) gives detector 1 alone below
-    # cuts[0], both below cuts[1] and detector 2 alone below cuts[2].  A
-    # phase-blind candidate always clicks; XX rows are replaced per
-    # candidate from its delta.
-    cuts = np.array([law[:, 0], law[:, 0] + law[:, 2], np.full(25, np.inf)])
+    p_bar = p + p - p * p
+    # Each slot's fate, as counts: one multinomial per code over the
+    # outcomes (1 only, 2 only, both, neither).  A phase-blind code takes
+    # its law; numpy draws it as binomials in turn with "neither" the
+    # remainder, so no probability is formed as 1 - neither, which cancels
+    # at deep loss.  An XX code's events are its thinning candidates, its
+    # first outcome at p_bar.  The sn / ns events and slots without a click
+    # take their tags by the posterior given the outcome.
+    pvals = law.copy()
+    pvals[_XX, :3] = 0.0
+    pvals[_XX, 0] = p_bar[_XX]
+    fate = rng_run.multinomial(sent, pvals)
+    tag_prob = np.array([
+        _tag_posterior(mu_a[_SN], mu_b[_SN], eta_a * det.efficiency, p_dark,
+                       law[_SN]),
+        _tag_posterior(mu_b[_NS], mu_a[_NS], eta_b * det.efficiency, p_dark,
+                       law[_NS])])
+    tagged = rng_run.binomial(fate[[_SN, _NS]], tag_prob)
+    # Labels not yet placed: each label's events, then the other slots.
+    left = np.append(fate.ravel()[_LABEL_CELL], fate[:, 3].sum())
+    left[_TAGGED_LABELS] = tagged[:, :3]
+    left[_TAGGED_LABELS - 1] -= tagged[:, :3]   # the untagged twin label
+    n_cand = n_slots - int(left[-1])
     # ceil(2^14 n_slots / n_cand) in integers; no candidates, one batch.
     batch = max(_MIN_BATCH_SLOTS,
                 min(n_slots, -(-_BATCH_EVENTS * n_slots // max(n_cand, 1))))
     n_batches = -(-n_slots // batch)
     batch_seeds = seeds.spawn(n_batches)
-    # Labels not yet placed: each code's candidates, then the other slots.
-    left = np.append(cand, n_slots - n_cand)
-    tag_prob = np.zeros((25, 4))     # pair code, outcome -> P(tag | outcome)
-    for code, mu_send, mu_silent, eta_send in (
-            (_SN, mu_a[_SN], mu_b[_SN], eta_a),
-            (_NS, mu_b[_NS], mu_a[_NS], eta_b)):
-        tag_prob[code] = _tag_posterior(
-            mu_send, mu_silent, eta_send * det.efficiency, p_dark,
-            law[code])
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)
     ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
 
-    # Per pair code: clicked candidates, heralds, tagged slots and heralds,
-    # phase-matched and erroneous X heralds.
-    clicked = np.zeros(25, dtype=np.int64)
-    heralds = np.zeros(25, dtype=np.int64)
-    tag_sent = np.zeros(25, dtype=np.int64)
-    tag_heralded = np.zeros(25, dtype=np.int64)
+    # Heralds per label, XX candidates the thinning dropped, and per pair
+    # code the phase-matched and erroneous X heralds.
+    heralds = np.zeros(_N_LABELS, dtype=np.int64)
+    dropped = 0
     x_matched = np.zeros(25, dtype=np.int64)
     x_errors = np.zeros(25, dtype=np.int64)
     key_events = []
@@ -811,6 +867,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     dead_slots = det.dead_slots(params.protocol_rate_hz)
     last_kept = [-(dead_slots + 1)] * 2
     trace_t, trace_phi = [], []
+    lap("draws")
 
     for b in range(n_batches):
         lo = b * batch
@@ -820,16 +877,17 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
         drawn = _subset_counts(left, n, rng_slot)
         left -= drawn
-        code = np.repeat(np.arange(25, dtype=np.uint8), drawn[:25])
-        slot = _scatter(code, n, rng_slot)
+        label = np.repeat(np.arange(_N_LABELS, dtype=np.uint8), drawn[:-1])
+        slot, label = _scatter(label, n, rng_slot)
+        xx_at = np.flatnonzero(_LABEL_XX[label])
+        xx_slot = slot[xx_at]
         lap("draws")
 
         # Channel phase at the XX candidate slots, the trace slots, the
         # fine-block ends and the batch's last slot (the carried state).
-        in_xx = _XX[code]
         trace_slots = np.arange(-lo % trace_stride, n, trace_stride)
         ends = _fine_block_ends(phase_cfg, n, slot_dt)
-        points = np.sort(np.concatenate([slot[in_xx], trace_slots, ends]))
+        points = np.sort(np.concatenate([xx_slot, trace_slots, ends]))
         points = points[np.diff(points, prepend=-1) > 0]
         phi = _channel_phase(phase_cfg, points, slot_dt, phase_rngs,
                              phase_carry, ref_flux, visibility)
@@ -837,35 +895,25 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
         lap("phase")
 
-        # Click outcomes.  A phase-blind candidate takes its outcome from
-        # the law; an XX candidate keeps (c1, c2) with probability
-        # P(c1, c2 | delta) / p_bar at delta = theta_A - theta_B + phi.
-        u = rng_slot.random(code.size) * p_cand[code]
-        cut1, cut_both, cut2 = cuts.take(code, axis=1)
-        xx_at = np.flatnonzero(in_xx)
-        dtheta = np.zeros(code.size)
-        dtheta[xx_at] = rng_slot.random(xx_at.size) * (2.0 * np.pi)
-        xx_code = code[xx_at]
+        # Click outcomes.  A phase-blind event's outcome is its label's; an
+        # XX candidate keeps (c1, c2) with probability P(c1, c2 | delta) /
+        # p_bar at delta = theta_A - theta_B + phi: detector 1 alone for u
+        # below p1 - both, both below p1, detector 2 alone below p1 + p2 -
+        # both.
+        c1 = _LABEL_C1[label]
+        c2 = _LABEL_C2[label]
+        xx_code = _LABEL_CODE[label[xx_at]]
+        u = rng_slot.random(xx_at.size) * p_bar[xx_code]
+        dtheta = rng_slot.random(xx_at.size) * (2.0 * np.pi)
         p1, p2 = click_probs(
             mu_a[xx_code], mu_b[xx_code],
-            dtheta[xx_at] + phi[np.searchsorted(points, slot[xx_at])],
+            dtheta + phi[np.searchsorted(points, xx_slot)],
             eta_a, eta_b, det.efficiency, p_dark, visibility)
         both = p1 * p2
-        cut1[xx_at], cut_both[xx_at], cut2[xx_at] = (p1 - both, p1,
-                                                     p1 + p2 - both)
-        c1 = u < cut_both
-        c2 = (u >= cut1) & (u < cut2)
-        fired = np.flatnonzero(c1 | c2)
-        del u, cut1, cut_both, cut2   # candidate-sized: free before the clicks
-
-        order = fired[np.argsort(slot[fired])]
-        slot, code, c1, c2 = slot[order], code[order], c1[order], c2[order]
-        dtheta = dtheta[order]
-        clicked += np.bincount(code, minlength=25)
-        # Tags given the outcome (0: 1 only, 1: 2 only, 2: both); the slots
-        # that did not click are all "neither" (3), tagged after the loop.
-        outcome = np.where(c1, 2 * c2, 1)
-        tags = rng_slot.random(code.size) < tag_prob[code, outcome]
+        xx_c1 = u < p1
+        xx_c2 = (u >= p1 - both) & (u < p1 + p2 - both)
+        c1[xx_at], c2[xx_at] = xx_c1, xx_c2
+        dropped += xx_at.size - int(np.count_nonzero(xx_c1 | xx_c2))
         lap("thinning")
         if dead_slots > 0:
             for det_idx, clicks in enumerate((c1, c2)):
@@ -875,28 +923,25 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                 clicks[hit[~keep]] = False
         lap("deadtime")
 
-        h1 = c1 & ~c2
-        h2 = c2 & ~c1
-        heralded = h1 | h2
-        tag_sent += np.bincount(code[tags], minlength=25)
-        heralds += np.bincount(code[heralded], minlength=25)
-        tag_heralded += np.bincount(code[tags & heralded], minlength=25)
-        zz = _ZZ[code] & heralded
-        key_events.append(_KEY_BITS[code[zz]] | tags[zz] << np.uint8(2))
+        heralded = c1 ^ c2
+        herald = label[heralded]
+        heralds += np.bincount(herald, minlength=_N_LABELS)
+        key_events.append(_LABEL_KEY[herald[_LABEL_ZZ[herald]]])
 
-        xx = _XX[code] & heralded
+        xx = heralded[xx_at]
+        xx_h1 = c1[xx_at][xx]
         dt_xx = dtheta[xx]
         near0 = np.minimum(dt_xx, 2.0 * np.pi - dt_xx) <= window
         nearpi = np.abs(dt_xx - np.pi) <= window
         # Detector 1 is the constructive port in the 0-window; matches in
         # the pi-window flip the expected detector.
-        errors = (near0 & h2[xx]) | (nearpi & ~near0 & h1[xx])
-        x_matched += np.bincount(code[xx][near0 | nearpi], minlength=25)
-        x_errors += np.bincount(code[xx][errors], minlength=25)
+        errors = (near0 & ~xx_h1) | (nearpi & ~near0 & xx_h1)
+        x_matched += np.bincount(xx_code[xx][near0 | nearpi], minlength=25)
+        x_errors += np.bincount(xx_code[xx][errors], minlength=25)
         lap("tally")
 
-    tag_sent += rng_run.binomial(sent - clicked, tag_prob[:, 3])
-    lap("draws")
+    tag_heralded = heralds[_TAGGED_LABELS].sum(axis=1).tolist()
+    heralds = np.add.reduceat(heralds, _CODE_FIRST_LABEL)
 
     def per_category(tally):
         return {k: float(tally[5 * a + b])
@@ -910,10 +955,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                          qber_xvv=qber(_XVXV))
     raw = RawKeyPair(np.concatenate(key_events))
 
-    gt = {"sn_sent": int(tag_sent[_SN]),
-          "sn_heralded": int(tag_heralded[_SN]),
-          "ns_sent": int(tag_sent[_NS]),
-          "ns_heralded": int(tag_heralded[_NS])}
+    tag_sent = tagged.sum(axis=1).tolist()
+    gt = {"sn_sent": tag_sent[0], "sn_heralded": tag_heralded[0],
+          "ns_sent": tag_sent[1], "ns_heralded": tag_heralded[1]}
     s10_true = gt["sn_heralded"] / gt["sn_sent"] if gt["sn_sent"] else 0.0
     s01_true = gt["ns_heralded"] / gt["ns_sent"] if gt["ns_sent"] else 0.0
     v_a, v_b = params.alice.v, params.bob.v
@@ -935,5 +979,5 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
                       ground_truth=gt, wall_s=lap_start - t_start,
                       stage_s=stage_s,
-                      candidates=n_cand, accepted=int(clicked.sum()),
+                      candidates=n_cand, accepted=n_cand - dropped,
                       batches=n_batches)

@@ -48,33 +48,31 @@ def balanced_link(total_db: float, params) -> LinkBudget:
                       loss_ac_db=loss_a, loss_bc_db=total_db - loss_a)
 
 
-@pytest.fixture(scope="module")
-def big_mc_run(params):
+def criterion5_run(params, n_slots: int, seed: int):
+    """A run on the criterion-5 link (25 dB flux-balanced, 64 ns deadtime,
+    ideal phase at 0.1 rad, V = 0.97) and the forward model's expected
+    counts there."""
     det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
                          deadtime_s=64e-9)
     link = balanced_link(25.0, params)
     cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
-    out = run_protocol(params, link, det, cfg, n_slots=100_000_000,
-                       seed=2026, visibility=0.97)
+    out = run_protocol(params, link, det, cfg, n_slots=n_slots, seed=seed,
+                       visibility=0.97)
     pred = keyrate.expected_rates_model(params, link, det, visibility=0.97,
                                         misalignment_sigma_rad=0.1,
-                                        n_tot=100_000_000)
+                                        n_tot=n_slots)
     return out, pred
+
+
+@pytest.fixture(scope="module")
+def big_mc_run(params):
+    return criterion5_run(params, 100_000_000, seed=2026)
 
 
 @pytest.fixture(scope="module")
 def x_qber_run(params):
     """Criterion-5 link at 4e9 slots: ~1.2e4 phase-matched XXvv events."""
-    det = DetectorParams(efficiency=0.145, dark_rate_hz=450.0,
-                         deadtime_s=64e-9)
-    link = balanced_link(25.0, params)
-    cfg = PhaseConfig(regime="ideal", residual_sigma=0.1)
-    out = run_protocol(params, link, det, cfg, n_slots=4_000_000_000,
-                       seed=2027, visibility=0.97)
-    pred = keyrate.expected_rates_model(params, link, det, visibility=0.97,
-                                        misalignment_sigma_rad=0.1,
-                                        n_tot=4_000_000_000)
-    return out, pred
+    return criterion5_run(params, 4_000_000_000, seed=2027)
 
 
 class TestCriterion1GoldenReconciliation:

@@ -81,6 +81,30 @@ class TestPairing:
             tracemalloc.stop()
         assert peak <= 9 * bob.size
 
+    def test_skewed_key_pairs_as_int64_positions_below_nine_bytes(self):
+        # A 90%-zeros key: the int32 positions, filled chunk by chunk, pair
+        # the same bits as the int64 pairing, and the pairing still peaks
+        # below 9 bytes per bit (int64 positions cast to int32: 10.8).
+        rng = np.random.default_rng(2)
+        events = rng.integers(0, 8, 2_000_000, dtype=np.uint8) & np.uint8(5)
+        events |= (rng.random(events.size) < 0.1).astype(np.uint8) << 1
+        bob = RawKeyPair(events).bob_bits
+        tracemalloc.start()
+        try:
+            pairs = aopp_pair(bob, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * bob.size
+        rng = np.random.default_rng(5)
+        zeros = np.flatnonzero(bob == 0)
+        ones = np.flatnonzero(bob == 1)
+        rng.shuffle(zeros)
+        rng.shuffle(ones)
+        assert pairs.dtype == np.int32
+        assert np.array_equal(pairs, np.column_stack([zeros[:ones.size],
+                                                      ones]))
+
 
 class TestSift:
     def test_error_free_keys_all_survive(self):

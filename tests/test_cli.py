@@ -245,6 +245,7 @@ class TestMonteCarlo:
     (["bounds", "--asym-split", "-0.5"], "--asym-split"),
     (["phasestab", "--dt", "inf"], "--dt"),
     (["phasestab", "--seed", "-1"], "--seed"),
+    (["montecarlo", "--slots", str(2**55)], "--slots"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"

@@ -124,7 +124,7 @@ def chi_square_p(sample, total, good, drawn, min_expected=20.0):
 
 @pytest.fixture(scope="class")
 def streamed_run(params):
-    """Pair table, per-batch label draws, placed events (codes, slots) and
+    """Pair table, per-batch label draws, placed events (labels, slots) and
     outcome of one run_protocol run on a lossless link, where many slots
     may click."""
     tables, draws, events = [], [], []
@@ -139,10 +139,10 @@ def streamed_run(params):
         draws.append(subset(left, n, rng))
         return draws[-1]
 
-    def recording_scatter(codes, n, rng):
-        slots = scatter(codes, n, rng)
-        events.append((codes.copy(), slots.copy(), n))
-        return slots
+    def recording_scatter(labels, n, rng):
+        slots, placed = scatter(labels, n, rng)
+        events.append((placed.copy(), slots.copy(), n))
+        return slots, placed
 
     montecarlo.fair_sampled_classes = recording_sampler
     montecarlo._subset_counts = recording_subset
@@ -156,6 +156,14 @@ def streamed_run(params):
         montecarlo._subset_counts = subset
         montecarlo._scatter = scatter
     return tables, np.array(draws), events, out
+
+
+def by_code(label_draws):
+    """Per-batch label draws (events per label, then the other slots)
+    folded into events per pair code, then the other slots."""
+    return np.column_stack(
+        [label_draws[:, :-1][:, montecarlo._LABEL_CODE == code].sum(axis=1)
+         for code in range(25)] + [label_draws[:, -1]])
 
 
 @pytest.fixture(scope="class")
@@ -238,8 +246,12 @@ class TestPatternSynthesis:
                                             streamed_batches):
         # One table per run, with the run's exact side totals; the batches'
         # label draws fill the batch sizes and together place every
-        # candidate and every other slot of the run.
-        tables, draws, _, out = streamed_run
+        # candidate and every other slot of the run.  The draws are over
+        # the event labels, folded here into their pair codes.
+        tables, label_draws, _, out = streamed_run
+        assert label_draws.shape == (len(streamed_batches),
+                                     montecarlo._N_LABELS + 1)
+        draws = by_code(label_draws)
         assert len(tables) == 1
         assert np.array_equal(tables[0].sum(axis=1),
                               class_totals(params.alice, RUN_SLOTS))
@@ -255,10 +267,12 @@ class TestPatternSynthesis:
                                                 streamed_batches):
         # The events of a batch sit at distinct slots, and the slots of each
         # class form a uniformly random subset: over eight segments of the
-        # batch a class's count is hypergeometric.
+        # batch a class's count is hypergeometric.  Each event's label maps
+        # back to its pair code.
         _, _, events, _ = streamed_run
         assert [n for _, _, n in events] == streamed_batches
-        for codes, slots, n in events:
+        for labels, slots, n in events:
+            codes = montecarlo._LABEL_CODE[labels]
             assert codes.size > n // 100
             assert np.unique(slots).size == slots.size
             assert slots.min() >= 0 and slots.max() < n
@@ -277,7 +291,8 @@ class TestPatternSynthesis:
         # Under independent uniform arrangements the (a, b) count is
         # hypergeometric: Bob's class-b slots among Alice's class-a slots.
         # A batch holds a uniform share of the run's candidates of a code.
-        tables, draws, _, _ = streamed_run
+        tables, label_draws, _, _ = streamed_run
+        draws = by_code(label_draws)
         ta = class_totals(params.alice, RUN_SLOTS)[:, None]
         tb = class_totals(params.bob, RUN_SLOTS)[None, :]
         mean = ta * tb / RUN_SLOTS

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
+from scipy.stats import chi2
 
 from tfqkd import decoy, keyrate, montecarlo
 from tfqkd.model import (X_U, X_V, DetectorParams, LinkBudget, SideParams,
@@ -484,11 +486,78 @@ class TestDeadtimeFilter:
         assert np.all(np.diff(slots[keep]) >= 2_500)
 
 
+class TestEventLabels:
+    def test_label_tables_agree_with_the_code_tables(self):
+        # Each label's key bits, basis and window come from the pair-code
+        # tables; only sn / ns labels carry a tag bit, an XX candidate's
+        # one label carries no outcome, and every other code has one label
+        # per click outcome (and per tag).
+        mc = montecarlo
+        code = mc._LABEL_CODE
+        assert mc._N_LABELS < 256 and np.all(np.diff(code) >= 0)
+        assert np.array_equal(mc._LABEL_KEY & 3, mc._KEY_BITS[code])
+        assert np.array_equal(mc._LABEL_ZZ, mc._ZZ[code])
+        assert np.array_equal(mc._LABEL_XX, mc._XX[code])
+        tag = mc._LABEL_KEY >> 2
+        assert np.array_equal(tag, mc._LABEL_TAG)
+        assert set(code[tag == 1].tolist()) == {mc._SN, mc._NS}
+        for c in range(25):
+            at = code == c
+            fates = sorted(zip(mc._LABEL_C1[at].tolist(),
+                               mc._LABEL_C2[at].tolist(), tag[at].tolist()))
+            if mc._XX[c]:
+                assert fates == [(False, False, 0)]
+                continue
+            tags = (0, 1) if c in (mc._SN, mc._NS) else (0,)
+            assert fates == sorted((c1, c2, t) for c1, c2 in (
+                (True, False), (False, True), (True, True)) for t in tags)
+
+    def test_scatter_places_events_uniformly(self):
+        # Four events on six slots often share a slot, so most draws go
+        # through the free-slot sample; every placement of the labels (two
+        # alike) at distinct slots must be equally likely: 6!/2!/2! = 180.
+        rng = np.random.default_rng(3)
+        labels = np.array([0, 0, 1, 2], dtype=np.uint8)
+        seen = Counter()
+        draws = 18_000
+        for _ in range(draws):
+            slots, placed = montecarlo._scatter(labels, 6, rng)
+            assert np.all(np.diff(slots) > 0)
+            seen[tuple(slots.tolist()), tuple(placed.tolist())] += 1
+        assert len(seen) == 180
+        observed = np.array(list(seen.values()))
+        expected = draws / 180
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(stat, 179) > 1e-4
+        # As many events as slots: every slot is taken once.
+        slots, _ = montecarlo._scatter(np.zeros(1000, dtype=np.uint8), 1000,
+                                       rng)
+        assert np.array_equal(slots, np.arange(1000))
+
+    def test_tags_only_on_equal_key_bits(self, params, quick_det):
+        # A tagged Z-window herald is an sn slot (Alice sends: 1; Bob
+        # silent: 1) or an ns slot (0, 0), so its two key bits agree, and
+        # the tagged bytes are the ground truth's tagged heralds.
+        out = run_protocol(params, LinkBudget(0, 0, 6.0, 0.0), quick_det,
+                           PhaseConfig(regime="ideal"), 10_000_000, seed=13)
+        keys, gt = out.raw_keys, out.ground_truth
+        tags = keys.tags
+        assert np.count_nonzero(tags) > 1000
+        assert np.array_equal(keys.alice_bits[tags], keys.bob_bits[tags])
+        assert np.count_nonzero(keys.alice_bits[tags]) == gt["sn_heralded"]
+        assert (np.count_nonzero(keys.alice_bits[tags] == 0)
+                == gt["ns_heralded"])
+
+
 class TestRunProtocol:
     def test_minimum_slots(self, params, quick_link, quick_det):
         with pytest.raises(ValueError):
             run_protocol(params, quick_link, quick_det, PhaseConfig(),
                          n_slots=100, seed=0)
+        # Slot indices shifted past a label byte must stay within int64.
+        with pytest.raises(ValueError):
+            run_protocol(params, quick_link, quick_det, PhaseConfig(),
+                         n_slots=montecarlo.MAX_SLOTS, seed=0)
 
     def test_same_seed_bit_identical(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal", residual_sigma=0.05)
