@@ -48,12 +48,22 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_bundle(path: str) -> dict:
+def _load_bundle(path: str, structural: bool = True) -> dict:
+    """The parameter file's bundle.  A file that fails one of
+    ``model.structural_checks`` is a schema error, unless ``structural`` is
+    False (``validate`` reports those checks itself, with exit 2)."""
     raw = _load_json(path)
     try:
-        return model.load_params_file_from_dict(raw)
+        bundle = model.load_params_file_from_dict(raw)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"parameter file {path}: {exc}") from exc
+    if structural:
+        failed = [f"{c.name} ({c.detail})" for c in
+                  model.structural_checks(bundle["protocol"]) if not c.passed]
+        if failed:
+            raise SchemaError(f"parameter file {path} fails the structural "
+                              f"checks {'; '.join(failed)}")
+    return bundle
 
 
 # Domains of numeric flag values: what a schema error says, and the test.
@@ -108,7 +118,7 @@ def _write_rows(rows: list[dict], out: str | None, fmt: str):
 
 def cmd_validate(args) -> int:
     _check("--tolerance", args.tolerance, NON_NEGATIVE)
-    bundle = _load_bundle(args.params)
+    bundle = _load_bundle(args.params, structural=False)
     report = model.validate_params(bundle["protocol"], tolerance=args.tolerance)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.ok else EXIT_VALIDATION

@@ -47,6 +47,7 @@ __all__ = [
     "X_U",
     "X_V",
     "X_W",
+    "structural_checks",
     "validate_params",
     "class_totals",
     "fair_sampled_classes",
@@ -247,13 +248,9 @@ def asymmetry_condition_sides(params: ProtocolParams) -> tuple[float, float]:
     return lhs, rhs
 
 
-def validate_params(params: ProtocolParams, tolerance: float = 0.02) -> ValidationReport:
-    """Check structural invariants and the asymmetric security condition.
-
-    Structural violations (negative intensities, probabilities not summing
-    to one, ...) are hard failures.  The security condition is compared as
-    a relative deviation |LHS/RHS - 1| <= tolerance.
-    """
+def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
+    """The structural invariants (negative intensities, probabilities not
+    summing to one, ...), each a hard failure."""
     checks: list[ConstraintCheck] = []
 
     def structural(name: str, ok: bool, detail: str = ""):
@@ -289,7 +286,13 @@ def validate_params(params: ProtocolParams, tolerance: float = 0.02) -> Validati
                f"duty={params.duty_cycle}")
     structural("clock_rate", params.clock_rate_hz > 0.0,
                f"clock={params.clock_rate_hz}")
+    return checks
 
+
+def validate_params(params: ProtocolParams, tolerance: float = 0.02) -> ValidationReport:
+    """Check ``structural_checks`` and the asymmetric security condition,
+    compared as a relative deviation |LHS/RHS - 1| <= tolerance."""
+    checks = structural_checks(params)
     if all(c.passed for c in checks):
         lhs, rhs = asymmetry_condition_sides(params)
         deviation = abs(lhs / rhs - 1.0)

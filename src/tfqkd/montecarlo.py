@@ -52,11 +52,11 @@ approximation, for six reasons:
   at uniformly random distinct slots of the batch.
 * Phase only where it is read.  theta_A - theta_B is uniform and
   independent of phi, and only the XX matching windows read it, so no
-  other slot draws a phase at all.  The channel phase is a
-  Gaussian Markov process (random walks, and the linearised coarse loop's
-  AR(1)), so evaluating it only at the XX candidate slots (plus trace
-  slots and fine-block ends) through its exact k-step transitions gives
-  the same joint law at those slots as the slot-by-slot walk.
+  other slot draws a phase at all.  The channel phase is a Gaussian
+  Markov process (random walks, and the linearised coarse loop's AR(1))
+  on the run's global slot clock, so evaluating it only at the XX
+  candidate and trace slots, plus the fine-block ends, through its exact
+  k-step transitions gives the slot-by-slot walk's joint law there.
 * Tags by posterior.  A single-sender slot's outcome o has the
   phase-averaged law P_coh(o), in closed form from
   ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
@@ -137,6 +137,9 @@ MAX_SLOTS = 1 << 55           # exclusive: slot << 8 | label fits int64
 _MIN_BATCH_SLOTS = 1 << 20
 _BATCH_EVENTS = 1 << 14       # events per batch above 2^20 slots
 _TRACE_POINTS = 4096
+_SETPOINT = math.pi / 2.0     # lock point (quadrature: max sensitivity)
+_INITIAL_OFFSET = 0.3         # rad, the loops' starting offset from it
+_REF_INTENSITY = 0.2          # reference-pulse intensity, photons/pulse
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
 _PAIR_A = np.repeat(np.arange(5), 5)
@@ -193,10 +196,7 @@ class PhaseConfig:
     coarse_sensor_noise: float = 0.02  # rad rms on the coarse error signal
     fine_gain: float = 0.5           # integral gain per fine block
     fine_block_s: float = 1e-3       # fine feedback update period
-    setpoint: float = math.pi / 2.0  # lock point (quadrature: max sensitivity)
     residual_sigma: float = 0.02     # rad, ideal-regime residual width
-    initial_offset: float = 0.3      # rad, starting offset from the setpoint
-    ref_intensity: float = 0.2       # reference-pulse intensity, photons/pulse
 
     def __post_init__(self):
         if self.regime not in ("free", "coarse", "full", "ideal"):
@@ -210,13 +210,18 @@ class PhaseConfig:
                 f"fine gain {self.fine_gain} outside the stable (0, 1] range"
             )
 
+    def fine_block_slots(self, dt: float) -> int:
+        """Slots B per fine block; block k ends at global slot k B - 1."""
+        return max(1, round(self.fine_block_s / dt))
+
 
 def fine_feedback(counts, gain: float, setpoint: float) -> float:
     """Integral correction from one block's reference-pulse counts (n1, n2).
 
     The count imbalance y = (n1 - n2)/(n1 + n2) ~= V cos(delta_phi)
     estimates the phase; the estimate is unbiased at quadrature, which is
-    why the default lock point is pi/2.  An empty block corrects nothing.
+    why the lock point ``_SETPOINT`` is pi/2.  An empty block corrects
+    nothing.
     """
     n1, n2 = counts
     total = n1 + n2
@@ -501,22 +506,20 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
                       rng_drift: np.random.Generator,
                       rng_sensor: np.random.Generator,
                       carry: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Channel phase at the sorted slot indices ``slots`` of one batch.
+    """Channel phase at the sorted global slot indices ``slots``.
 
-    Slot i lies i + 1 steps after the state in ``carry`` ({"x": residual
-    support phase, "d": differential phase}), which moves to the last slot
-    given so that consecutive batches stitch into one trajectory.  Between
-    the given slots each part advances by its exact k-step Gaussian
+    ``carry`` holds the residual support phase "x" and the differential
+    phase "d" at global slot ``carry["pos"]`` (-1 before slot 0), and moves
+    to the last slot, so that consecutive calls stitch into one trajectory.
+    Between the slots each part advances by its exact k-step Gaussian
     transition: the differential phase, and the support phase when free,
-    are random walks; the coarse loop linearised around lock,
-    x_t = (1-g) x_{t-1} + w_t - g nu_t, is an AR(1) process with k-step
-    factor (1-g)^k.  Unit steps give the slot-by-slot walk, and at unit
-    steps every regime sees the same drift draws.
-
-    Returns the phase x + d at the slots and its running sum from slot 0
-    through each slot, from which ``_apply_fine_blocks`` takes block means.
+    are random walks; the coarse loop linearised around lock, x_t = (1-g)
+    x_{t-1} + w_t - g nu_t, is an AR(1) process with k-step factor (1-g)^k.
+    Unit steps give the slot-by-slot walk, with the same drift draws in
+    every regime.  Returns the phase x + d at the slots and its running
+    sum from past the carried slot, for ``_apply_fine_blocks``.
     """
-    k = np.diff(slots, prepend=-1).astype(float)
+    k = np.diff(slots, prepend=carry["pos"]).astype(float)
     sq = math.sqrt(dt)
     z = rng_drift.standard_normal((4, k.size))
     if cfg.regime == "free":
@@ -529,15 +532,8 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
         if not np.isfinite(x[-1]) or abs(x[-1]) > 1e6:
             raise FeedbackDivergence("coarse loop diverged")
     d, d_sum = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[2], z[3])
-    carry["x"] = float(x[-1])
-    carry["d"] = float(d[-1])
+    carry.update(pos=int(slots[-1]), x=float(x[-1]), d=float(d[-1]))
     return x + d, x_sum + d_sum
-
-
-def _fine_block_ends(cfg: PhaseConfig, n: int, dt: float) -> np.ndarray:
-    """Last slot of each fine-feedback block of an n-slot batch."""
-    block = max(1, int(round(cfg.fine_block_s / dt)))
-    return np.minimum(np.arange(block, n + block, block), n) - 1
 
 
 def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
@@ -546,64 +542,75 @@ def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
     """Fine feedback: per-block reference-count estimate, integral update.
 
-    ``slots`` are a batch's sorted evaluated slots, ending with its last
-    slot and holding every ``_fine_block_ends`` slot; ``sums`` are the
-    running phase sums there (``_phase_trajectory``), so each block's mean
-    phase is exact.  Each block is shifted by the accumulated correction
-    ``carry["c_f"]``, which the block's estimate then updates for the next
-    block.
-
-    The RNG call order is part of the seeded contract: each block, in
-    order, makes two scalar ``rng_ref.poisson`` draws, n1 then n2, and
-    nothing else reads ``rng_ref``, so the same seed gives the same loop.
+    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``), and the
+    sorted ``slots`` hold every block end up to their last.  Each block
+    ending there closes, its mean phase exact from the running sums
+    (``_phase_trajectory``) and ``carry["open"]``, the sum of the block
+    left open before them; it is shifted by the correction
+    ``carry["c_f"]``, which its estimate then updates.  The RNG call order
+    is part of the seeded contract: each closed block, in order, makes two
+    scalar ``rng_ref.poisson`` draws, n1 then n2, and nothing else reads
+    ``rng_ref``, so the same seed gives the same loop.
     """
-    ends = _fine_block_ends(cfg, int(slots[-1]) + 1, dt)
-    block_sums = np.diff(sums[np.searchsorted(slots, ends)], prepend=0.0)
-    lengths = np.diff(ends, prepend=-1)
-    means = (block_sums / lengths).tolist()
-    n_refs = (lengths * ref_flux_per_slot / 2.0).tolist()
+    block = cfg.fine_block_slots(dt)
+    at = np.flatnonzero(slots % block == block - 1)
+    means = (np.diff(sums[at], prepend=-carry["open"]) / block).tolist()
+    n_ref = block * ref_flux_per_slot / 2.0
     poisson = rng_ref.poisson
-    gain, setpoint = cfg.fine_gain, cfg.setpoint
     c_f = carry["c_f"]
     shift = []
-    for mean, n_ref in zip(means, n_refs):
+    for mean in means:
         shift.append(c_f)
         v_cos = visibility * math.cos(mean + c_f)
         n1 = poisson(max(n_ref * (1.0 + v_cos), 0.0))
         n2 = poisson(max(n_ref * (1.0 - v_cos), 0.0))
-        c_f += fine_feedback((n1, n2), gain, setpoint)
+        c_f += fine_feedback((n1, n2), cfg.fine_gain, _SETPOINT)
         if abs(c_f) > 1e6:
             carry["c_f"] = c_f
             raise FeedbackDivergence("fine loop diverged")
+    shift.append(c_f)
     carry["c_f"] = c_f
-    return phases + np.array(shift)[np.searchsorted(ends, slots)]
+    carry["open"] = (float(sums[-1] - sums[at[-1]]) if at.size
+                     else carry["open"] + float(sums[-1]))
+    return phases + np.array(shift)[np.searchsorted(slots[at], slots)]
 
 
 def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
                    rngs, carry: dict, ref_flux_per_slot: float,
-                   visibility: float) -> np.ndarray:
-    """Channel phase minus the lock setpoint at the sorted slot indices.
+                   visibility: float) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluated slots and the channel phase minus the lock setpoint there.
 
-    The one phase path: ``run_protocol`` calls it per batch and
-    ``simulate_phase_trace`` once.  "ideal" draws an i.i.d. Gaussian
-    residual of width ``residual_sigma``; the other regimes evaluate
-    ``_phase_trajectory`` and, in "full", ``_apply_fine_blocks``.  The
-    protocol frame absorbs the setpoint, so a perfect lock reads zero.
-    ``rngs`` are the drift, sensor and reference streams; ``carry`` holds
-    the loops' state between calls, and an empty one starts them at the
-    setpoint plus ``initial_offset``.
+    The one phase path, for ``run_protocol`` per batch and
+    ``simulate_phase_trace`` once.  ``slots`` are global slot indices past
+    the carried position, in any order, repeats allowed; the evaluated
+    slots come back sorted and distinct.  "ideal" draws an i.i.d. Gaussian
+    residual of width ``residual_sigma``; the other regimes run
+    ``_phase_trajectory``, and "full" adds the fine-block ends up to the
+    last slot and closes their blocks (``_apply_fine_blocks``).  ``rngs``
+    are the drift, sensor and reference streams, ``carry`` the loops'
+    state (empty: start before slot 0), left as it is by an empty request.
     """
     rng_drift, rng_sensor, rng_ref = rngs
-    if cfg.regime == "ideal":
-        return cfg.residual_sigma * rng_drift.standard_normal(slots.size)
+    if not slots.size:
+        return slots, np.zeros(0)
     if not carry:
-        carry.update(x=0.0, d=cfg.setpoint + cfg.initial_offset, c_f=0.0)
-    phi, sums = _phase_trajectory(cfg, slots, dt, rng_drift, rng_sensor,
+        carry.update(pos=-1, x=0.0, d=_SETPOINT + _INITIAL_OFFSET, c_f=0.0,
+                     open=0.0)
+    if cfg.regime == "full":
+        block = cfg.fine_block_slots(dt)
+        k = np.arange((carry["pos"] + 1) // block, (slots.max() + 1) // block)
+        slots = np.concatenate([slots, (k + 1) * block - 1])
+    points = np.sort(slots)
+    points = points[np.diff(points, prepend=-1) > 0]
+    if cfg.regime == "ideal":
+        return points, cfg.residual_sigma * rng_drift.standard_normal(
+            points.size)
+    phi, sums = _phase_trajectory(cfg, points, dt, rng_drift, rng_sensor,
                                   carry)
     if cfg.regime == "full":
-        phi = _apply_fine_blocks(cfg, slots, phi, sums, dt, rng_ref, carry,
+        phi = _apply_fine_blocks(cfg, points, phi, sums, dt, rng_ref, carry,
                                  ref_flux_per_slot, visibility)
-    return phi - cfg.setpoint
+    return points, phi - _SETPOINT
 
 
 @dataclass(frozen=True)
@@ -643,8 +650,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(seed).spawn(3)]
     slots = np.arange(n_steps)
-    phases = _channel_phase(cfg, slots, dt, rngs, {}, cfg.ref_intensity,
-                            visibility=0.99)
+    _, phases = _channel_phase(cfg, slots, dt, rngs, {}, _REF_INTENSITY,
+                               visibility=0.99)
     return PhaseTrace(times_s=slots * dt, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
 
@@ -662,14 +669,11 @@ class SimOutcome:
     and label counts, each batch's label draw and slots), "phase" (channel
     phase), "thinning" (label lookups and the XX candidates' outcomes),
     "deadtime" and "tally" (label counts, keys and the outcome);
-    ``candidates`` counts the events the run drew, the clicks of the 23
-    phase-blind pair codes plus the thinning candidates of XuXu and XvXv,
-    and ``accepted`` those of them that clicked: the phase-blind clicks
-    from the run's label counts plus the XX candidates the thinning kept.
-    Every phase-blind event clicks, so candidates - accepted is the XX
-    candidates the thinning dropped, and accepted / candidates is not an
-    all-code acceptance ratio.  ``batches`` is the
-    number of batches the run was cut into.
+    ``candidates`` counts the events drawn, the 23 phase-blind codes'
+    clicks plus the XuXu and XvXv thinning candidates, and ``accepted``
+    those that clicked, so candidates - accepted is the XX candidates the
+    thinning dropped and accepted / candidates no all-code acceptance
+    ratio.  ``batches`` counts the run's batches.
     """
 
     counts: DecoyCounts
@@ -782,11 +786,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     the matching windows), adds the channel phase at its slot and keeps
     outcome (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double
     clicks stay events, so both detectors' clicks reach
-    ``filter_deadtime``.  The module docstring says why this is exact.
-
-    The channel phase (``_channel_phase``) is evaluated only at XX
-    candidate slots, at ~4096 trace slots spread over the run and at
-    fine-block ends; the fine blocks restart at each batch boundary.
+    ``filter_deadtime``.  Phase (``_channel_phase``) and deadtime run on
+    the global slot clock; each batch asks for the phase at its XX
+    candidate slots and its share of ~4096 trace slots spread over the run.
+    The module docstring says why this is exact.
 
     The tallies are one ``bincount`` of the heralded labels per batch,
     folded by code at the end.  Each Z-window herald keeps one
@@ -854,7 +857,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)
-    ref_flux = phase_cfg.ref_intensity * det.efficiency * (eta_a + eta_b) / 2.0
+    ref_flux = _REF_INTENSITY * det.efficiency * (eta_a + eta_b) / 2.0
 
     # Heralds per label, XX candidates the thinning dropped, and per pair
     # code the phase-matched and erroneous X heralds.
@@ -879,27 +882,24 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         left -= drawn
         label = np.repeat(np.arange(_N_LABELS, dtype=np.uint8), drawn[:-1])
         slot, label = _scatter(label, n, rng_slot)
+        slot += lo
         xx_at = np.flatnonzero(_LABEL_XX[label])
         xx_slot = slot[xx_at]
         lap("draws")
 
-        # Channel phase at the XX candidate slots, the trace slots, the
-        # fine-block ends and the batch's last slot (the carried state).
-        trace_slots = np.arange(-lo % trace_stride, n, trace_stride)
-        ends = _fine_block_ends(phase_cfg, n, slot_dt)
-        points = np.sort(np.concatenate([xx_slot, trace_slots, ends]))
-        points = points[np.diff(points, prepend=-1) > 0]
-        phi = _channel_phase(phase_cfg, points, slot_dt, phase_rngs,
-                             phase_carry, ref_flux, visibility)
-        trace_t.append((lo + trace_slots) * slot_dt)
+        # Channel phase at the XX candidate slots and the trace slots.
+        trace_slots = np.arange(lo + -lo % trace_stride, lo + n, trace_stride)
+        points, phi = _channel_phase(
+            phase_cfg, np.concatenate([xx_slot, trace_slots]), slot_dt,
+            phase_rngs, phase_carry, ref_flux, visibility)
+        trace_t.append(trace_slots * slot_dt)
         trace_phi.append(phi[np.searchsorted(points, trace_slots)])
         lap("phase")
 
         # Click outcomes.  A phase-blind event's outcome is its label's; an
         # XX candidate keeps (c1, c2) with probability P(c1, c2 | delta) /
         # p_bar at delta = theta_A - theta_B + phi: detector 1 alone for u
-        # below p1 - both, both below p1, detector 2 alone below p1 + p2 -
-        # both.
+        # below p1 - both, both below p1, 2 alone below p1 + p2 - both.
         c1 = _LABEL_C1[label]
         c2 = _LABEL_C2[label]
         xx_code = _LABEL_CODE[label[xx_at]]
@@ -919,7 +919,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
             for det_idx, clicks in enumerate((c1, c2)):
                 hit = np.flatnonzero(clicks)
                 keep, last_kept[det_idx] = filter_deadtime(
-                    lo + slot[hit], dead_slots, last_kept[det_idx])
+                    slot[hit], dead_slots, last_kept[det_idx])
                 clicks[hit[~keep]] = False
         lap("deadtime")
 

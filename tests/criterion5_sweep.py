@@ -1,14 +1,20 @@
-"""Criterion-5 seed sweep: how often the category gate trips, and on what.
+"""Criterion-5 seed sweep: how often a category gate trips, and on what.
 
-    PYTHONPATH=src python tests/criterion5_sweep.py [FIRST LAST] [--jobs N]
+    PYTHONPATH=src python tests/criterion5_sweep.py [FIRST LAST]
+        [--gate {category,field-deadtime}] [--jobs N]
 
-Reruns the run of ``test_acceptance``'s criterion-5 category gate (the
-25 dB criterion-5 link, 1e8 slots) at every seed from FIRST to LAST
-(default 2026-3025, the gate's pinned seed first) and prints how many runs
-trip the gate, max |z| <= 3 over the 25 categories, and each category's
-mean z over the seeds with its standard error.  A correct sampler trips on
-a few per cent of seeds and keeps every mean z within a few standard
-errors of 0.  pytest does not collect this file.
+Reruns the run of one of ``test_acceptance``'s criterion-5 category gates
+at every seed from FIRST to LAST and prints how many runs trip the gate,
+max |z| <= 3 over the 25 categories against ``expected_rates_model``, and
+each category's mean z over the seeds with its standard error.  The gates:
+
+* ``category``: the 25 dB criterion-5 link, 1e8 slots (default seeds
+  2026-3025, the gate's pinned seed first);
+* ``field-deadtime``: the bundled field link and detector (10 us
+  deadtime), ``full`` drift regime, 1e10 slots (default seeds 2029-3028).
+
+A correct sampler trips on a few per cent of seeds and keeps every mean z
+within a few standard errors of 0.  pytest does not collect this file.
 """
 
 import argparse
@@ -25,40 +31,68 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import PARAMS_PATH                      # noqa: E402
 from test_acceptance import criterion5_run           # noqa: E402
-from tfqkd import decoy, model                        # noqa: E402
+from tfqkd import decoy, keyrate, model              # noqa: E402
+from tfqkd.montecarlo import PhaseConfig, run_protocol  # noqa: E402
 
-N_SLOTS = 100_000_000
 GATE = 3.0
+CATEGORY_SLOTS = 100_000_000
+FIELD_SLOTS = 10_000_000_000
 
 
-def _detected(seed: int) -> list:
+def _category_run(seed: int):
     params = model.load_params_file(PARAMS_PATH)["protocol"]
-    out, _ = criterion5_run(params, N_SLOTS, seed)
+    return criterion5_run(params, CATEGORY_SLOTS, seed)
+
+
+def _field_deadtime_run(seed: int):
+    bundle = model.load_params_file(PARAMS_PATH)
+    params, link, det = bundle["protocol"], bundle["link"], bundle["detector"]
+    visibility = bundle["extras"]["visibility"]
+    out = run_protocol(params, link, det, PhaseConfig(regime="full"),
+                       n_slots=FIELD_SLOTS, seed=seed, visibility=visibility)
+    pred = keyrate.expected_rates_model(
+        params, link, det, visibility=visibility,
+        misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"],
+        n_tot=FIELD_SLOTS)
+    return out, pred
+
+
+# Gate name: (its run at a seed, the gate's pinned seed).
+GATES = {"category": (_category_run, 2026),
+         "field-deadtime": (_field_deadtime_run, 2029)}
+
+
+def _detected(gate: str, seed: int) -> list:
+    out, _ = GATES[gate][0](seed)
     return [out.counts.detected[k] for k in decoy.CATEGORIES]
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("first", type=int, nargs="?", default=2026)
-    parser.add_argument("last", type=int, nargs="?", default=3025)
+    parser.add_argument("first", type=int, nargs="?")
+    parser.add_argument("last", type=int, nargs="?")
+    parser.add_argument("--gate", choices=tuple(GATES), default="category")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    seeds = range(args.first, args.last + 1)
-    params = model.load_params_file(PARAMS_PATH)["protocol"]
-    _, pred = criterion5_run(params, N_SLOTS, args.first)
+    run, pinned = GATES[args.gate]
+    first = pinned if args.first is None else args.first
+    last = first + 999 if args.last is None else args.last
+    seeds = range(first, last + 1)
+    _, pred = run(first)
     mean = np.array([pred.detected[k] for k in decoy.CATEGORIES])
     sigma = np.maximum(np.sqrt(mean), 1.0)
     start = time.perf_counter()
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
-        z = (np.array(list(pool.map(_detected, seeds, chunksize=8)))
-             - mean) / sigma
+        detected = pool.map(_detected, [args.gate] * len(seeds), seeds,
+                            chunksize=8)
+        z = (np.array(list(detected)) - mean) / sigma
     worst = np.abs(z).max(axis=1)
     trips = int(np.count_nonzero(worst > GATE))
-    print(f"{len(seeds)} seeds {args.first}-{args.last}, "
+    print(f"{args.gate} gate, {len(seeds)} seeds {first}-{last}, "
           f"{time.perf_counter() - start:.0f} s: {trips} trip the "
           f"max |z| <= {GATE:g} gate ({100.0 * trips / len(seeds):.1f}%)"
-          + (f"; seed {args.first} trips" if worst[0] > GATE else ""))
+          + (f"; seed {first} trips" if worst[0] > GATE else ""))
     se = z.std(axis=0, ddof=1) / math.sqrt(len(seeds))
     for k, m, s in zip(decoy.CATEGORIES, z.mean(axis=0), se):
         print(f"  {k}  mean z {m:+.3f} +- {s:.3f}"

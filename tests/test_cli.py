@@ -274,6 +274,28 @@ def test_nan_parameter_is_a_schema_error(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["keyrate", "simulate", "montecarlo"])
+@pytest.mark.parametrize("key, value", [("phase_slices_M", 0), ("s_A", -0.5),
+                                        ("eps_A", float("nan"))])
+def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
+                                                           tmp_path, capsys):
+    # A file failing a structural check of validate_params stops every
+    # subcommand at the boundary; validate itself reports the checks.
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw[key] = value
+    params = tmp_path / "bad.json"
+    params.write_text(json.dumps(raw))
+    out = tmp_path / "out.json"
+    argv = [cmd, "--params", str(params), "--out", str(out)]
+    if cmd == "montecarlo":
+        argv += ["--slots", "100000"]
+    assert run_cli(argv) == cli.EXIT_SCHEMA
+    assert "structural checks" in capsys.readouterr().err
+    assert not out.exists()
+    assert (run_cli(["validate", "--params", str(params)])
+            == cli.EXIT_VALIDATION)
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--out", "x.json"],
     ["validate", "--format", "json"],

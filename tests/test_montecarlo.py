@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -108,7 +109,7 @@ def _quiet(regime: str, **kw) -> PhaseConfig:
 def _trajectory(cfg: PhaseConfig, n: int, x0: float, d0: float,
                 dt: float = 1e-6, seed: int = 5):
     rng = np.random.default_rng(seed)
-    carry = {"x": x0, "d": d0}
+    carry = {"pos": -1, "x": x0, "d": d0}
     phases, _ = _phase_trajectory(cfg, np.arange(n), dt, rng, rng, carry)
     return phases, carry
 
@@ -211,7 +212,7 @@ class TestPhaseDrift:
     def test_zero_sigma_constant(self):
         phases, carry = _trajectory(_quiet("free"), 100, x0=0.7, d0=0.0)
         assert np.all(phases == 0.7)
-        assert carry == {"x": 0.7, "d": 0.0}
+        assert carry == {"pos": 99, "x": 0.7, "d": 0.0}
 
     def test_increment_statistics(self):
         # Free drift: the step-to-step increments of the returned phase are
@@ -254,7 +255,8 @@ class TestSparsePhaseLaw:
 
     def _run(self, cfg, seed, sparse):
         n = self.N_STEPS
-        ends = montecarlo._fine_block_ends(cfg, n, self.DT)
+        block = cfg.fine_block_slots(self.DT)
+        ends = np.arange(block - 1, n, block)
         if sparse:
             # Random slots in the first half only, so that blocks 4-7 are
             # crossed by long k-step transitions.
@@ -263,7 +265,8 @@ class TestSparsePhaseLaw:
             slots = np.unique(np.concatenate([self.SHARED, ends, extra]))
         else:
             slots = np.arange(n)
-        carry = {"x": 0.1, "d": cfg.setpoint + 0.3, "c_f": 0.0}
+        carry = {"pos": -1, "x": 0.1, "d": montecarlo._SETPOINT + 0.3,
+                 "c_f": 0.0, "open": 0.0}
         drift, sensor, ref = [np.random.default_rng(s) for s in
                               np.random.SeedSequence(seed).spawn(3)]
         phases, sums = _phase_trajectory(cfg, slots, self.DT, drift, sensor,
@@ -354,12 +357,12 @@ class TestFeedback:
         # the correction it already holds.
         cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
         phases = np.linspace(0.0, 1.0, 1000)
-        carry = {"c_f": 0.25}
+        carry = {"c_f": 0.25, "open": 0.0}
         out = _apply_fine_blocks(cfg, np.arange(1000), phases,
                                  np.cumsum(phases), 1e-7,
                                  np.random.default_rng(0), carry,
                                  ref_flux_per_slot=0.0, visibility=0.99)
-        assert carry == {"c_f": 0.25}
+        assert carry == {"c_f": 0.25, "open": 0.0}
         assert np.array_equal(out, phases + 0.25)
 
     def test_divergent_gain_rejected(self):
@@ -378,6 +381,75 @@ class TestFeedback:
         assert coarse.residual_std() < free.residual_std() / 10.0
         tail = full.delta_phi_rad[full.delta_phi_rad.size // 2:]
         assert abs(np.mean(tail)) < LOCK_TOLERANCE
+
+
+class TestGlobalSlotClock:
+    """The phase loops run on the run's global slot clock."""
+
+    def test_fine_blocks_close_on_the_global_clock(self, params, quick_link,
+                                                   quick_det, monkeypatch):
+        # 15 000-slot blocks against 2^20-slot batches: blocks straddle
+        # every batch boundary, and each must still close exactly once, at
+        # its global end k B - 1, with two reference draws.
+        cfg = PhaseConfig(regime="full", fine_block_s=3e-5)
+        block = cfg.fine_block_slots(1.0 / params.protocol_rate_hz)
+        evaluated, closed, draws = [], [], [0]
+        apply_fine_blocks = montecarlo._apply_fine_blocks
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def poisson(self, lam):
+                draws[0] += 1
+                return self.rng.poisson(lam)
+
+        def spy(cfg_, slots, phases, sums, dt, rng_ref, *rest):
+            evaluated.append(slots)
+            closed.append(slots[slots % block == block - 1])
+            return apply_fine_blocks(cfg_, slots, phases, sums, dt,
+                                     CountingRng(rng_ref), *rest)
+
+        monkeypatch.setattr(montecarlo, "_apply_fine_blocks", spy)
+        out = run_protocol(params, quick_link, quick_det, cfg, 10_000_000,
+                           seed=3)
+        assert out.batches > 1
+        last = int(evaluated[-1][-1])
+        expected = np.arange(block - 1, last + 1, block)
+        assert np.array_equal(np.concatenate(closed), expected)
+        assert draws[0] == 2 * expected.size
+
+    def test_empty_request_leaves_the_carry(self):
+        cfg = PhaseConfig(regime="full", fine_block_s=1e-4)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        carry = {}
+        points, _ = montecarlo._channel_phase(
+            cfg, np.array([250, 7, 250]), 1e-6, rngs, carry, 20.0, 0.99)
+        assert points.tolist() == [7, 99, 199, 250]
+        before = dict(carry)
+        points, phi = montecarlo._channel_phase(
+            cfg, np.zeros(0, dtype=np.int64), 1e-6, rngs, carry, 20.0, 0.99)
+        assert points.size == 0 and phi.size == 0
+        assert carry == before
+
+
+class TestPhaseTracePin:
+    # Criterion 7 reads simulate_phase_trace; its output at seed 41 over
+    # 150 050 steps of 10 us (a partial final fine block) is pinned bit for
+    # bit, as little-endian float64 bytes.
+    @pytest.mark.parametrize("regime, digest", [
+        ("free", "ac9b7a4f68334bb324f395b28e9e16c5"
+                 "b694ddb846981bfd219dc26cb7051610"),
+        ("coarse", "d1abe51eb35b4b802f96df197a1a4557"
+                   "d29b5c03b8dd017ede5000c0f2448ab3"),
+        ("full", "06e7de9761c1db8e45f17d801ca46fd5"
+                 "3afc40012057d1db6ea23da4845495cd"),
+    ])
+    def test_trace_is_bit_identical(self, regime, digest):
+        trace = simulate_phase_trace(PhaseConfig(regime=regime), 150_050,
+                                     1e-5, seed=41)
+        data = np.ascontiguousarray(trace.delta_phi_rad, dtype="<f8")
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest
 
 
 def sequential_deadtime(slots, dead_slots, last_kept):
