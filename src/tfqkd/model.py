@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,6 +43,7 @@ __all__ = [
     "CLASS_NAMES",
     "DEFAULT_VISIBILITY",
     "DEFAULT_MISALIGNMENT_SIGMA_RAD",
+    "MAX_INTENSITY",
     "Z_SEND",
     "Z_NOSEND",
     "X_U",
@@ -63,6 +65,12 @@ CLASS_NAMES = ("Zs", "Zn", "Xu", "Xv", "Xw")
 # sigma) assumed when a parameter file or caller gives none.
 DEFAULT_VISIBILITY = 0.97
 DEFAULT_MISALIGNMENT_SIGMA_RAD = 0.0
+
+# The largest intensity the decoy analysis can take: its three-intensity
+# bound forms e^u (``decoy._three_intensity_bound``), and math.exp raises
+# OverflowError past ln(largest float), which is itself the largest float
+# with a finite exponential.
+MAX_INTENSITY = math.log(sys.float_info.max)
 
 
 class PatternError(ValueError):
@@ -249,8 +257,9 @@ def asymmetry_condition_sides(params: ProtocolParams) -> tuple[float, float]:
 
 
 def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
-    """The structural invariants (negative intensities, probabilities not
-    summing to one, ...), each a hard failure."""
+    """The structural invariants (negative or overflowing intensities,
+    probabilities not summing to one, a send probability of 0 or 1, ...),
+    each a hard failure."""
     checks: list[ConstraintCheck] = []
 
     def structural(name: str, ok: bool, detail: str = ""):
@@ -262,6 +271,11 @@ def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
             min(side.s, side.u, side.v, side.w) >= 0.0,
             f"s={side.s} u={side.u} v={side.v} w={side.w}",
         )
+        structural(
+            f"intensities_finite_{label}",
+            all(mu <= MAX_INTENSITY for mu in (side.s, side.u, side.v, side.w)),
+            f"require every intensity <= ln(max float) = {MAX_INTENSITY:.6g}",
+        )
         structural(f"signal_positive_{label}", side.s > 0.0, f"s={side.s}")
         structural(
             f"decoy_ordering_{label}",
@@ -270,7 +284,7 @@ def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
         )
         structural(
             f"basis_probability_{label}",
-            0.0 <= side.p_z <= 1.0 and 0.0 <= side.send_prob <= 1.0,
+            0.0 <= side.p_z <= 1.0 and 0.0 < side.send_prob < 1.0,
             f"p_z={side.p_z} send_prob={side.send_prob}",
         )
         decoy_sum = side.p_u + side.p_v + side.p_w

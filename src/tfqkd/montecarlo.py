@@ -56,7 +56,13 @@ approximation, for six reasons:
   Markov process (random walks, and the linearised coarse loop's AR(1))
   on the run's global slot clock, so evaluating it only at the XX
   candidate and trace slots, plus the fine-block ends, through its exact
-  k-step transitions gives the slot-by-slot walk's joint law there.
+  k-step transitions gives the slot-by-slot walk's joint law there.  Each
+  evaluated slot draws one normal per state part it moves: the support
+  phase's drift, its sensor noise when the coarse loop is on, and the
+  differential drift.  The fine loop reads only block means.  Given the
+  steps, the sum of the skipped slots' phases is Gaussian with a residual
+  independent of everything else, so each closed block draws one more
+  normal, of the summed residual variance, and only in "full".
 * Tags by posterior.  A single-sender slot's outcome o has the
   phase-averaged law P_coh(o), in closed form from
   ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
@@ -443,70 +449,84 @@ def _resolve_clusters(slots: np.ndarray, close: np.ndarray, dead_slots: int,
 # Phase trajectory synthesis
 # ---------------------------------------------------------------------------
 
-def _linear_scan(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """y_j = r_j y_{j-1} + a_j with y_{-1} = 0, for every j at once.
+def _linear_scan(r: np.ndarray, a: np.ndarray, y0: float) -> np.ndarray:
+    """y_j = r_j y_{j-1} + a_j with y_{-1} = y0, for every j at once.
 
     Log-depth doubling over the affine steps: after the pass with shift s
     entry j holds the composition of steps j-2s+1 .. j.  Only products of
-    the |r| <= 1 factors are formed, so nothing overflows or divides.
+    the |r| <= 1 factors are formed, so nothing overflows or divides.  The
+    passes stop once every product that a later pass would apply is
+    exactly 0, since those passes would add exact zeros: at sparse points
+    the AR(1) factors rho^k underflow after a few passes, long before
+    log2(size) of them.
     """
     r = r.copy()
     y = a.copy()
+    y[0] += r[0] * y0
     shift = 1
-    while shift < y.size:
+    while shift < y.size and r[shift:].any():
         y[shift:] = y[shift:] + r[shift:] * y[:-shift]
         r[shift:] = r[shift:] * r[:-shift]
         shift *= 2
     return y
 
 
-def _random_walk(v0: float, sd: float, k: np.ndarray, z_step: np.ndarray,
-                 z_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Random walk of step sd at points k_j steps apart, with running sums.
+def _random_walk(v0: float, sd: float, k: np.ndarray, z: np.ndarray,
+                 sums: bool) -> tuple[np.ndarray, tuple | None]:
+    """Random walk of step sd at points k_j steps apart, from v0.
 
-    Over k steps the walk moves by W = sum w_i and its k new values add
-    k v + sum (k - i + 1) w_i to the running sum; (W, area) is drawn from
-    its exact joint Gaussian law, Var W = k sd^2, Cov = k(k+1)/2 sd^2 and
-    residual area variance (k^3 - k)/12 sd^2.
+    Over k steps the walk moves by W = sum w_i ~ N(0, k sd^2), drawn as
+    sd sqrt(k) z from the point's one normal z.  With ``sums`` it also
+    returns, per interval, the law of the sum of its k new values given W:
+    they add k v + sum (k - i + 1) w_i, Gaussian with mean k v + (k + 1) W
+    / 2 and a residual of variance (k^3 - k)/12 sd^2 that is independent
+    of every W and of the other intervals' residuals.
     """
-    step = sd * np.sqrt(k) * z_step
-    area = 0.5 * (k + 1.0) * step + sd * np.sqrt((k**3 - k) / 12.0) * z_area
+    step = sd * np.sqrt(k) * z
     v = v0 + np.cumsum(step)
+    if not sums:
+        return v, None
     prev = np.concatenate(([v0], v[:-1]))
-    return v, np.cumsum(k * prev + area)
+    return v, (k * prev + 0.5 * (k + 1.0) * step,
+               (sd * sd / 12.0) * (k * k * k - k))
 
 
-def _ar1(x0: float, rho: float, k: np.ndarray, sources
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """AR(1) x_t = rho x_{t-1} + e_t at points k_j steps apart, with sums.
+def _ar1(x0: float, rho: float, k: np.ndarray, sources,
+         sums: bool) -> tuple[np.ndarray, tuple | None]:
+    """AR(1) x_t = rho x_{t-1} + e_t at points k_j steps apart, from x0.
 
-    Over k steps x moves to rho^k x + A and the k new values add
-    rho (1 - rho^k)/(1 - rho) x + B to the running sum, where (A, B) are
-    jointly Gaussian linear functionals of the innovations.  ``sources``
-    lists independent innovation parts as (sd, z_step, z_area); each part
-    enters (A, B) through the same unit-variance Cholesky factor.
+    ``sources`` lists independent innovation parts as (sd, z): each adds
+    sd times a unit normal per step, and z holds its one normal per point.
+    Over k steps x moves to rho^k x + A, A = sqrt(var_a) sum sd z with
+    var_a = (1 - rho^2k)/(1 - rho^2).  With ``sums`` it also returns, per
+    interval, the law of the sum of its k new values given A: they add
+    rho (1 - rho^k)/(1 - rho) x + B, with (A, B) jointly Gaussian linear
+    functionals of the innovations, so B given A has mean slope A and a
+    residual independent of every A and of the other intervals' residuals.
     """
-    kk = k.astype(np.int64)
-    rk = rho ** kk
-    var_a = (1.0 - rho ** (2 * kk)) / (1.0 - rho * rho)
+    rk = rho ** k
+    var_a = (1.0 - rk * rk) / (1.0 - rho * rho)
+    a = np.sqrt(var_a) * sum(sd * z for sd, z in sources)
+    x = _linear_scan(rk, a, x0)
+    if not sums:
+        return x, None
     geo = (1.0 - rk) / (1.0 - rho)
     cov = (geo - rho * var_a) / (1.0 - rho)
     var_b = (k - 2.0 * rho * geo + rho * rho * var_a) / (1.0 - rho) ** 2
     slope = cov / var_a
-    resid = np.sqrt(np.maximum(var_b - cov * slope, 0.0))
-    a = sum(sd * np.sqrt(var_a) * z for sd, z, _ in sources)
-    b = slope * a + sum(sd * resid * z for sd, _, z in sources)
-    a[0] += rk[0] * x0
-    x = _linear_scan(rk, a)
+    resid = np.maximum(var_b - cov * slope, 0.0)
     prev = np.concatenate(([x0], x[:-1]))
-    return x, np.cumsum(rho * geo * prev + b)
+    return x, (rho * geo * prev + slope * a,
+               sum(sd * sd for sd, _ in sources) * resid)
 
 
 def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
                       rng_drift: np.random.Generator,
-                      rng_sensor: np.random.Generator,
-                      carry: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Channel phase at the sorted global slot indices ``slots``.
+                      rng_sensor: np.random.Generator, carry: dict,
+                      ends: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Channel phase at the sorted global slot indices ``slots``, and the
+    mean phase of each fine block that ends at ``slots[ends]``.
 
     ``carry`` holds the residual support phase "x" and the differential
     phase "d" at global slot ``carry["pos"]`` (-1 before slot 0), and moves
@@ -516,51 +536,71 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     are random walks; the coarse loop linearised around lock, x_t = (1-g)
     x_{t-1} + w_t - g nu_t, is an AR(1) process with k-step factor (1-g)^k.
     Unit steps give the slot-by-slot walk, with the same drift draws in
-    every regime.  Returns the phase x + d at the slots and its running
-    sum from past the carried slot, for ``_apply_fine_blocks``.
+    every regime.  Per point ``rng_drift`` draws x's drift step and d's
+    drift step (one (2, n) draw), and in "coarse" and "full"
+    ``rng_sensor`` draws x's sensor-noise step.
+
+    Block means are formed only when ``ends`` (sorted indices of the block
+    ends among ``slots``) is given; ``_channel_phase`` gives it in "full".
+    An interval's sum of values is its mean given the steps plus a
+    Gaussian residual independent of everything else, so a block's
+    residual is one normal of the intervals' summed variance: after the
+    step draws ``rng_drift`` draws one normal per closed block.  The
+    open block's partial sum and residual variance ride in
+    ``carry["open"]`` and ``carry["open_var"]``.
     """
     k = np.diff(slots, prepend=carry["pos"]).astype(float)
     sq = math.sqrt(dt)
-    z = rng_drift.standard_normal((4, k.size))
+    sums = ends is not None
+    z = rng_drift.standard_normal((2, k.size))
     if cfg.regime == "free":
-        x, x_sum = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0], z[1])
+        x, x_sum = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0],
+                                sums)
     else:
-        nu = rng_sensor.standard_normal((2, k.size))
+        nu = rng_sensor.standard_normal(k.size)
         x, x_sum = _ar1(carry["x"], 1.0 - cfg.coarse_gain, k, (
-            (cfg.sigma_drift * sq, z[0], z[1]),
-            (cfg.coarse_gain * cfg.coarse_sensor_noise, nu[0], nu[1])))
+            (cfg.sigma_drift * sq, z[0]),
+            (cfg.coarse_gain * cfg.coarse_sensor_noise, nu)), sums)
         if not np.isfinite(x[-1]) or abs(x[-1]) > 1e6:
             raise FeedbackDivergence("coarse loop diverged")
-    d, d_sum = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[2], z[3])
+    d, d_sum = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[1], sums)
     carry.update(pos=int(slots[-1]), x=float(x[-1]), d=float(d[-1]))
-    return x + d, x_sum + d_sum
+    if not sums:
+        return x + d, None
+    # Sum and residual variance per block; the last segment is the one
+    # left open (a zero column when the last slot ends a block).
+    parts = np.zeros((2, k.size + 1))
+    parts[0, :-1] = x_sum[0] + d_sum[0]
+    parts[1, :-1] = x_sum[1] + d_sum[1]
+    parts = np.add.reduceat(parts, np.append(0, ends + 1), axis=1)
+    parts[:, 0] += (carry["open"], carry["open_var"])
+    carry.update(open=float(parts[0, -1]), open_var=float(parts[1, -1]))
+    total, var = parts[:, :-1]
+    residual = np.sqrt(var) * rng_drift.standard_normal(total.size)
+    return x + d, (total + residual) / cfg.fine_block_slots(dt)
 
 
-def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
-                       phases: np.ndarray, sums: np.ndarray, dt: float,
+def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
+                       means: np.ndarray, ends: np.ndarray, dt: float,
                        rng_ref: np.random.Generator, carry: dict,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
     """Fine feedback: per-block reference-count estimate, integral update.
 
-    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``), and the
-    sorted ``slots`` hold every block end up to their last.  Each block
-    ending there closes, its mean phase exact from the running sums
-    (``_phase_trajectory``) and ``carry["open"]``, the sum of the block
-    left open before them; it is shifted by the correction
-    ``carry["c_f"]``, which its estimate then updates.  The RNG call order
-    is part of the seeded contract: each closed block, in order, makes two
-    scalar ``rng_ref.poisson`` draws, n1 then n2, and nothing else reads
+    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``); entry i
+    of ``ends`` is the index among the ``phases`` of the end of the i-th
+    block closing here, and ``means`` its mean phase
+    (``_phase_trajectory``).  Each closed block's mean is shifted by the
+    correction ``carry["c_f"]``, which its estimate then updates; a phase
+    takes the correction of its block.  The RNG call order is part of the
+    seeded contract: each closed block, in order, makes two scalar
+    ``rng_ref.poisson`` draws, n1 then n2, and nothing else reads
     ``rng_ref``, so the same seed gives the same loop.
     """
-    block = cfg.fine_block_slots(dt)
-    at = np.flatnonzero(slots % block == block - 1)
-    means = (np.diff(sums[at], prepend=-carry["open"]) / block).tolist()
-    n_ref = block * ref_flux_per_slot / 2.0
+    n_ref = cfg.fine_block_slots(dt) * ref_flux_per_slot / 2.0
     poisson = rng_ref.poisson
     c_f = carry["c_f"]
-    shift = []
-    for mean in means:
-        shift.append(c_f)
+    shift = [c_f]
+    for mean in means.tolist():
         v_cos = visibility * math.cos(mean + c_f)
         n1 = poisson(max(n_ref * (1.0 + v_cos), 0.0))
         n2 = poisson(max(n_ref * (1.0 - v_cos), 0.0))
@@ -568,11 +608,10 @@ def _apply_fine_blocks(cfg: PhaseConfig, slots: np.ndarray,
         if abs(c_f) > 1e6:
             carry["c_f"] = c_f
             raise FeedbackDivergence("fine loop diverged")
-    shift.append(c_f)
+        shift.append(c_f)
     carry["c_f"] = c_f
-    carry["open"] = (float(sums[-1] - sums[at[-1]]) if at.size
-                     else carry["open"] + float(sums[-1]))
-    return phases + np.array(shift)[np.searchsorted(slots[at], slots)]
+    return phases + np.repeat(shift, np.diff(ends, prepend=-1,
+                                             append=phases.size - 1))
 
 
 def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
@@ -583,32 +622,39 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     The one phase path, for ``run_protocol`` per batch and
     ``simulate_phase_trace`` once.  ``slots`` are global slot indices past
     the carried position, in any order, repeats allowed; the evaluated
-    slots come back sorted and distinct.  "ideal" draws an i.i.d. Gaussian
-    residual of width ``residual_sigma``; the other regimes run
-    ``_phase_trajectory``, and "full" adds the fine-block ends up to the
-    last slot and closes their blocks (``_apply_fine_blocks``).  ``rngs``
-    are the drift, sensor and reference streams, ``carry`` the loops'
-    state (empty: start before slot 0), left as it is by an empty request.
+    slots come back sorted and distinct.  ``rngs`` are the drift, sensor
+    and reference streams, ``carry`` the loops' state (empty: start before
+    slot 0), left as it is by an empty request.  Per evaluated slot
+    "ideal" draws one normal from the drift stream, an i.i.d. Gaussian
+    residual of width ``residual_sigma``.  The other regimes run
+    ``_phase_trajectory``: two drift normals per slot, plus one sensor
+    normal in "coarse" and "full".  "full" adds the fine-block ends up to
+    the last slot, and each block closing there takes one more drift
+    normal (its sum's residual) and two reference draws
+    (``_apply_fine_blocks``).
     """
     rng_drift, rng_sensor, rng_ref = rngs
     if not slots.size:
         return slots, np.zeros(0)
     if not carry:
         carry.update(pos=-1, x=0.0, d=_SETPOINT + _INITIAL_OFFSET, c_f=0.0,
-                     open=0.0)
-    if cfg.regime == "full":
+                     open=0.0, open_var=0.0)
+    full = cfg.regime == "full"
+    if full:
         block = cfg.fine_block_slots(dt)
         k = np.arange((carry["pos"] + 1) // block, (slots.max() + 1) // block)
-        slots = np.concatenate([slots, (k + 1) * block - 1])
-    points = np.sort(slots)
+        block_ends = (k + 1) * block - 1
+        slots = np.concatenate([slots, block_ends])
+    points = np.sort(slots, kind="stable")     # merges the sorted runs
     points = points[np.diff(points, prepend=-1) > 0]
     if cfg.regime == "ideal":
         return points, cfg.residual_sigma * rng_drift.standard_normal(
             points.size)
-    phi, sums = _phase_trajectory(cfg, points, dt, rng_drift, rng_sensor,
-                                  carry)
-    if cfg.regime == "full":
-        phi = _apply_fine_blocks(cfg, points, phi, sums, dt, rng_ref, carry,
+    ends = np.searchsorted(points, block_ends) if full else None
+    phi, means = _phase_trajectory(cfg, points, dt, rng_drift, rng_sensor,
+                                   carry, ends)
+    if full:
+        phi = _apply_fine_blocks(cfg, phi, means, ends, dt, rng_ref, carry,
                                  ref_flux_per_slot, visibility)
     return points, phi - _SETPOINT
 

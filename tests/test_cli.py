@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -276,11 +277,17 @@ def test_nan_parameter_is_a_schema_error(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["keyrate", "simulate", "montecarlo"])
 @pytest.mark.parametrize("key, value", [("phase_slices_M", 0), ("s_A", -0.5),
-                                        ("eps_A", float("nan"))])
+                                        ("eps_A", float("nan")),
+                                        ("eps_B", 0.0), ("eps_A", 1.0),
+                                        ("u_A", 900.0),
+                                        ("u_A", float("inf"))])
 def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
                                                            tmp_path, capsys):
     # A file failing a structural check of validate_params stops every
-    # subcommand at the boundary; validate itself reports the checks.
+    # subcommand at the boundary; validate itself reports the checks.  A
+    # send probability of 0 or 1 would divide by zero in the security
+    # condition, and u_A = 900 or Infinity (json's literal) would overflow
+    # the decoy bound's e^u.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"
@@ -294,6 +301,24 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
     assert not out.exists()
     assert (run_cli(["validate", "--params", str(params)])
             == cli.EXIT_VALIDATION)
+
+
+@pytest.mark.parametrize("cmd", ["validate", "keyrate", "simulate"])
+def test_largest_accepted_intensity_does_not_overflow(cmd, tmp_path):
+    # MAX_INTENSITY is where math.exp, and so the decoy bound's e^u, stops
+    # being finite; a file at that limit passes the structural checks and
+    # every subcommand ends in a result or a schema error, never a crash.
+    assert math.isfinite(math.exp(model.MAX_INTENSITY))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(model.MAX_INTENSITY, math.inf))
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw["u_A"] = model.MAX_INTENSITY
+    params = tmp_path / "edge.json"
+    params.write_text(json.dumps(raw))
+    argv = [cmd, "--params", str(params)]
+    if cmd != "validate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert run_cli(argv) in (cli.EXIT_OK, cli.EXIT_SCHEMA)
 
 
 @pytest.mark.parametrize("argv", [

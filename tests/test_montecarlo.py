@@ -266,18 +266,17 @@ class TestSparsePhaseLaw:
         else:
             slots = np.arange(n)
         carry = {"pos": -1, "x": 0.1, "d": montecarlo._SETPOINT + 0.3,
-                 "c_f": 0.0, "open": 0.0}
+                 "c_f": 0.0, "open": 0.0, "open_var": 0.0}
         drift, sensor, ref = [np.random.default_rng(s) for s in
                               np.random.SeedSequence(seed).spawn(3)]
-        phases, sums = _phase_trajectory(cfg, slots, self.DT, drift, sensor,
-                                         carry)
+        at = np.searchsorted(slots, ends)
+        phases, means = _phase_trajectory(cfg, slots, self.DT, drift, sensor,
+                                          carry, at)
         # Block mean minus the phase at the block's last slot: the part of
         # each block sum that the evaluated slots leave free.
-        at = np.searchsorted(slots, ends)
-        spread = (np.diff(sums[at], prepend=0.0) / np.diff(ends, prepend=-1)
-                  - phases[at])
+        spread = means - phases[at]
         if cfg.regime == "full":
-            phases = _apply_fine_blocks(cfg, slots, phases, sums, self.DT,
+            phases = _apply_fine_blocks(cfg, phases, means, at, self.DT,
                                         ref, carry, 20.0, 0.99)
         return phases[np.searchsorted(slots, self.SHARED)], spread, carry["c_f"]
 
@@ -309,8 +308,12 @@ class TestSparsePhaseLaw:
         # equal the one of k unit steps (rho None: random walk, else AR(1)).
         def walk(steps, z_step, z_area):
             if rho is None:
-                return montecarlo._random_walk(0.0, 1.0, steps, z_step, z_area)
-            return montecarlo._ar1(0.0, rho, steps, ((1.0, z_step, z_area),))
+                v, (mean, var) = montecarlo._random_walk(0.0, 1.0, steps,
+                                                         z_step, True)
+            else:
+                v, (mean, var) = montecarlo._ar1(0.0, rho, steps,
+                                                 ((1.0, z_step),), True)
+            return v, np.cumsum(mean + np.sqrt(var) * z_area)
 
         unit = np.ones(k)
         runs = [walk(unit, e, np.zeros(k)) for e in np.eye(k)]
@@ -324,6 +327,48 @@ class TestSparsePhaseLaw:
             walk(one, np.array([0.0]), np.array([1.0])))])
         np.testing.assert_allclose(sparse.T @ sparse, dense.T @ dense,
                                    rtol=1e-9)
+
+
+def _full_doubling(r, a, y0):
+    """``_linear_scan`` without its early exit: every log-depth pass."""
+    r = r.copy()
+    y = a.copy()
+    y[0] += r[0] * y0
+    shift = 1
+    while shift < y.size:
+        y[shift:] = y[shift:] + r[shift:] * y[:-shift]
+        r[shift:] = r[shift:] * r[:-shift]
+        shift *= 2
+    return y
+
+
+# AR(1) factors rho^k: exact zeros, factors whose products underflow, any
+# value in [0, 1] and values near 1.  Offsets never carry -0.0 (+ 0.0 maps
+# it to +0.0), as sums of Gaussian terms never do; only a -0.0 entry could
+# tell an added exact +0.0 apart.
+_FACTORS = st.one_of(st.just(0.0), st.floats(1e-300, 1e-60),
+                     st.floats(0.0, 1.0), st.floats(1.0 - 1e-6, 1.0))
+_OFFSETS = st.floats(-10.0, 10.0).map(lambda v: v + 0.0)
+
+
+class TestLinearScan:
+    @given(st.lists(st.tuples(_FACTORS, _OFFSETS), min_size=1, max_size=300),
+           _OFFSETS)
+    def test_early_exit_is_bit_identical(self, steps, y0):
+        r, a = (np.array(column) for column in zip(*steps))
+        fast = montecarlo._linear_scan(r, a, y0)
+        full = _full_doubling(r, a, y0)
+        assert fast.tobytes() == full.tobytes()
+
+    def test_matches_the_recursion(self):
+        rng = np.random.default_rng(3)
+        r, a = rng.random(1000), rng.standard_normal(1000)
+        y, expected = 0.4, []
+        for rj, aj in zip(r.tolist(), a.tolist()):
+            y = rj * y + aj
+            expected.append(y)
+        np.testing.assert_allclose(montecarlo._linear_scan(r, a, 0.4),
+                                   expected, rtol=1e-12, atol=1e-12)
 
 
 class TestFeedback:
@@ -357,12 +402,12 @@ class TestFeedback:
         # the correction it already holds.
         cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
         phases = np.linspace(0.0, 1.0, 1000)
-        carry = {"c_f": 0.25, "open": 0.0}
-        out = _apply_fine_blocks(cfg, np.arange(1000), phases,
-                                 np.cumsum(phases), 1e-7,
+        ends = np.arange(99, 1000, 100)
+        carry = {"c_f": 0.25}
+        out = _apply_fine_blocks(cfg, phases, phases[ends], ends, 1e-7,
                                  np.random.default_rng(0), carry,
                                  ref_flux_per_slot=0.0, visibility=0.99)
-        assert carry == {"c_f": 0.25, "open": 0.0}
+        assert carry == {"c_f": 0.25}
         assert np.array_equal(out, phases + 0.25)
 
     def test_divergent_gain_rejected(self):
@@ -394,6 +439,7 @@ class TestGlobalSlotClock:
         cfg = PhaseConfig(regime="full", fine_block_s=3e-5)
         block = cfg.fine_block_slots(1.0 / params.protocol_rate_hz)
         evaluated, closed, draws = [], [], [0]
+        phase_trajectory = montecarlo._phase_trajectory
         apply_fine_blocks = montecarlo._apply_fine_blocks
 
         class CountingRng:
@@ -404,12 +450,18 @@ class TestGlobalSlotClock:
                 draws[0] += 1
                 return self.rng.poisson(lam)
 
-        def spy(cfg_, slots, phases, sums, dt, rng_ref, *rest):
+        def trajectory_spy(cfg_, slots, dt, rng_drift, rng_sensor, carry,
+                           ends):
             evaluated.append(slots)
-            closed.append(slots[slots % block == block - 1])
-            return apply_fine_blocks(cfg_, slots, phases, sums, dt,
+            closed.append(slots[ends])
+            return phase_trajectory(cfg_, slots, dt, rng_drift, rng_sensor,
+                                    carry, ends)
+
+        def spy(cfg_, phases, means, ends, dt, rng_ref, *rest):
+            return apply_fine_blocks(cfg_, phases, means, ends, dt,
                                      CountingRng(rng_ref), *rest)
 
+        monkeypatch.setattr(montecarlo, "_phase_trajectory", trajectory_spy)
         monkeypatch.setattr(montecarlo, "_apply_fine_blocks", spy)
         out = run_protocol(params, quick_link, quick_det, cfg, 10_000_000,
                            seed=3)
@@ -433,17 +485,45 @@ class TestGlobalSlotClock:
         assert carry == before
 
 
+class TestPhaseDrawBudget:
+    """The phase layer draws only what it reads, per evaluated slot and per
+    closed fine block."""
+
+    # Normals per evaluated slot from the drift and sensor streams.
+    PER_POINT = {"ideal": (1, 0), "free": (2, 0), "coarse": (2, 1),
+                 "full": (2, 1)}
+
+    @pytest.mark.parametrize("regime", ["ideal", "free", "coarse", "full"])
+    def test_each_stream_advances_by_the_budget(self, regime):
+        # 100-slot fine blocks: a request up to slot 1234 closes 12 blocks
+        # (ends 99 .. 1199) in "full", and each takes one drift normal.
+        cfg = PhaseConfig(regime=regime, fine_block_s=1e-4)
+        streams = [np.random.default_rng(s) for s in (1, 2, 3)]
+        twins = [np.random.default_rng(s) for s in (1, 2, 3)]
+        points, _ = montecarlo._channel_phase(
+            cfg, np.array([1234, 5, 250, 251, 777]), 1e-6, streams, {},
+            20.0, 0.99)
+        closed = 12 if regime == "full" else 0
+        assert points.size == 5 + closed
+        drift, sensor = self.PER_POINT[regime]
+        twins[0].standard_normal(drift * points.size + closed)
+        twins[1].standard_normal(sensor * points.size)
+        for stream, twin in zip(streams[:2], twins):
+            assert stream.bit_generator.state == twin.bit_generator.state
+
+
 class TestPhaseTracePin:
     # Criterion 7 reads simulate_phase_trace; its output at seed 41 over
     # 150 050 steps of 10 us (a partial final fine block) is pinned bit for
     # bit, as little-endian float64 bytes.
     @pytest.mark.parametrize("regime, digest", [
-        ("free", "ac9b7a4f68334bb324f395b28e9e16c5"
-                 "b694ddb846981bfd219dc26cb7051610"),
-        ("coarse", "d1abe51eb35b4b802f96df197a1a4557"
-                   "d29b5c03b8dd017ede5000c0f2448ab3"),
-        ("full", "06e7de9761c1db8e45f17d801ca46fd5"
-                 "3afc40012057d1db6ea23da4845495cd"),
+        pytest.param("free", "a385d1bdf71480c7a162d69b9963f305"
+                             "e89e75f40b323deec13403dc4d39e8f6", id="free"),
+        pytest.param("coarse", "82168519ef73a7e0673dc417c48937cd"
+                               "7fc4d72133cd4337f8be4362509ab95e",
+                     id="coarse"),
+        pytest.param("full", "a06c89ab2c50931a70b8f5d54cd7242e"
+                             "83ec88a0ebfb1f35120d600866001587", id="full"),
     ])
     def test_trace_is_bit_identical(self, regime, digest):
         trace = simulate_phase_trace(PhaseConfig(regime=regime), 150_050,
