@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -530,6 +531,54 @@ class TestPhaseTracePin:
                                      1e-5, seed=41)
         data = np.ascontiguousarray(trace.delta_phi_rad, dtype="<f8")
         assert hashlib.sha256(data.tobytes()).hexdigest() == digest
+
+
+def outcome_digest(out) -> str:
+    """sha256 of a run's seeded outputs: its counts, ground truth, event
+    tallies and batches (canonical JSON), raw-key bytes and phase trace
+    (little-endian float64)."""
+    record = {"counts": out.counts.to_counts_dict(), "gt": out.ground_truth,
+              "events": [out.candidates, out.accepted, out.batches]}
+    h = hashlib.sha256(json.dumps(record, sort_keys=True).encode())
+    h.update(np.ascontiguousarray(out.raw_keys.events, dtype=np.uint8))
+    for data in (out.phase_trace.times_s, out.phase_trace.delta_phi_rad):
+        h.update(np.ascontiguousarray(data, dtype="<f8"))
+    return h.hexdigest()
+
+
+class TestSamplerPin:
+    # run_protocol's seeded outputs, pinned bit for bit.  "metro" is the
+    # benchmark's dense 10 dB flux-balanced link in "ideal" with a 64 ns
+    # (31-slot) deadtime, and "metro-1us" the same with 499 dead slots, so
+    # that most clicks fall in deadtime chains; both cut the run into
+    # several batches, so the deadtime and phase carries cross batch
+    # boundaries.  "field" is the bundled link and detector (10 us
+    # deadtime) in "full" over 20 closed fine blocks.
+    @pytest.mark.parametrize("case, digest", [
+        pytest.param("metro", "87e0c32371e642a7aa284a08a6ccfb2a"
+                              "0fd9c41eb10a6ac82532923e4def6a64", id="metro"),
+        pytest.param("metro-1us", "6c3c554106c2cb37a7d5e8b45fa17e7f"
+                                  "3daaae8d68bb858f0a86a0b1f9088c87",
+                     id="metro-1us"),
+        pytest.param("field", "f91b846235c49788f7d7211b2a2be880"
+                              "bc0f89eca37e31e317be0d62bc7f743f", id="field"),
+    ])
+    def test_outputs_are_bit_identical(self, case, digest, params,
+                                       field_link, field_detector):
+        if case == "field":
+            link, det, cfg = field_link, field_detector, PhaseConfig("full")
+            n_slots, batches = 10_000_000, 1
+        else:
+            loss_a = (10.0 + keyrate.balanced_arm_delta_db(params)) / 2.0
+            link = LinkBudget(0.0, 0.0, loss_a, 10.0 - loss_a)
+            det = dataclasses.replace(
+                field_detector,
+                deadtime_s=1e-6 if case == "metro-1us" else 64e-9)
+            cfg = PhaseConfig("ideal", residual_sigma=0.1)
+            n_slots, batches = 8_000_000, 4
+        out = run_protocol(params, link, det, cfg, n_slots, seed=2024)
+        assert out.batches == batches
+        assert outcome_digest(out) == digest
 
 
 def sequential_deadtime(slots, dead_slots, last_kept):
