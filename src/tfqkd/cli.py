@@ -189,9 +189,12 @@ def cmd_montecarlo(args) -> int:
         regime=args.regime,
         residual_sigma=bundle["extras"]["misalignment_sigma_rad"])
     visibility = bundle["extras"]["visibility"]
-    outcome = montecarlo.run_protocol(
-        bundle["protocol"], link, det, cfg, n_slots=args.slots,
-        seed=args.seed, visibility=visibility)
+    try:
+        outcome = montecarlo.run_protocol(
+            bundle["protocol"], link, det, cfg, n_slots=args.slots,
+            seed=args.seed, visibility=visibility)
+    except model.PatternError as exc:
+        raise SchemaError(f"--slots {args.slots} is too few: {exc}") from exc
     # The inputs the run saw, after --loss-db, in canonical JSON.
     inputs = {"protocol": dataclasses.asdict(bundle["protocol"]),
               "link": dataclasses.asdict(link),

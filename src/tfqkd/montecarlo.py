@@ -70,7 +70,8 @@ approximation, for six reasons:
   law t P1(o).  Tags are independent from slot to slot given the
   outcome, so one binomial per (sn / ns, outcome) per run tags them all,
   the slots without a click ("neither") included, and the tag rides in
-  the event's label.
+  the event's label.  A label's attributes (key bits, tag, window, XX
+  candidacy, clicks) are one byte, ``_LABEL_BITS``, read once per event.
 
 Forward-model physics.  The click model's phase averages are in closed
 form here too, from one ``detector_means`` call each: the outcome law at
@@ -170,11 +171,13 @@ _LABEL_CODE, _LABEL_OUTCOME, _LABEL_TAG = np.array([
     for tag in ((0, 1) if code in (_SN, _NS) else (0,))]).T
 _N_LABELS = _LABEL_CODE.size
 _CODE_FIRST_LABEL = np.searchsorted(_LABEL_CODE, np.arange(25))
-_LABEL_XX = _XX[_LABEL_CODE]
-_LABEL_ZZ = _ZZ[_LABEL_CODE]
-_LABEL_C1 = (_LABEL_OUTCOME == 0) | (_LABEL_OUTCOME == 2)
-_LABEL_C2 = _LABEL_OUTCOME >= 1
-_LABEL_KEY = _KEY_BITS[_LABEL_CODE] | (_LABEL_TAG << 2).astype(np.uint8)
+# A label's attributes in one byte: its ``RawKeyPair`` event byte in bits
+# 0-2, then a ZZ window, an XX candidate and each detector's click.
+_ZZ_BIT, _XX_BIT, _C1_BIT, _C2_BIT = 8, 16, 32, 64
+_LABEL_BITS = (_KEY_BITS[_LABEL_CODE] | _LABEL_TAG << 2
+               | _ZZ[_LABEL_CODE] * _ZZ_BIT | _XX[_LABEL_CODE] * _XX_BIT
+               | np.isin(_LABEL_OUTCOME, (0, 2)) * _C1_BIT
+               | (_LABEL_OUTCOME >= 1) * _C2_BIT).astype(np.uint8)
 _LABEL_CELL = 4 * _LABEL_CODE + np.maximum(_LABEL_OUTCOME, 0)
 _TAGGED_LABELS = np.array([np.flatnonzero((_LABEL_CODE == code) & _LABEL_TAG)
                            for code in (_SN, _NS)])
@@ -396,35 +399,36 @@ def filter_deadtime(slots: np.ndarray, dead_slots: int,
     clusters, each led by an anchor that is kept: the clear click before
     it, or ``last_kept`` for a cluster at the start.  The anchor is the
     predecessor of the cluster's first click, so that click is always
-    dropped, and clusters of one click need nothing more.  After a kept
-    slot T the next kept click is the first at or past T + dead_slots + 1,
-    one ``searchsorted`` away, and never past the clear click that ends the
-    cluster.  The kept clicks of a cluster are the chain of these next-kept
-    links from its anchor, marked by pointer doubling in log2(chain
-    length) passes (``_resolve_clusters``).  Sparse clicks rarely form a
-    cluster of two, and then no chain is resolved at all.
+    dropped, and clusters of one click need nothing more; only the clusters
+    where two close clicks meet go on.  After a kept slot T the next kept
+    click is the first at or past T + dead_slots + 1, one ``searchsorted``
+    away, and never past the clear click that ends the cluster.  The kept
+    clicks of such a cluster are the chain of these next-kept links from
+    its anchor, marked by pointer doubling in log2(chain length) passes
+    over those clusters' clicks alone (``_resolve_clusters``).  Sparse
+    clicks rarely form a cluster of two, and then no chain is resolved.
     """
     if slots.size == 0:
         return np.ones(0, dtype=bool), last_kept
     pred = np.maximum(np.concatenate(([last_kept], slots[:-1])), last_kept)
     close = slots - pred <= dead_slots
     keep = ~close
-    if np.count_nonzero(close[1:] & close[:-1]):
-        keep[close] = _resolve_clusters(slots, close, dead_slots, last_kept)
+    meet = np.concatenate(([False], close[1:] & close[:-1], [False]))
+    if np.count_nonzero(meet):
+        chain = meet[:-1] | meet[1:]
+        keep[chain] = _resolve_clusters(slots, chain, dead_slots, last_kept)
     last = slots.size - 1 - int(keep[::-1].argmax())
     return keep, int(slots[last]) if keep[last] else last_kept
 
 
-def _resolve_clusters(slots: np.ndarray, close: np.ndarray, dead_slots: int,
+def _resolve_clusters(slots: np.ndarray, chain: np.ndarray, dead_slots: int,
                       last_kept: int) -> np.ndarray:
-    """Keep mask of the ``close`` clicks (see ``filter_deadtime``)."""
-    # Cluster nodes in click order: each run of close clicks, led by its
-    # anchor, the entry before the run.  Entry i + 1 of ``row`` is click i
-    # and entry 0 the carry.
-    row = np.concatenate(([False], close))
-    is_node = row.copy()
-    is_node[np.flatnonzero(row[1:] > row[:-1])] = True
-    node = np.flatnonzero(is_node)
+    """Keep mask of the ``chain`` clicks (see ``filter_deadtime``)."""
+    # Cluster nodes in click order: each run of chain clicks (two or more
+    # close clicks), led by its anchor, the entry before the run.  Entry
+    # i + 1 of ``row`` is click i and entry 0 the carry.
+    row = np.concatenate(([False], chain, [False]))
+    node = np.flatnonzero(row[:-1] | row[1:])
     anchor = ~row[node]
     s_node = slots[node - 1]
     if node[0] == 0:
@@ -825,8 +829,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     batch's fixed cost once per ~2^14 events.  Each batch takes its events
     per label by one subset draw over the labels' remaining events and the
     remaining other slots, and ``_scatter`` places them at uniformly random
-    distinct slots, in slot order.  A phase-blind event's outcome, key bits
-    and tag are lookups of its label, with no phase or uniform draw.  An XX
+    distinct slots, in slot order.  One ``take`` of ``_LABEL_BITS`` gives
+    each event its attribute byte, and a phase-blind event's outcome, key
+    bits and tag are bits of it, with no phase or uniform draw.  An XX
     candidate draws its global phase difference theta_A - theta_B uniform
     on [0, 2 pi) (only that difference mod 2 pi enters the interference and
     the matching windows), adds the channel phase at its slot and keeps
@@ -839,7 +844,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
     The tallies are one ``bincount`` of the heralded labels per batch,
     folded by code at the end.  Each Z-window herald keeps one
-    ``RawKeyPair`` event byte, its label's ``_LABEL_KEY``: Alice's and
+    ``RawKeyPair`` event byte, its attribute byte's bits 0-2: Alice's and
     Bob's key bits from ``_KEY_BITS`` and its tag in bit 2; the raw keys
     are the batches' bytes joined once at the end.
     """
@@ -929,7 +934,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         label = np.repeat(np.arange(_N_LABELS, dtype=np.uint8), drawn[:-1])
         slot, label = _scatter(label, n, rng_slot)
         slot += lo
-        xx_at = np.flatnonzero(_LABEL_XX[label])
+        bits = _LABEL_BITS.take(label)
+        xx_at = np.flatnonzero((bits & _XX_BIT).astype(bool))
         xx_slot = slot[xx_at]
         lap("draws")
 
@@ -946,8 +952,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         # XX candidate keeps (c1, c2) with probability P(c1, c2 | delta) /
         # p_bar at delta = theta_A - theta_B + phi: detector 1 alone for u
         # below p1 - both, both below p1, 2 alone below p1 + p2 - both.
-        c1 = _LABEL_C1[label]
-        c2 = _LABEL_C2[label]
+        c1 = (bits & _C1_BIT).astype(bool)
+        c2 = (bits & _C2_BIT).astype(bool)
         xx_code = _LABEL_CODE[label[xx_at]]
         u = rng_slot.random(xx_at.size) * p_bar[xx_code]
         dtheta = rng_slot.random(xx_at.size) * (2.0 * np.pi)
@@ -970,9 +976,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         lap("deadtime")
 
         heralded = c1 ^ c2
-        herald = label[heralded]
-        heralds += np.bincount(herald, minlength=_N_LABELS)
-        key_events.append(_LABEL_KEY[herald[_LABEL_ZZ[herald]]])
+        heralds += np.bincount(label.compress(heralded), minlength=_N_LABELS)
+        bits = bits.compress(heralded)
+        key_events.append(bits.compress((bits & _ZZ_BIT).astype(bool)) & 7)
 
         xx = heralded[xx_at]
         xx_h1 = c1[xx_at][xx]

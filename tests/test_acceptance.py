@@ -174,6 +174,13 @@ class TestCriterion4SquareRootScaling:
 
 class TestCriterion5OracleEquivalence:
     def test_category_counts_within_poisson_bands(self, big_mc_run):
+        """Max |z| <= 3 over the 25 categories of a 1e8-slot run.
+
+        Size: a correct sampler trips it on 1 - 0.9973^25 ~= 6.5% of
+        seeds; 1000-seed sweeps (``criterion5_sweep.py --gate category``)
+        measured 5.7-7.3%, so a correct change that moves the RNG stream
+        fails this pinned seed about one time in 15.
+        """
         out, pred = big_mc_run
         worst_key, worst_z = "", 0.0
         for k in decoy.CATEGORIES:
@@ -187,6 +194,12 @@ class TestCriterion5OracleEquivalence:
 
     def test_field_deadtime_categories_within_poisson_bands(
             self, params, bundle, field_link, field_detector):
+        """Max |z| <= 3 over the 25 categories of a 1e10-slot field run.
+
+        Size: 1 - 0.9973^25 ~= 6.5% of seeds, as the category gate;
+        1000-seed sweeps (``criterion5_sweep.py --gate field-deadtime``)
+        measured 6.5-6.6%.
+        """
         # The bundled field link and detector (10 us deadtime) in the full
         # drift regime: the forward model's deadtime retention factor
         # against the Monte Carlo's non-paralyzable filter.
@@ -229,6 +242,11 @@ class TestCriterion5OracleEquivalence:
                        f"within [0.5, 1.0] of tagged truth {truth:.3e}")
 
     def test_x_basis_qber_within_binomial_bands(self, x_qber_run):
+        """|z| <= 3 on both matched-window QBERs of a 4e9-slot run.
+
+        Size: two tests at 0.27% each, 1 - 0.9973^2 ~= 0.54% of seeds;
+        measured at about 0.5%.
+        """
         # Each matched-window QBER against the model's, within 3 binomial
         # sigma of the run's own phase-matched count.
         out, pred = x_qber_run

@@ -275,6 +275,23 @@ def test_nan_parameter_is_a_schema_error(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_starved_class_is_a_schema_error(tmp_path, capsys):
+    # A valid file whose Xu class (probability 2e-5) rounds to no slot of
+    # a 10 000-slot run: montecarlo names the flag and the class.
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw.update(p_u_A=0.0001, p_v_A=0.8499)
+    params = tmp_path / "starved.json"
+    params.write_text(json.dumps(raw))
+    assert run_cli(["validate", "--params", str(params)]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "sim.json"
+    assert run_cli(["montecarlo", "--params", str(params), "--slots", "10000",
+                    "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "--slots" in err and "'Xu'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["keyrate", "simulate", "montecarlo"])
 @pytest.mark.parametrize("key, value", [("phase_slices_M", 0), ("s_A", -0.5),
                                         ("eps_A", float("nan")),

@@ -693,19 +693,26 @@ class TestEventLabels:
         # tables; only sn / ns labels carry a tag bit, an XX candidate's
         # one label carries no outcome, and every other code has one label
         # per click outcome (and per tag).
+        # All of it is read from the one attribute byte per label, bit by
+        # bit: the key bits and tag in bits 0-2, then the window, the XX
+        # candidacy and the two detectors' clicks, and nothing above.
         mc = montecarlo
-        code = mc._LABEL_CODE
+        code, bits = mc._LABEL_CODE, mc._LABEL_BITS
         assert mc._N_LABELS < 256 and np.all(np.diff(code) >= 0)
-        assert np.array_equal(mc._LABEL_KEY & 3, mc._KEY_BITS[code])
-        assert np.array_equal(mc._LABEL_ZZ, mc._ZZ[code])
-        assert np.array_equal(mc._LABEL_XX, mc._XX[code])
-        tag = mc._LABEL_KEY >> 2
+        assert bits.dtype == np.uint8 and np.all(bits < 128)
+        assert ((mc._ZZ_BIT, mc._XX_BIT, mc._C1_BIT, mc._C2_BIT)
+                == (8, 16, 32, 64))
+        assert np.array_equal(bits & 3, mc._KEY_BITS[code])
+        assert np.array_equal((bits & mc._ZZ_BIT) > 0, mc._ZZ[code])
+        assert np.array_equal((bits & mc._XX_BIT) > 0, mc._XX[code])
+        tag = bits >> 2 & 1
         assert np.array_equal(tag, mc._LABEL_TAG)
         assert set(code[tag == 1].tolist()) == {mc._SN, mc._NS}
+        c1, c2 = (bits & mc._C1_BIT) > 0, (bits & mc._C2_BIT) > 0
         for c in range(25):
             at = code == c
-            fates = sorted(zip(mc._LABEL_C1[at].tolist(),
-                               mc._LABEL_C2[at].tolist(), tag[at].tolist()))
+            fates = sorted(zip(c1[at].tolist(), c2[at].tolist(),
+                               tag[at].tolist()))
             if mc._XX[c]:
                 assert fates == [(False, False, 0)]
                 continue
