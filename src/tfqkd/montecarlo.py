@@ -413,8 +413,9 @@ def filter_deadtime(slots: np.ndarray, dead_slots: int,
     pred = np.maximum(np.concatenate(([last_kept], slots[:-1])), last_kept)
     close = slots - pred <= dead_slots
     keep = ~close
-    meet = np.concatenate(([False], close[1:] & close[:-1], [False]))
+    meet = close[1:] & close[:-1]
     if np.count_nonzero(meet):
+        meet = np.concatenate(([False], meet, [False]))
         chain = meet[:-1] | meet[1:]
         keep[chain] = _resolve_clusters(slots, chain, dead_slots, last_kept)
     last = slots.size - 1 - int(keep[::-1].argmax())

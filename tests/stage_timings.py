@@ -65,11 +65,11 @@ def timings(workload: str, calls: int, seed: int, trees) -> list:
         call(tree, 0)
     out = [{} for _ in trees]
     for i in range(calls):
-        order = range(len(trees)) if i % 2 == 0 else reversed(range(len(trees)))
-        for t in order:
-            run = call(trees[t], i)
+        turns = list(zip(trees, out))
+        for tree, record in turns if i % 2 == 0 else turns[::-1]:
+            run = call(tree, i)
             for name, s in {"wall_s": run.wall_s, **run.stage_s}.items():
-                out[t].setdefault(name, []).append(s)
+                record.setdefault(name, []).append(s)
     return out
 
 
