@@ -467,9 +467,12 @@ def params_from_dict(raw: dict) -> ProtocolParams:
     missing = [k for k in _PROTOCOL_KEYS if k not in raw]
     if missing:
         raise KeyError(f"parameter file is missing keys: {missing}")
+    m = raw["phase_slices_M"]
+    if not (isinstance(m, int) or float(m).is_integer()):  # 16.9 is no M
+        raise ValueError("phase_slices_M must be a whole number")
     return ProtocolParams(
         alice=_side_from_dict(raw, "A"), bob=_side_from_dict(raw, "B"),
-        phase_slices_m=int(raw["phase_slices_M"]),
+        phase_slices_m=int(m),
         clock_rate_hz=float(raw["clock_rate_hz"]),
         duty_cycle=float(raw["duty_cycle"]),
     )
@@ -498,19 +501,23 @@ def load_params_file_from_dict(raw: dict) -> dict:
     """Split a flat parameter object into its typed parts.
 
     Returns a dict with keys "protocol", "link", "detector", "security" and
-    "extras" (visibility, misalignment_sigma_rad when present).  Link and
-    detector sections are optional in the file.
+    "extras" (visibility in [0, 1] and misalignment_sigma_rad >= 0, each
+    finite, or their defaults).  Link and detector sections are optional.
     """
+    extras = {"visibility": raw.get("visibility", DEFAULT_VISIBILITY),
+              "misalignment_sigma_rad": raw.get(
+                  "misalignment_sigma_rad", DEFAULT_MISALIGNMENT_SIGMA_RAD)}
+    for (key, value), high in zip(extras.items(), (1.0, math.inf)):
+        if (type(value) not in (int, float) or not 0.0 <= value <= high
+                or value == math.inf):
+            raise ValueError(f"{key} must be a finite number in [0, {high}], "
+                             f"not {value!r}")
     return {
         "protocol": params_from_dict(raw),
         "link": link_from_dict(raw),
         "detector": detector_from_dict(raw),
         "security": security_from_dict(raw),
-        "extras": {
-            "visibility": raw.get("visibility", DEFAULT_VISIBILITY),
-            "misalignment_sigma_rad": raw.get("misalignment_sigma_rad",
-                                              DEFAULT_MISALIGNMENT_SIGMA_RAD),
-        },
+        "extras": extras,
     }
 
 

@@ -62,7 +62,9 @@ approximation, for six reasons:
   differential drift.  The fine loop reads only block means.  Given the
   steps, the sum of the skipped slots' phases is Gaussian with a residual
   independent of everything else, so each closed block draws one more
-  normal, of the summed residual variance, and only in "full".
+  normal, of the summed residual variance, and only in "full".  Its two
+  reference counts sum to a Poisson whatever the phase, so it draws that
+  total and, when non-empty, detector 1's binomial share of it.
 * Tags by posterior.  A single-sender slot's outcome o has the
   phase-averaged law P_coh(o), in closed form from
   ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
@@ -133,7 +135,6 @@ __all__ = [
     "click_probs",
     "phase_averaged_law",
     "phase_matched_qber",
-    "fine_feedback",
     "filter_deadtime",
     "simulate_phase_trace",
     "run_protocol",
@@ -210,6 +211,8 @@ class PhaseConfig:
     def __post_init__(self):
         if self.regime not in ("free", "coarse", "full", "ideal"):
             raise ValueError(f"unknown phase regime {self.regime!r}")
+        if not 0.0 <= self.residual_sigma < math.inf:
+            raise ValueError("residual_sigma must be finite and >= 0")
         if not 0.0 < self.coarse_gain < 2.0:
             raise FeedbackDivergence(
                 f"coarse gain {self.coarse_gain} outside the stable (0, 2) range"
@@ -222,22 +225,6 @@ class PhaseConfig:
     def fine_block_slots(self, dt: float) -> int:
         """Slots B per fine block; block k ends at global slot k B - 1."""
         return max(1, round(self.fine_block_s / dt))
-
-
-def fine_feedback(counts, gain: float, setpoint: float) -> float:
-    """Integral correction from one block's reference-pulse counts (n1, n2).
-
-    The count imbalance y = (n1 - n2)/(n1 + n2) ~= V cos(delta_phi)
-    estimates the phase; the estimate is unbiased at quadrature, which is
-    why the lock point ``_SETPOINT`` is pi/2.  An empty block corrects
-    nothing.
-    """
-    n1, n2 = counts
-    total = n1 + n2
-    if total <= 0:
-        return 0.0
-    y = min(max((n1 - n2) / total, -1.0), 1.0)
-    return -gain * (math.acos(y) - setpoint)
 
 
 def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
@@ -596,23 +583,26 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
     block closing here, and ``means`` its mean phase
     (``_phase_trajectory``).  Each closed block's mean is shifted by the
     correction ``carry["c_f"]``, which its estimate then updates; a phase
-    takes the correction of its block.  The RNG call order is part of the
-    seeded contract: each closed block, in order, makes two scalar
-    ``rng_ref.poisson`` draws, n1 then n2, and nothing else reads
-    ``rng_ref``, so the same seed gives the same loop.
+    takes the correction of its block.  A block's two reference counts
+    total n ~ Poisson(B times the flux) at any phase, and detector 1's n1
+    given n is Bin(n, (1 + V cos delta) / 2).  (n1 - n2) / n ~= V cos delta
+    is unbiased at quadrature, the lock point ``_SETPOINT``; an empty block
+    corrects nothing.  The seeded contract: per call one ``rng_ref.poisson``
+    vector of the totals, then per non-empty block, in order, one scalar
+    ``rng_ref.binomial``; nothing else reads ``rng_ref``.
     """
-    n_ref = cfg.fine_block_slots(dt) * ref_flux_per_slot / 2.0
-    poisson = rng_ref.poisson
+    totals = rng_ref.poisson(cfg.fine_block_slots(dt) * ref_flux_per_slot,
+                             means.size)
+    binomial = rng_ref.binomial
     c_f = carry["c_f"]
     shift = [c_f]
-    for mean in means.tolist():
-        v_cos = visibility * math.cos(mean + c_f)
-        n1 = poisson(max(n_ref * (1.0 + v_cos), 0.0))
-        n2 = poisson(max(n_ref * (1.0 - v_cos), 0.0))
-        c_f += fine_feedback((n1, n2), cfg.fine_gain, _SETPOINT)
-        if abs(c_f) > 1e6:
-            carry["c_f"] = c_f
-            raise FeedbackDivergence("fine loop diverged")
+    for mean, n in zip(means.tolist(), totals.tolist()):
+        if n:
+            n1 = binomial(n, (1.0 + visibility * math.cos(mean + c_f)) / 2.0)
+            c_f -= cfg.fine_gain * (math.acos((2 * n1 - n) / n) - _SETPOINT)
+            if abs(c_f) > 1e6:
+                carry["c_f"] = c_f
+                raise FeedbackDivergence("fine loop diverged")
         shift.append(c_f)
     carry["c_f"] = c_f
     return phases + np.repeat(shift, np.diff(ends, prepend=-1,
@@ -635,7 +625,8 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     ``_phase_trajectory``: two drift normals per slot, plus one sensor
     normal in "coarse" and "full".  "full" adds the fine-block ends up to
     the last slot, and each block closing there takes one more drift
-    normal (its sum's residual) and two reference draws
+    normal (its sum's residual); each call's closed blocks draw their
+    reference totals as one vector and each non-empty one a binomial
     (``_apply_fine_blocks``).
     """
     rng_drift, rng_sensor, rng_ref = rngs
@@ -853,6 +844,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     if not MIN_SLOTS <= n_slots < MAX_SLOTS:
         raise ValueError(f"run_protocol takes {MIN_SLOTS} to 2^55 - 1 "
                          f"slots, not {n_slots}")
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
     stage_s = dict.fromkeys(("draws", "phase", "thinning", "deadtime",
                              "tally"), 0.0)
     lap_start = t_start

@@ -320,6 +320,51 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
             == cli.EXIT_VALIDATION)
 
 
+@pytest.mark.parametrize("cmd", ["validate", "keyrate", "simulate", "bounds",
+                                 "montecarlo"])
+@pytest.mark.parametrize("key, value", [
+    ("visibility", 1.5), ("visibility", -0.1), ("visibility", "abc"),
+    ("visibility", float("nan")), ("visibility", True),
+    ("misalignment_sigma_rad", -0.3), ("misalignment_sigma_rad", float("nan")),
+    ("misalignment_sigma_rad", float("inf")), ("phase_slices_M", 16.9),
+    ("phase_slices_M", float("inf"))])
+def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
+                                               capsys):
+    # A visibility outside [0, 1], a negative or non-finite misalignment
+    # width and a fractional phase-slice count (16.9 used to run as 16)
+    # stop every subcommand at the boundary, naming the key.
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw[key] = value
+    params = tmp_path / "bad.json"
+    params.write_text(json.dumps(raw))
+    out = tmp_path / "out.json"
+    argv = [cmd, "--params", str(params)]
+    if cmd != "validate":
+        argv += ["--out", str(out)]
+    if cmd == "montecarlo":
+        argv += ["--slots", "100000"]
+    assert run_cli(argv) == cli.EXIT_SCHEMA
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("visibility", 0), ("visibility", 1), ("misalignment_sigma_rad", 0.0),
+    ("phase_slices_M", 16.0)])
+def test_edge_values_are_accepted(key, value, tmp_path):
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw[key] = value
+    params = tmp_path / "edge.json"
+    params.write_text(json.dumps(raw))
+    bundle = model.load_params_file(params)
+    if key == "phase_slices_M":
+        assert bundle["protocol"].phase_slices_m == 16
+    else:
+        assert bundle["extras"][key] == value
+    assert run_cli(["simulate", "--params", str(params), "--out",
+                    str(tmp_path / "rows.json")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("cmd", ["validate", "keyrate", "simulate"])
 def test_largest_accepted_intensity_does_not_overflow(cmd, tmp_path):
     # MAX_INTENSITY is where math.exp, and so the decoy bound's e^u, stops

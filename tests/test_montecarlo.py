@@ -23,7 +23,6 @@ from tfqkd.montecarlo import (
     click_probs,
     detector_means,
     filter_deadtime,
-    fine_feedback,
     run_protocol,
     simulate_phase_trace,
 )
@@ -387,18 +386,47 @@ class TestFeedback:
             expected = x0 * 0.9 ** np.arange(1, 51)
             np.testing.assert_allclose(phases, expected, rtol=1e-12)
 
+    @staticmethod
+    def _fine_step(totals, n1, c_f=0.0):
+        """``_apply_fine_blocks`` over one point per closed block, fed fixed
+        reference totals and detector-1 counts; the corrections and carry."""
+        class FixedCounts:
+            def poisson(self, lam, size):
+                assert size == len(totals)
+                return np.array(totals)
+
+            def binomial(self, n, p):
+                assert 0.0 <= p <= 1.0
+                return n1
+
+        cfg = PhaseConfig(regime="full", fine_gain=0.5)
+        phases = np.zeros(len(totals))
+        ends = np.arange(len(totals))
+        carry = {"c_f": c_f}
+        out = _apply_fine_blocks(cfg, phases, phases, ends, 1e-7,
+                                 FixedCounts(), carry, ref_flux_per_slot=1.0,
+                                 visibility=0.99)
+        return out, carry
+
     def test_fine_balanced_counts_at_quadrature(self):
-        assert fine_feedback((1000, 1000), 0.5, math.pi / 2) == pytest.approx(0.0)
+        out, carry = self._fine_step([2000], 1000)
+        assert carry["c_f"] == pytest.approx(0.0)
+        assert out.tolist() == [0.0]
 
     def test_fine_correction_sign(self):
-        # More counts on detector 1 means cos(delta) > 0, i.e. the phase
-        # sits below quadrature, so the integral step raises it.
-        step = fine_feedback((1500, 500), 0.5, math.pi / 2)
+        # More counts on detector 1 (1500 of 2000) means cos(delta) > 0,
+        # i.e. the phase sits below quadrature, so the integral step
+        # raises it.
+        _, carry = self._fine_step([2000], 1500)
+        step = carry["c_f"]
         assert step == pytest.approx(-0.5 * (math.acos(0.5) - math.pi / 2))
         assert step > 0.0
 
     def test_fine_empty_window(self):
-        assert fine_feedback((0, 0), 0.5, math.pi / 2) == 0.0
+        # An empty block draws no binomial and holds the correction.
+        out, carry = self._fine_step([0, 0], None, c_f=0.25)
+        assert carry == {"c_f": 0.25}
+        assert out.tolist() == [0.25, 0.25]
         # No reference flux: every block is empty, so the loop only carries
         # the correction it already holds.
         cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
@@ -436,20 +464,28 @@ class TestGlobalSlotClock:
                                                    quick_det, monkeypatch):
         # 15 000-slot blocks against 2^20-slot batches: blocks straddle
         # every batch boundary, and each must still close exactly once, at
-        # its global end k B - 1, with two reference draws.
+        # its global end k B - 1.  Each call draws its closed blocks'
+        # reference totals as one Poisson vector, and at most one binomial
+        # per closed block.
         cfg = PhaseConfig(regime="full", fine_block_s=3e-5)
         block = cfg.fine_block_slots(1.0 / params.protocol_rate_hz)
-        evaluated, closed, draws = [], [], [0]
+        evaluated, closed = [], []
+        draws = Counter()
         phase_trajectory = montecarlo._phase_trajectory
         apply_fine_blocks = montecarlo._apply_fine_blocks
 
         class CountingRng:
-            def __init__(self, rng):
-                self.rng = rng
+            def __init__(self, rng, closing):
+                self.rng, self.closing = rng, closing
 
-            def poisson(self, lam):
-                draws[0] += 1
-                return self.rng.poisson(lam)
+            def poisson(self, lam, size):
+                assert size == self.closing
+                draws["poisson"] += 1
+                return self.rng.poisson(lam, size)
+
+            def binomial(self, n, p):
+                draws["binomial"] += 1
+                return self.rng.binomial(n, p)
 
         def trajectory_spy(cfg_, slots, dt, rng_drift, rng_sensor, carry,
                            ends):
@@ -459,8 +495,9 @@ class TestGlobalSlotClock:
                                     carry, ends)
 
         def spy(cfg_, phases, means, ends, dt, rng_ref, *rest):
+            draws["calls"] += 1
             return apply_fine_blocks(cfg_, phases, means, ends, dt,
-                                     CountingRng(rng_ref), *rest)
+                                     CountingRng(rng_ref, means.size), *rest)
 
         monkeypatch.setattr(montecarlo, "_phase_trajectory", trajectory_spy)
         monkeypatch.setattr(montecarlo, "_apply_fine_blocks", spy)
@@ -470,7 +507,8 @@ class TestGlobalSlotClock:
         last = int(evaluated[-1][-1])
         expected = np.arange(block - 1, last + 1, block)
         assert np.array_equal(np.concatenate(closed), expected)
-        assert draws[0] == 2 * expected.size
+        assert draws["poisson"] == draws["calls"] == len(closed)
+        assert 0 < draws["binomial"] <= expected.size
 
     def test_empty_request_leaves_the_carry(self):
         cfg = PhaseConfig(regime="full", fine_block_s=1e-4)
@@ -523,8 +561,8 @@ class TestPhaseTracePin:
         pytest.param("coarse", "82168519ef73a7e0673dc417c48937cd"
                                "7fc4d72133cd4337f8be4362509ab95e",
                      id="coarse"),
-        pytest.param("full", "a06c89ab2c50931a70b8f5d54cd7242e"
-                             "83ec88a0ebfb1f35120d600866001587", id="full"),
+        pytest.param("full", "ae9f2284b69520365d8644c7a99aeab3"
+                             "1e0118c48b78ace5a1162c1053f69e25", id="full"),
     ])
     def test_trace_is_bit_identical(self, regime, digest):
         trace = simulate_phase_trace(PhaseConfig(regime=regime), 150_050,
@@ -560,8 +598,8 @@ class TestSamplerPin:
         pytest.param("metro-1us", "6c3c554106c2cb37a7d5e8b45fa17e7f"
                                   "3daaae8d68bb858f0a86a0b1f9088c87",
                      id="metro-1us"),
-        pytest.param("field", "f91b846235c49788f7d7211b2a2be880"
-                              "bc0f89eca37e31e317be0d62bc7f743f", id="field"),
+        pytest.param("field", "3d38ad555d2b21a460a3251da3f7ff3c"
+                              "4af9268d1dd2424ed645d9c691a44c85", id="field"),
     ])
     def test_outputs_are_bit_identical(self, case, digest, params,
                                        field_link, field_detector):
@@ -720,6 +758,20 @@ class TestEventLabels:
             assert fates == sorted((c1, c2, t) for c1, c2 in (
                 (True, False), (False, True), (True, True)) for t in tags)
 
+    def test_each_label_clicks_as_its_law_column(self):
+        # Label by label, not per code as a set: the click bits of every
+        # non-XX label match the outcome of its column in the law table,
+        # so no outcome can be permuted within a code.
+        mc = montecarlo
+        outcome_clicks = {0: (1, 0), 1: (0, 1), 2: (1, 1)}
+        bits = mc._LABEL_BITS
+        for label in range(mc._N_LABELS):
+            if mc._XX[mc._LABEL_CODE[label]]:
+                continue
+            clicks = (int(bits[label] & mc._C1_BIT > 0),
+                      int(bits[label] & mc._C2_BIT > 0))
+            assert clicks == outcome_clicks[int(mc._LABEL_CELL[label] % 4)]
+
     def test_scatter_places_events_uniformly(self):
         # Four events on six slots often share a slot, so most draws go
         # through the free-slot sample; every placement of the labels (two
@@ -766,6 +818,20 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(params, quick_link, quick_det, PhaseConfig(),
                          n_slots=montecarlo.MAX_SLOTS, seed=0)
+
+    @pytest.mark.parametrize("visibility", [1.5, -0.1, float("nan")])
+    def test_visibility_outside_the_unit_interval(self, params, quick_link,
+                                                  quick_det, visibility):
+        # The fine loop's binomial takes (1 + V cos delta) / 2 as a
+        # probability, so V must lie in [0, 1], as in the forward model.
+        with pytest.raises(ValueError, match="visibility"):
+            run_protocol(params, quick_link, quick_det, PhaseConfig("full"),
+                         n_slots=100_000, seed=0, visibility=visibility)
+
+    @pytest.mark.parametrize("sigma", [-0.3, float("nan"), float("inf")])
+    def test_residual_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="residual_sigma"):
+            PhaseConfig(regime="ideal", residual_sigma=sigma)
 
     def test_same_seed_bit_identical(self, params, quick_link, quick_det):
         cfg = PhaseConfig(regime="ideal", residual_sigma=0.05)
