@@ -3,7 +3,8 @@
 Subcommands: validate, keyrate, simulate, bounds, montecarlo, phasestab.
 Exit codes: 0 success, 2 validation failure, 3 schema error, 4 I/O error.
 All stochastic commands are deterministic given --seed, apart from the wall
-times that a Monte Carlo outcome file records in its "provenance".
+times and the throughput (slots per second) that a Monte Carlo outcome file
+records in its "provenance".
 """
 
 from __future__ import annotations
@@ -208,6 +209,7 @@ def cmd_montecarlo(args) -> int:
         "seed": outcome.seed,
         "n_slots": outcome.n_slots,
         "wall_s": outcome.wall_s,
+        "slots_per_s": outcome.n_slots / outcome.wall_s,
         "stage_s": outcome.stage_s,
         "candidates": outcome.candidates,
         "accepted": outcome.accepted,

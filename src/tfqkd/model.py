@@ -162,8 +162,11 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if not (self.dark_rate_hz >= 0 and self.deadtime_s >= 0):
-            raise ValueError("dark rate and deadtime must be non-negative")
+        for key in ("dark_rate_hz", "deadtime_s"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and non-negative, "
+                                 f"not {value!r}")
 
     def dark_prob(self, rate_hz: float) -> float:
         """Dark-count probability of one detector in a window of 1/rate_hz.
@@ -298,7 +301,7 @@ def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
                f"M={params.phase_slices_m}")
     structural("duty_cycle", 0.0 < params.duty_cycle <= 1.0,
                f"duty={params.duty_cycle}")
-    structural("clock_rate", params.clock_rate_hz > 0.0,
+    structural("clock_rate", 0.0 < params.clock_rate_hz < math.inf,
                f"clock={params.clock_rate_hz}")
     return checks
 
@@ -502,7 +505,10 @@ def load_params_file_from_dict(raw: dict) -> dict:
 
     Returns a dict with keys "protocol", "link", "detector", "security" and
     "extras" (visibility in [0, 1] and misalignment_sigma_rad >= 0, each
-    finite, or their defaults).  Link and detector sections are optional.
+    finite, or their defaults).  Link and detector sections are optional;
+    a detector's dark rate must lie below the clock rate, so that its dark
+    probability per gate is below 1 (``DetectorParams.dark_prob``).  A
+    clock rate that is not positive is left to ``structural_checks``.
     """
     extras = {"visibility": raw.get("visibility", DEFAULT_VISIBILITY),
               "misalignment_sigma_rad": raw.get(
@@ -512,10 +518,16 @@ def load_params_file_from_dict(raw: dict) -> dict:
                 or value == math.inf):
             raise ValueError(f"{key} must be a finite number in [0, {high}], "
                              f"not {value!r}")
+    protocol, detector = params_from_dict(raw), detector_from_dict(raw)
+    clock = protocol.clock_rate_hz
+    if detector is not None and detector.dark_rate_hz >= clock > 0.0:
+        raise ValueError(f"dark_rate_hz must lie below clock_rate_hz {clock} "
+                         f"(one gate per clock period), not "
+                         f"{detector.dark_rate_hz}")
     return {
-        "protocol": params_from_dict(raw),
+        "protocol": protocol,
         "link": link_from_dict(raw),
-        "detector": detector_from_dict(raw),
+        "detector": detector,
         "security": security_from_dict(raw),
         "extras": extras,
     }

@@ -75,6 +75,16 @@ approximation, for six reasons:
   the event's label.  A label's attributes (key bits, tag, window, XX
   candidacy, clicks) are one byte, ``_LABEL_BITS``, read once per event.
 
+Random streams.  A run builds its four generators once, before its first
+batch.  The run's stream, seeded by the run's seed, makes the set-up draws
+(the pair table, the fates and the tags) and then every batch draw: the
+label subset, the slots, and each XX candidate's uniform and phase
+difference.  The phase layer's drift, sensor and reference streams are the
+seed's three spawned children, those of ``simulate_phase_trace``.  The
+sort key of a batch's events, slot << 8 | label, is int32 in batches of
+fewer than 2^23 slots and int64 otherwise; slots turn int64 once, when the
+batch's offset is added.
+
 Forward-model physics.  The click model's phase averages are in closed
 form here too, from one ``detector_means`` call each: the outcome law at
 a uniform relative phase (``phase_averaged_law``) and the QBER of the
@@ -142,6 +152,7 @@ __all__ = [
 
 MIN_SLOTS = 10_000
 MAX_SLOTS = 1 << 55           # exclusive: slot << 8 | label fits int64
+_INT32_KEY_SLOTS = 1 << 23    # batches below it key events in int32
 _MIN_BATCH_SLOTS = 1 << 20
 _BATCH_EVENTS = 1 << 14       # events per batch above 2^20 slots
 _TRACE_POINTS = 4096
@@ -763,18 +774,22 @@ def _scatter(labels: np.ndarray, n: int,
     ``labels``, placed at uniformly random distinct slots of the batch's
     ``n`` (exact by exchangeability; see the module docstring).
 
-    Each event draws a uniform slot, and one in-place sort of slot << 8 |
-    label puts the events in slot order.  Where events share a slot the
-    first keeps it, and the others take a uniformly random sample of the
-    free slots, without replacement and in random order: the r-th free
-    slot is r plus the taken slots t_i with t_i - i <= r.  Every step
+    Each event draws a uniform slot, and one in-place sort of the key slot
+    << 8 | label puts the events in slot order.  The key is int32 when the
+    batch has fewer than 2^23 slots, so that it stays below 2^31, and int64
+    otherwise; the slots come back in the key's type (an int32 sort is
+    about twice as fast).  Where events share a slot the first keeps it,
+    and the others take a uniformly random sample of the free slots,
+    without replacement and in random order: the r-th free slot is r plus
+    the taken slots t_i with t_i - i <= r.  Every step
     commutes with any relabelling of the slots, so the events' slots are a
     uniformly random injection, the law of ``choice(n, k,
     replace=False)``, with no ``choice`` over the whole batch: memory stays
     near 9 bytes per event, and only the sample of free slots (about
     k^2 / 2n events) goes through ``choice``.
     """
-    events = rng.integers(0, n, labels.size)
+    key = np.int32 if n < _INT32_KEY_SLOTS else np.int64
+    events = rng.integers(0, n, labels.size, dtype=key)
     events <<= 8
     events |= labels
     events.sort()
@@ -786,7 +801,7 @@ def _scatter(labels: np.ndarray, n: int,
         rank = rng.choice(n - taken.size, shared.size, replace=False)
         free = rank + np.searchsorted(taken - np.arange(taken.size), rank,
                                       side="right")
-        moved = np.sort(free << 8 | events[shared] & 255)
+        moved = np.sort((free << 8 | events[shared] & 255).astype(key))
         events = np.insert(kept, np.searchsorted(kept, moved), moved)
         slot = events >> 8
     return slot, events.astype(np.uint8)
@@ -821,8 +836,12 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     batch's fixed cost once per ~2^14 events.  Each batch takes its events
     per label by one subset draw over the labels' remaining events and the
     remaining other slots, and ``_scatter`` places them at uniformly random
-    distinct slots, in slot order.  One ``take`` of ``_LABEL_BITS`` gives
-    each event its attribute byte, and a phase-blind event's outcome, key
+    distinct slots, in slot order (int32 sort keys below 2^23 slots a
+    batch); adding the batch's offset makes them int64 global slots.  Every
+    batch draw comes from the run's one stream, which made the set-up
+    draws, and the phase from three streams built with it, so no batch
+    builds a generator.  One ``take`` of ``_LABEL_BITS`` gives each event
+    its attribute byte, and a phase-blind event's outcome, key
     bits and tag are bits of it, with no phase or uniform draw.  An XX
     candidate draws its global phase difference theta_A - theta_B uniform
     on [0, 2 pi) (only that difference mod 2 pi enters the interference and
@@ -835,10 +854,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     The module docstring says why this is exact.
 
     The tallies are one ``bincount`` of the heralded labels per batch,
-    folded by code at the end.  Each Z-window herald keeps one
-    ``RawKeyPair`` event byte, its attribute byte's bits 0-2: Alice's and
-    Bob's key bits from ``_KEY_BITS`` and its tag in bit 2; the raw keys
-    are the batches' bytes joined once at the end.
+    folded by code at the end.  Each Z-window herald, picked by one
+    ``compress``, keeps one ``RawKeyPair`` event byte, its attribute byte's
+    bits 0-2: Alice's and Bob's key bits from ``_KEY_BITS`` and its tag in
+    bit 2; the raw keys are the batches' bytes joined once at the end.
     """
     t_start = time.perf_counter()
     if not MIN_SLOTS <= n_slots < MAX_SLOTS:
@@ -859,6 +878,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
     seeds = np.random.SeedSequence(seed)
     rng_run = np.random.default_rng(seeds)
+    phase_rngs = [np.random.default_rng(s) for s in seeds.spawn(3)]
     sent = fair_sampled_classes(params.alice, params.bob, n_slots,
                                 rng_run).ravel()
 
@@ -898,7 +918,6 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     batch = max(_MIN_BATCH_SLOTS,
                 min(n_slots, -(-_BATCH_EVENTS * n_slots // max(n_cand, 1))))
     n_batches = -(-n_slots // batch)
-    batch_seeds = seeds.spawn(n_batches)
     slot_dt = 1.0 / params.protocol_rate_hz
     window = params.phase_window_rad()
     trace_stride = max(1, n_slots // _TRACE_POINTS)
@@ -920,14 +939,11 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     for b in range(n_batches):
         lo = b * batch
         n = min(batch, n_slots - lo)
-        rng_slot, *phase_rngs = [
-            np.random.default_rng(s) for s in batch_seeds[b].spawn(4)]
-
-        drawn = _subset_counts(left, n, rng_slot)
+        drawn = _subset_counts(left, n, rng_run)
         left -= drawn
         label = np.repeat(np.arange(_N_LABELS, dtype=np.uint8), drawn[:-1])
-        slot, label = _scatter(label, n, rng_slot)
-        slot += lo
+        slot, label = _scatter(label, n, rng_run)
+        slot = np.add(slot, lo, dtype=np.int64)
         bits = _LABEL_BITS.take(label)
         xx_at = np.flatnonzero((bits & _XX_BIT).astype(bool))
         xx_slot = slot[xx_at]
@@ -949,8 +965,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         c1 = (bits & _C1_BIT).astype(bool)
         c2 = (bits & _C2_BIT).astype(bool)
         xx_code = _LABEL_CODE[label[xx_at]]
-        u = rng_slot.random(xx_at.size) * p_bar[xx_code]
-        dtheta = rng_slot.random(xx_at.size) * (2.0 * np.pi)
+        u = rng_run.random(xx_at.size) * p_bar[xx_code]
+        dtheta = rng_run.random(xx_at.size) * (2.0 * np.pi)
         p1, p2 = click_probs(
             mu_a[xx_code], mu_b[xx_code],
             dtheta + phi[np.searchsorted(points, xx_slot)],
@@ -971,8 +987,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
         heralded = c1 ^ c2
         heralds += np.bincount(label.compress(heralded), minlength=_N_LABELS)
-        bits = bits.compress(heralded)
-        key_events.append(bits.compress((bits & _ZZ_BIT).astype(bool)) & 7)
+        zz = (bits & _ZZ_BIT).astype(bool)
+        key_events.append(bits.compress(heralded & zz) & 7)
 
         xx = heralded[xx_at]
         xx_h1 = c1[xx_at][xx]

@@ -1,20 +1,25 @@
-"""Criterion-5 seed sweep: how often a category gate trips, and on what.
+"""Criterion-5 seed sweep: how often a gate trips, and on what.
 
     PYTHONPATH=src python tests/criterion5_sweep.py [FIRST LAST]
-        [--gate {category,field-deadtime}] [--jobs N]
+        [--gate {category,field-deadtime,x-qber}] [--jobs N]
 
-Reruns the run of one of ``test_acceptance``'s criterion-5 category gates
-at every seed from FIRST to LAST and prints how many runs trip the gate,
-max |z| <= 3 over the 25 categories against ``expected_rates_model``, and
-each category's mean z over the seeds with its standard error.  The gates:
+Reruns the run of one of ``test_acceptance``'s criterion-5 gates at every
+seed from FIRST to LAST and prints how many runs trip the gate, max |z| <=
+3 over its statistics, and each statistic's mean z over the seeds with its
+standard error.  The gates:
 
-* ``category``: the 25 dB criterion-5 link, 1e8 slots (default seeds
-  2026-3025, the gate's pinned seed first);
+* ``category``: the 25 dB criterion-5 link, 1e8 slots, z of each of the 25
+  categories against ``expected_rates_model`` (default seeds 2026-3025,
+  the gate's pinned seed first);
 * ``field-deadtime``: the bundled field link and detector (10 us
-  deadtime), ``full`` drift regime, 1e10 slots (default seeds 2029-3028).
+  deadtime), ``full`` drift regime, 1e10 slots, the same 25 z (default
+  seeds 2029-3028);
+* ``x-qber``: the criterion-5 link at 4e9 slots, the binomial z of the
+  XXvv and XXuu matched-window QBERs (default seeds 2027-3026).
 
-A correct sampler trips on a few per cent of seeds and keeps every mean z
-within a few standard errors of 0.  pytest does not collect this file.
+A correct sampler trips the category gates on a few per cent of seeds and
+the x-qber gate on about 0.5%, and keeps every mean z within a few
+standard errors of 0.  pytest does not collect this file.
 """
 
 import argparse
@@ -30,18 +35,20 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import PARAMS_PATH                      # noqa: E402
-from test_acceptance import criterion5_run           # noqa: E402
-from tfqkd import decoy, keyrate, model              # noqa: E402
+from test_acceptance import (                         # noqa: E402
+    category_z, criterion5_run, x_qber_z)
+from tfqkd import keyrate, model                     # noqa: E402
 from tfqkd.montecarlo import PhaseConfig, run_protocol  # noqa: E402
 
 GATE = 3.0
 CATEGORY_SLOTS = 100_000_000
 FIELD_SLOTS = 10_000_000_000
+X_QBER_SLOTS = 4_000_000_000
 
 
 def _category_run(seed: int):
     params = model.load_params_file(PARAMS_PATH)["protocol"]
-    return criterion5_run(params, CATEGORY_SLOTS, seed)
+    return category_z(*criterion5_run(params, CATEGORY_SLOTS, seed))
 
 
 def _field_deadtime_run(seed: int):
@@ -54,17 +61,18 @@ def _field_deadtime_run(seed: int):
         params, link, det, visibility=visibility,
         misalignment_sigma_rad=bundle["extras"]["misalignment_sigma_rad"],
         n_tot=FIELD_SLOTS)
-    return out, pred
+    return category_z(out, pred)
 
 
-# Gate name: (its run at a seed, the gate's pinned seed).
+def _x_qber_run(seed: int):
+    params = model.load_params_file(PARAMS_PATH)["protocol"]
+    return x_qber_z(*criterion5_run(params, X_QBER_SLOTS, seed))
+
+
+# Gate name: (its z per statistic at a seed, the gate's pinned seed).
 GATES = {"category": (_category_run, 2026),
-         "field-deadtime": (_field_deadtime_run, 2029)}
-
-
-def _detected(gate: str, seed: int) -> list:
-    out, _ = GATES[gate][0](seed)
-    return [out.counts.detected[k] for k in decoy.CATEGORIES]
+         "field-deadtime": (_field_deadtime_run, 2029),
+         "x-qber": (_x_qber_run, 2027)}
 
 
 def main(argv=None) -> None:
@@ -78,15 +86,12 @@ def main(argv=None) -> None:
     first = pinned if args.first is None else args.first
     last = first + 999 if args.last is None else args.last
     seeds = range(first, last + 1)
-    _, pred = run(first)
-    mean = np.array([pred.detected[k] for k in decoy.CATEGORIES])
-    sigma = np.maximum(np.sqrt(mean), 1.0)
     start = time.perf_counter()
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
-        detected = pool.map(_detected, [args.gate] * len(seeds), seeds,
-                            chunksize=8)
-        z = (np.array(list(detected)) - mean) / sigma
+        rows = list(pool.map(run, seeds, chunksize=8))
+    names = list(rows[0])
+    z = np.array([list(row.values()) for row in rows])
     worst = np.abs(z).max(axis=1)
     trips = int(np.count_nonzero(worst > GATE))
     print(f"{args.gate} gate, {len(seeds)} seeds {first}-{last}, "
@@ -94,7 +99,7 @@ def main(argv=None) -> None:
           f"max |z| <= {GATE:g} gate ({100.0 * trips / len(seeds):.1f}%)"
           + (f"; seed {first} trips" if worst[0] > GATE else ""))
     se = z.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    for k, m, s in zip(decoy.CATEGORIES, z.mean(axis=0), se):
+    for k, m, s in zip(names, z.mean(axis=0), se):
         print(f"  {k}  mean z {m:+.3f} +- {s:.3f}"
               + ("  <- beyond 3 s.e." if abs(m) > 3.0 * s else ""))
 

@@ -155,7 +155,8 @@ class TestMonteCarlo:
             run_cli(["montecarlo", "--slots", "100000", "--seed", "3",
                      "--loss-db", "10", "--out", str(path)])
             record = json.loads(path.read_text())
-            del record["provenance"]["wall_s"], record["provenance"]["stage_s"]
+            for timed in ("wall_s", "stage_s", "slots_per_s"):
+                del record["provenance"][timed]
             runs.append(record)
         assert runs[0] == runs[1]
 
@@ -184,6 +185,7 @@ class TestMonteCarlo:
         assert prov["batches"] >= 1
         assert 0 < prov["accepted"] <= prov["candidates"]
         assert sum(prov["stage_s"].values()) == pytest.approx(prov["wall_s"])
+        assert prov["slots_per_s"] == pytest.approx(200_000 / prov["wall_s"])
         assert set(prov["ground_truth"]) >= {"sn_sent", "s1_true"}
         counts_only = tmp_path / "counts.json"
         counts_only.write_text(json.dumps(record))
@@ -297,14 +299,15 @@ def test_starved_class_is_a_schema_error(tmp_path, capsys):
                                         ("eps_A", float("nan")),
                                         ("eps_B", 0.0), ("eps_A", 1.0),
                                         ("u_A", 900.0),
-                                        ("u_A", float("inf"))])
+                                        ("u_A", float("inf")),
+                                        ("clock_rate_hz", float("inf"))])
 def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
                                                            tmp_path, capsys):
     # A file failing a structural check of validate_params stops every
     # subcommand at the boundary; validate itself reports the checks.  A
     # send probability of 0 or 1 would divide by zero in the security
-    # condition, and u_A = 900 or Infinity (json's literal) would overflow
-    # the decoy bound's e^u.
+    # condition, u_A = 900 or Infinity (json's literal) would overflow the
+    # decoy bound's e^u, and an infinite clock rate the deadtime in slots.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"
@@ -327,12 +330,15 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
     ("visibility", float("nan")), ("visibility", True),
     ("misalignment_sigma_rad", -0.3), ("misalignment_sigma_rad", float("nan")),
     ("misalignment_sigma_rad", float("inf")), ("phase_slices_M", 16.9),
-    ("phase_slices_M", float("inf"))])
+    ("phase_slices_M", float("inf")), ("dark_rate_hz", float("inf")),
+    ("dark_rate_hz", 2e9), ("deadtime_s", float("inf"))])
 def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
                                                capsys):
     # A visibility outside [0, 1], a negative or non-finite misalignment
-    # width and a fractional phase-slice count (16.9 used to run as 16)
-    # stop every subcommand at the boundary, naming the key.
+    # width, a fractional phase-slice count (16.9 used to run as 16), an
+    # infinite deadtime and a dark rate that is infinite or not below the
+    # 1 GHz clock (a dark count in every gate) stop every subcommand at the
+    # boundary, naming the key.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"

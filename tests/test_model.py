@@ -478,6 +478,13 @@ class TestParamsIO:
         with pytest.raises(ValueError):
             DetectorParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["dark_rate_hz", "deadtime_s"])
+    def test_detector_rejects_infinity(self, field):
+        kwargs = {"efficiency": 0.145, "dark_rate_hz": 450.0,
+                  "deadtime_s": 1e-5, field: math.inf}
+        with pytest.raises(ValueError, match=field):
+            DetectorParams(**kwargs)
+
     @pytest.mark.parametrize("field", ["length_ac_km", "length_bc_km",
                                        "loss_ac_db", "loss_bc_db"])
     def test_link_rejects_nan(self, field):

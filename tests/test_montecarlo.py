@@ -593,13 +593,13 @@ class TestSamplerPin:
     # boundaries.  "field" is the bundled link and detector (10 us
     # deadtime) in "full" over 20 closed fine blocks.
     @pytest.mark.parametrize("case, digest", [
-        pytest.param("metro", "87e0c32371e642a7aa284a08a6ccfb2a"
-                              "0fd9c41eb10a6ac82532923e4def6a64", id="metro"),
-        pytest.param("metro-1us", "6c3c554106c2cb37a7d5e8b45fa17e7f"
-                                  "3daaae8d68bb858f0a86a0b1f9088c87",
+        pytest.param("metro", "1e5127159b349747bd777a0969c6f050"
+                              "86be225bdc9ce4d131806ccbad59195e", id="metro"),
+        pytest.param("metro-1us", "59925a59f18344c01c9fabbdf0936981"
+                                  "208460ff9ba1808a75502c1328fcfaea",
                      id="metro-1us"),
-        pytest.param("field", "3d38ad555d2b21a460a3251da3f7ff3c"
-                              "4af9268d1dd2424ed645d9c691a44c85", id="field"),
+        pytest.param("field", "7ac1ca28376534f1a561919710e55aa6"
+                              "bde69807dc79244d436fc24d7cd29923", id="field"),
     ])
     def test_outputs_are_bit_identical(self, case, digest, params,
                                        field_link, field_detector):
@@ -794,6 +794,41 @@ class TestEventLabels:
                                        rng)
         assert np.array_equal(slots, np.arange(1000))
 
+    @pytest.mark.parametrize("n, key", [((1 << 23) - 1, np.int32),
+                                        (1 << 23, np.int64)])
+    def test_scatter_at_the_int32_key_limit(self, n, key):
+        # Below 2^23 slots slot << 8 | label fits int32, at 2^23 it takes
+        # int64.  2^14 events on ~2^23 slots draw about 16 shared slots, so
+        # the free-slot fix-up runs on both key widths.
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, montecarlo._N_LABELS, 1 << 14,
+                              dtype=np.uint8)
+        state = rng.bit_generator.state
+        slots, placed = montecarlo._scatter(labels, n, rng)
+        rng.bit_generator.state = state
+        drawn = rng.integers(0, n, labels.size, dtype=key)
+        assert np.unique(drawn).size < labels.size
+        assert slots.dtype == key
+        assert np.all(np.diff(slots) > 0)
+        assert 0 <= slots[0] and slots[-1] < n
+        assert np.isin(drawn, slots).all()     # the first at a slot keeps it
+        assert np.array_equal(np.sort(placed), np.sort(labels))
+
+    def test_scatter_int64_slots_are_uniform(self):
+        # The int64 key path, over 64 equal bins of a 2^23-slot batch; the
+        # 180-placement test covers the int32 path.
+        rng = np.random.default_rng(11)
+        n, events, runs = 1 << 23, 1 << 14, 16
+        observed = np.zeros(64)
+        for _ in range(runs):
+            slots, _ = montecarlo._scatter(
+                np.zeros(events, dtype=np.uint8), n, rng)
+            assert slots.dtype == np.int64
+            observed += np.bincount(slots * 64 // n, minlength=64)
+        expected = runs * events / 64
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(stat, 63) > 1e-4
+
     def test_tags_only_on_equal_key_bits(self, params, quick_det):
         # A tagged Z-window herald is an sn slot (Alice sends: 1; Bob
         # silent: 1) or an ns slot (0, 0), so its two key bits agree, and
@@ -926,6 +961,29 @@ class TestRunProtocol:
         assert out.batches > 1
         assert calls == {"fair_sampled_classes": 1,
                          "_subset_counts": out.batches}
+
+    def test_streams_are_built_once_per_run(self, params, quick_link,
+                                            quick_det, field_link,
+                                            field_detector, monkeypatch):
+        # The run's stream and the three phase streams, whatever the
+        # number of batches: no batch builds a generator.
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        batches = []
+        for link, det in ((quick_link, quick_det),
+                          (field_link, field_detector)):
+            built.clear()
+            out = run_protocol(params, link, det, PhaseConfig(), 10_000_000,
+                               seed=3)
+            batches.append(out.batches)
+            assert len(built) == 4
+        assert batches[0] > 1 and batches[1] == 1
 
     def test_phase_blind_codes_skip_the_thinning(self, params, quick_link,
                                                  quick_det, monkeypatch):
