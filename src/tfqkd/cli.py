@@ -165,6 +165,14 @@ def cmd_bounds(args) -> int:
         raise SchemaError("bounds needs detector keys in the parameter file")
     _check("--asym-split", args.asym_split, FRACTION)
     sweep = _parse_sweep(args.sweep_db)
+    # The capacities diverge at transmissivity 1.  The largest a point
+    # takes is the repeater arm's, at half the loss; it is formed per point
+    # as in ``bounds.capacity_point``, since numpy's array power can round
+    # otherwise.
+    for loss in sweep:
+        if 10.0 ** (-loss / 20.0) == 1.0:
+            raise SchemaError(f"--sweep-db point {loss} dB has a "
+                              "transmissivity that rounds to 1")
     dark_per_gate = det.dark_prob(bundle["protocol"].clock_rate_hz)
     rows = bounds_mod.capacity_sweep(sweep, det.efficiency, dark_per_gate,
                                      asym_split_fraction=args.asym_split)

@@ -44,6 +44,7 @@ __all__ = [
     "DEFAULT_VISIBILITY",
     "DEFAULT_MISALIGNMENT_SIGMA_RAD",
     "MAX_INTENSITY",
+    "MAX_SLOTS",
     "Z_SEND",
     "Z_NOSEND",
     "X_U",
@@ -71,6 +72,11 @@ DEFAULT_MISALIGNMENT_SIGMA_RAD = 0.0
 # OverflowError past ln(largest float), which is itself the largest float
 # with a finite exponential.
 MAX_INTENSITY = math.log(sys.float_info.max)
+
+# Runs hold fewer slots than this (exclusive: the sampler's event sort key
+# slot << 8 | label fits int64).  A duration turned into slots is capped
+# here too: no run reaches the cap, so the capped value acts as the real one.
+MAX_SLOTS = 1 << 55
 
 
 class PatternError(ValueError):
@@ -188,9 +194,10 @@ class DetectorParams:
         counts as one even where the float product is not (122 ns at 5e8 Hz
         gives 61.00000000000001).  The one place the deadtime turns into
         slots: the Monte Carlo filter and the forward model's retention
-        factor both read it.
+        factor both read it.  Capped below ``MAX_SLOTS``: within a run
+        the capped deadtime drops every click after the first.
         """
-        slots = round(self.deadtime_s * protocol_rate_hz, 6)
+        slots = min(round(self.deadtime_s * protocol_rate_hz, 6), MAX_SLOTS)
         return max(math.ceil(slots) - 1, 0)
 
 

@@ -95,11 +95,9 @@ I_k of ``_bessel_i``.  ``keyrate.expected_rates_model`` builds on them.
 Deadtime.  Deadtime lives on the slot clock: after a kept click a detector
 drops every click in the next ``DetectorParams.dead_slots`` slots (the
 whole slots closer than ``deadtime_s``), the sequential non-paralyzable
-rule.  ``filter_deadtime`` resolves it in integer numpy with the same
-result: a click more than the dead slots after its predecessor and the
-carried last kept slot is always kept, and within the clusters between
-such clicks the kept clicks are the chain of next-kept indices from the
-cluster's kept anchor.
+rule.  ``filter_deadtime`` keeps, in one numpy pass, every click more
+than the dead slots after its predecessor and the carried last kept slot,
+and walks the rule itself only where two close clicks meet.
 
 Z-window bit convention (truth table):
 
@@ -122,6 +120,7 @@ from .aopp import RawKeyPair
 from .decoy import CATEGORY_CLASSES, DecoyCounts
 from .model import (
     DEFAULT_VISIBILITY,
+    MAX_SLOTS,
     DetectorParams,
     LinkBudget,
     ProtocolParams,
@@ -151,7 +150,6 @@ __all__ = [
 ]
 
 MIN_SLOTS = 10_000
-MAX_SLOTS = 1 << 55           # exclusive: slot << 8 | label fits int64
 _INT32_KEY_SLOTS = 1 << 23    # batches below it key events in int32
 _MIN_BATCH_SLOTS = 1 << 20
 _BATCH_EVENTS = 1 << 14       # events per batch above 2^20 slots
@@ -234,8 +232,10 @@ class PhaseConfig:
             )
 
     def fine_block_slots(self, dt: float) -> int:
-        """Slots B per fine block; block k ends at global slot k B - 1."""
-        return max(1, round(self.fine_block_s / dt))
+        """Slots B per fine block; block k ends at global slot k B - 1.
+
+        Capped at ``MAX_SLOTS``, past every run's last slot."""
+        return max(1, round(min(self.fine_block_s / dt, MAX_SLOTS)))
 
 
 def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
@@ -391,20 +391,15 @@ def filter_deadtime(slots: np.ndarray, dead_slots: int,
 
     The result is that of the sequential rule (walk the clicks, drop one
     within the dead slots of ``last``, else keep it and set ``last`` to its
-    slot), resolved in numpy.  The last kept slot before click i is at most
-    its predecessor p_i = max(s_{i-1}, last_kept), so a *clear* click,
-    s_i - p_i > dead_slots, is always kept.  Clear clicks cut the rest into
-    clusters, each led by an anchor that is kept: the clear click before
-    it, or ``last_kept`` for a cluster at the start.  The anchor is the
+    slot).  The last kept slot before click i is at most its predecessor
+    p_i = max(s_{i-1}, last_kept), so a *clear* click, s_i - p_i >
+    dead_slots, is always kept.  Clear clicks cut the rest into clusters,
+    each led by an anchor that is kept: the clear click before it, or
+    ``last_kept`` for a cluster at the start.  The anchor is the
     predecessor of the cluster's first click, so that click is always
-    dropped, and clusters of one click need nothing more; only the clusters
-    where two close clicks meet go on.  After a kept slot T the next kept
-    click is the first at or past T + dead_slots + 1, one ``searchsorted``
-    away, and never past the clear click that ends the cluster.  The kept
-    clicks of such a cluster are the chain of these next-kept links from
-    its anchor, marked by pointer doubling in log2(chain length) passes
-    over those clusters' clicks alone (``_resolve_clusters``).  Sparse
-    clicks rarely form a cluster of two, and then no chain is resolved.
+    dropped, and clusters of one click need nothing more.  Only the
+    clusters where two close clicks meet are walked by the rule itself,
+    from their anchors; sparse clicks rarely form one.
     """
     if slots.size == 0:
         return np.ones(0, dtype=bool), last_kept
@@ -413,39 +408,21 @@ def filter_deadtime(slots: np.ndarray, dead_slots: int,
     keep = ~close
     meet = close[1:] & close[:-1]
     if np.count_nonzero(meet):
-        meet = np.concatenate(([False], meet, [False]))
-        chain = meet[:-1] | meet[1:]
-        keep[chain] = _resolve_clusters(slots, chain, dead_slots, last_kept)
+        # Walk each close click i + 1 after a close click i; where click i
+        # opens its cluster the walk restarts from the anchor, pred[i].
+        at = np.flatnonzero(meet)
+        kept, prev = [], -2
+        for i, s, p in zip(at.tolist(), slots[at + 1].tolist(),
+                           pred[at].tolist()):
+            if i != prev + 1:
+                kept_at = p
+            if s - kept_at > dead_slots:
+                kept_at = s
+                kept.append(i + 1)
+            prev = i
+        keep[kept] = True
     last = slots.size - 1 - int(keep[::-1].argmax())
     return keep, int(slots[last]) if keep[last] else last_kept
-
-
-def _resolve_clusters(slots: np.ndarray, chain: np.ndarray, dead_slots: int,
-                      last_kept: int) -> np.ndarray:
-    """Keep mask of the ``chain`` clicks (see ``filter_deadtime``)."""
-    # Cluster nodes in click order: each run of chain clicks (two or more
-    # close clicks), led by its anchor, the entry before the run.  Entry
-    # i + 1 of ``row`` is click i and entry 0 the carry.
-    row = np.concatenate(([False], chain, [False]))
-    node = np.flatnonzero(row[:-1] | row[1:])
-    anchor = ~row[node]
-    s_node = slots[node - 1]
-    if node[0] == 0:
-        s_node[0] = last_kept
-    # Next kept node: the first later node past the dead slots (node 0 is
-    # never one).  Past the cluster's last node that is the next anchor or
-    # none, and the chain goes to the sentinel m, which maps to itself.
-    m = node.size
-    nxt = np.searchsorted(s_node[1:], s_node + (dead_slots + 1)) + 1
-    jump = np.append(np.where(np.append(anchor, True)[nxt], m, nxt), m)
-    # Pointer doubling: after each pass ``kept`` holds the chain's first
-    # 2^k nodes from each anchor and ``jump`` leaps 2^k links; stop when
-    # every leap from a kept node lands on the sentinel.
-    kept = np.append(anchor, False)
-    while (hit := jump[kept]).min() < m:
-        kept[hit] = True
-        jump = jump[jump]
-    return kept[:m][~anchor]
 
 
 # ---------------------------------------------------------------------------

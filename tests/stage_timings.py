@@ -14,15 +14,18 @@ With ``--against OTHER_SRC`` (another checkout's ``src`` directory) the
 package there is imported beside this one, under its own name, and each
 seed runs once on both trees, alternating which goes first.  Prints the
 median and quartiles of the paired ratios this tree / other of ``wall_s``
-and each ``stage_s`` entry, and the share of pairs whose ``wall_s`` is
-lower on this tree.  Pairing in one process keeps the host's slow spells,
-which move separate runs' medians by tens of percent within minutes, out
-of the ratio.  Both trees get this tree's parameter objects, so the other
+and each ``stage_s`` entry, the share of pairs whose ``wall_s`` is lower
+on this tree, and the share whose outcomes are identical (the counts, the
+raw key's event bytes and the phase trace; the two trees' dataclasses
+never compare equal, so their contents are compared).  Pairing in one
+process keeps the host's slow spells, which move separate runs' medians
+by tens of percent within minutes, out of the ratio.  Both trees get this tree's parameter objects, so the other
 tree must read the same fields.  pytest does not collect this file.
 """
 
 import argparse
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -47,8 +50,17 @@ def load_tree(src: str):
     return module.montecarlo
 
 
-def timings(workload: str, calls: int, seed: int, trees) -> list:
-    """Per tree, the wall_s and stage_s of each call, seconds, by name.
+def outcome_bytes(run) -> tuple:
+    """The outcome of a run as plain values: counts, key events, trace."""
+    trace = run.phase_trace
+    return (json.dumps(run.counts.to_counts_dict(), sort_keys=True),
+            run.raw_keys.events.tobytes(), trace.times_s.tobytes(),
+            trace.delta_phi_rad.tobytes())
+
+
+def timings(workload: str, calls: int, seed: int, trees) -> tuple:
+    """Per tree, the wall_s and stage_s of each call, seconds, by name;
+    and per call whether every tree's outcome is the same.
 
     Call i runs seed ``mc_seed(seed, i)`` on every tree, in turn, the
     first tree first on even i and last on odd i."""
@@ -64,13 +76,17 @@ def timings(workload: str, calls: int, seed: int, trees) -> list:
     for tree in trees:
         call(tree, 0)
     out = [{} for _ in trees]
+    same = []
     for i in range(calls):
         turns = list(zip(trees, out))
+        outcomes = set()
         for tree, record in turns if i % 2 == 0 else turns[::-1]:
             run = call(tree, i)
             for name, s in {"wall_s": run.wall_s, **run.stage_s}.items():
                 record.setdefault(name, []).append(s)
-    return out
+            outcomes.add(outcome_bytes(run))
+        same.append(len(outcomes) == 1)
+    return out, same
 
 
 def main(argv=None) -> None:
@@ -89,7 +105,7 @@ def main(argv=None) -> None:
     if args.against:
         trees.append(load_tree(args.against))
     for workload in args.workloads or names:
-        runs = timings(workload, args.calls, args.seed, trees)
+        runs, same = timings(workload, args.calls, args.seed, trees)
         if not args.against:
             print(f"{workload}: {args.calls} calls, seed {args.seed}, ms per "
                   "call (median, quartiles)")
@@ -106,6 +122,7 @@ def main(argv=None) -> None:
             if name == "wall_s":
                 line += f"  faster in {np.mean(ratio < 1.0):.0%} of pairs"
             print(line)
+        print(f"  outcomes identical in {np.mean(same):.0%} of pairs")
 
 
 if __name__ == "__main__":

@@ -109,6 +109,15 @@ class TestBounds:
 
 
 class TestSimulate:
+    def test_lossless_point_is_accepted(self, tmp_path):
+        # bounds rejects a 0 dB point (its capacities diverge); the
+        # key-rate sweep takes it.
+        out = tmp_path / "rows.json"
+        assert run_cli(["simulate", "--sweep-db", "0:2:2", "--format", "json",
+                        "--out", str(out)]) == cli.EXIT_OK
+        assert [row["loss_db"] for row in json.loads(out.read_text())] == [
+            0.0, 2.0]
+
     def test_monotone_sweep(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = run_cli(["simulate", "--sweep-db", "10:60:10",
@@ -238,6 +247,8 @@ class TestMonteCarlo:
     (["simulate", "--sweep-db", "nan:10:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "10:inf:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "10:20:nan"], "--sweep-db"),
+    (["bounds", "--sweep-db", "0:10:2"], "--sweep-db"),
+    (["bounds", "--sweep-db", "1e-300:1e-300:1"], "--sweep-db"),
     (["montecarlo", "--loss-db", "nan"], "--loss-db"),
     (["montecarlo", "--loss-db", "inf"], "--loss-db"),
     (["montecarlo", "--seed", "-1"], "--seed"),
@@ -389,6 +400,24 @@ def test_largest_accepted_intensity_does_not_overflow(cmd, tmp_path):
     assert run_cli(argv) in (cli.EXIT_OK, cli.EXIT_SCHEMA)
 
 
+@pytest.mark.parametrize("key", ["deadtime_s", "clock_rate_hz"])
+def test_deadtime_past_every_run_keeps_one_click_per_detector(key, tmp_path):
+    # At 1e300 s, or 1e300 Hz, the deadtime in slots is past the float
+    # range or int64; capped below MAX_SLOTS it lets each detector keep
+    # only its first click, even on a lossless link.
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw[key] = 1e300
+    params = tmp_path / "huge.json"
+    params.write_text(json.dumps(raw))
+    assert run_cli(["simulate", "--params", str(params),
+                    "--out", str(tmp_path / "rows.csv")]) == cli.EXIT_OK
+    out = tmp_path / "sim.json"
+    assert run_cli(["montecarlo", "--params", str(params), "--loss-db", "0",
+                    "--slots", "100000", "--out", str(out)]) == cli.EXIT_OK
+    counts = json.loads(out.read_text())
+    assert sum(counts[f"Detected-{name}"] for name in CATEGORIES) <= 2
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--out", "x.json"],
     ["validate", "--format", "json"],
@@ -417,6 +446,14 @@ class TestPhasestab:
         assert header == "t_s,delta_phi_rad"
         summary = json.loads(capsys.readouterr().out)
         assert summary["regime"] == "coarse"
+
+    def test_fine_block_longer_than_any_run(self, capsys):
+        # 1e-3 s fine blocks of 1e-300 s steps are 1e297 slots long,
+        # capped at MAX_SLOTS: no block closes in the run.
+        assert run_cli(["phasestab", "--steps", "10",
+                        "--dt", "1e-300"]) == cli.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert math.isfinite(summary["residual_std_rad"])
 
 
 LOCK_TOLERANCE = 0.05   # rad, |mean offset| of a locked full-regime trace

@@ -457,14 +457,30 @@ class TestParamsIO:
     @pytest.mark.parametrize("deadtime_s, rate, dead", [
         (0.0, 5e8, 0), (1e-9, 5e8, 0), (2e-9, 5e8, 0), (3e-9, 5e8, 1),
         (122e-9, 5e8, 60), (61e-9, 1e9, 60), (64e-9, 5e8, 31),
-        (1e-5, 5e8, 4999), (1e-5, 1e9, 9999)])
+        (1e-5, 5e8, 4999), (1e-5, 1e9, 9999),
+        (1e300, 5e8, model.MAX_SLOTS - 1), (1e-5, 1e300, model.MAX_SLOTS - 1),
+        (1e20, 1e20, model.MAX_SLOTS - 1)])
     def test_dead_slots(self, deadtime_s, rate, dead):
         # Slots k >= 1 closer than the deadtime; a whole number of slots
         # stays whole where the float product lands an ulp above it
-        # (122e-9 * 5e8 and 61e-9 * 1e9 do).
+        # (122e-9 * 5e8 and 61e-9 * 1e9 do).  A deadtime longer than any
+        # run, even one whose product overflows to inf (1e300 * 5e8), is
+        # capped below MAX_SLOTS.
         det = DetectorParams(0.145, 450.0, deadtime_s=deadtime_s)
         assert det.dead_slots(rate) == dead
         assert isinstance(det.dead_slots(rate), int)
+
+    @pytest.mark.parametrize("dt, block", [
+        (1e-5, 100), (1.0, 1), (1e-300, model.MAX_SLOTS),
+        (5e-324, model.MAX_SLOTS)])
+    def test_fine_block_slots_saturate_at_max_slots(self, dt, block):
+        # A fine block longer than any run (1e-3 s over a tiny dt, or an
+        # infinite ratio) is capped at MAX_SLOTS and never closes; the
+        # sampler reads the same constant.
+        assert montecarlo.MAX_SLOTS is model.MAX_SLOTS
+        cfg = montecarlo.PhaseConfig("full")
+        assert cfg.fine_block_slots(dt) == block
+        assert isinstance(cfg.fine_block_slots(dt), int)
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):

@@ -638,6 +638,7 @@ def assert_same_as_sequential(slots, dead_slots, last_kept):
     assert keep.dtype == bool
     assert np.array_equal(keep, ref_keep)
     assert last == ref_last
+    return keep, last
 
 
 # Sorted slot indices with duplicates, and a carry given as an offset from
@@ -662,11 +663,25 @@ def _carry_slot(slots, carry, dead_slots):
 
 class TestDeadtimeFilter:
     @settings(max_examples=400)
-    @given(_SLOTS, _CARRY, st.integers(0, 10**12), st.integers(0, 12))
-    def test_matches_sequential_rule(self, values, carry, lo, dead_slots):
+    @given(_SLOTS, _CARRY, st.integers(0, 10**12),
+           st.one_of(st.integers(0, 12),
+                     st.integers(montecarlo.MAX_SLOTS - 8,
+                                 montecarlo.MAX_SLOTS)),
+           st.integers(0, 80))
+    def test_matches_sequential_rule(self, values, carry, lo, dead_slots,
+                                     split):
+        # Dead slots near MAX_SLOTS too, where a capped deadtime lands.  The
+        # clicks cut into two batches at ``split`` and stitched by the carry
+        # keep the same clicks, chains across the cut included.
         slots = _slots(values, lo)
-        assert_same_as_sequential(slots, dead_slots,
-                                  _carry_slot(slots, carry, dead_slots))
+        carry_slot = _carry_slot(slots, carry, dead_slots)
+        keep, last = assert_same_as_sequential(slots, dead_slots, carry_slot)
+        head, carry_slot = filter_deadtime(slots[:split], dead_slots,
+                                           carry_slot)
+        tail, carry_slot = filter_deadtime(slots[split:], dead_slots,
+                                           carry_slot)
+        assert np.array_equal(np.concatenate([head, tail]), keep)
+        assert carry_slot == last
 
     @given(_SLOTS, _CARRY, st.integers(0, 12))
     def test_no_deadtime_and_empty_input(self, values, carry, dead_slots):
