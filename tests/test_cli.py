@@ -247,8 +247,6 @@ class TestMonteCarlo:
     (["simulate", "--sweep-db", "nan:10:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "10:inf:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "10:20:nan"], "--sweep-db"),
-    (["bounds", "--sweep-db", "0:10:2"], "--sweep-db"),
-    (["bounds", "--sweep-db", "1e-300:1e-300:1"], "--sweep-db"),
     (["montecarlo", "--loss-db", "nan"], "--loss-db"),
     (["montecarlo", "--loss-db", "inf"], "--loss-db"),
     (["montecarlo", "--seed", "-1"], "--seed"),
@@ -260,6 +258,8 @@ class TestMonteCarlo:
     (["phasestab", "--dt", "inf"], "--dt"),
     (["phasestab", "--seed", "-1"], "--seed"),
     (["montecarlo", "--slots", str(2**55)], "--slots"),
+    (["bounds", "--sweep-db", "0:10:2"], "--sweep-db"),
+    (["bounds", "--sweep-db", "1e-300:1e-300:1"], "--sweep-db"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
