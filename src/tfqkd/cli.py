@@ -259,8 +259,14 @@ def cmd_phasestab(args) -> int:
     _check("--dt", args.dt, POSITIVE)
     _check("--seed", args.seed, NON_NEGATIVE)
     cfg = montecarlo.PhaseConfig(regime=args.regime)
-    trace = montecarlo.simulate_phase_trace(cfg, n_steps=args.steps,
-                                            dt=args.dt, seed=args.seed)
+    try:
+        trace = montecarlo.simulate_phase_trace(cfg, n_steps=args.steps,
+                                                dt=args.dt, seed=args.seed)
+    except montecarlo.FeedbackDivergence as exc:
+        # With the default gains only a long step (drift ~ sqrt(dt))
+        # drives a loop past its divergence bound.
+        raise SchemaError(f"--dt {args.dt} s is too long a step for the "
+                          f"phase loops: {exc}") from exc
     if args.out:
         _write_trace_csv(trace, Path(args.out))
     print(json.dumps({

@@ -58,13 +58,14 @@ approximation, for six reasons:
   candidate and trace slots, plus the fine-block ends, through its exact
   k-step transitions gives the slot-by-slot walk's joint law there.  Each
   evaluated slot draws one normal per state part it moves: the support
-  phase's drift, its sensor noise when the coarse loop is on, and the
-  differential drift.  The fine loop reads only block means.  Given the
-  steps, the sum of the skipped slots' phases is Gaussian with a residual
-  independent of everything else, so each closed block draws one more
-  normal, of the summed residual variance, and only in "full".  Its two
-  reference counts sum to a Poisson whatever the phase, so it draws that
-  total and, when non-empty, detector 1's binomial share of it.
+  phase (the coarse loop's drift step and sensor noise enter it as one
+  Gaussian innovation) and the differential drift.  The fine loop reads
+  only block means.  Given the steps, the sum of the skipped slots' phases
+  is Gaussian with a residual independent of everything else, so each
+  closed block draws one more normal, of the summed residual variance,
+  and only in "full".  Its two reference counts sum to a Poisson whatever
+  the phase, so it draws that total and, when non-empty, detector 1's
+  binomial share of it.
 * Tags by posterior.  A single-sender slot's outcome o has the
   phase-averaged law P_coh(o), in closed form from
   ``phase_averaged_law``; tagging it with P(tag | o) = t P1(o) /
@@ -75,12 +76,12 @@ approximation, for six reasons:
   the event's label.  A label's attributes (key bits, tag, window, XX
   candidacy, clicks) are one byte, ``_LABEL_BITS``, read once per event.
 
-Random streams.  A run builds its four generators once, before its first
+Random streams.  A run builds its three generators once, before its first
 batch.  The run's stream, seeded by the run's seed, makes the set-up draws
 (the pair table, the fates and the tags) and then every batch draw: the
 label subset, the slots, and each XX candidate's uniform and phase
-difference.  The phase layer's drift, sensor and reference streams are the
-seed's three spawned children, those of ``simulate_phase_trace``.  The
+difference.  The phase layer's drift and reference streams are the seed's
+two spawned children, those of ``simulate_phase_trace``.  The
 sort key of a batch's events, slot << 8 | label, is int32 in batches of
 fewer than 2^23 slots and int64 otherwise; slots turn int64 once, when the
 batch's offset is added.
@@ -212,7 +213,7 @@ class PhaseConfig:
     sigma_drift: float = 50.0        # common-path drift, rad / sqrt(s)
     sigma_diff: float = 0.5          # differential drift unseen by coarse
     coarse_gain: float = 0.05        # proportional gain per coarse update
-    coarse_sensor_noise: float = 0.02  # rad rms on the coarse error signal
+    coarse_sensor_noise: float = 0.02  # rad rms, fed back times the gain
     fine_gain: float = 0.5           # integral gain per fine block
     fine_block_s: float = 1e-3       # fine feedback update period
     residual_sigma: float = 0.02     # rad, ideal-regime residual width
@@ -452,57 +453,56 @@ def _linear_scan(r: np.ndarray, a: np.ndarray, y0: float) -> np.ndarray:
 
 
 def _random_walk(v0: float, sd: float, k: np.ndarray, z: np.ndarray,
-                 sums: bool) -> tuple[np.ndarray, tuple | None]:
+                 sums: np.ndarray | None = None) -> np.ndarray:
     """Random walk of step sd at points k_j steps apart, from v0.
 
     Over k steps the walk moves by W = sum w_i ~ N(0, k sd^2), drawn as
-    sd sqrt(k) z from the point's one normal z.  With ``sums`` it also
-    returns, per interval, the law of the sum of its k new values given W:
-    they add k v + sum (k - i + 1) w_i, Gaussian with mean k v + (k + 1) W
-    / 2 and a residual of variance (k^3 - k)/12 sd^2 that is independent
-    of every W and of the other intervals' residuals.
+    sd sqrt(k) z from the point's one normal z.  With ``sums`` it also adds
+    into its rows, per interval, the law of the sum of its k new values
+    given W: they add k v + sum (k - i + 1) w_i, Gaussian with mean k v +
+    (k + 1) W / 2 and a residual of variance (k^3 - k)/12 sd^2 that is
+    independent of every W and of the other intervals' residuals.
     """
     step = sd * np.sqrt(k) * z
     v = v0 + np.cumsum(step)
-    if not sums:
-        return v, None
-    prev = np.concatenate(([v0], v[:-1]))
-    return v, (k * prev + 0.5 * (k + 1.0) * step,
-               (sd * sd / 12.0) * (k * k * k - k))
+    if sums is not None:
+        prev = np.concatenate(([v0], v[:-1]))
+        sums[0] += k * prev + 0.5 * (k + 1.0) * step
+        sums[1] += (sd * sd / 12.0) * (k * k * k - k)
+    return v
 
 
-def _ar1(x0: float, rho: float, k: np.ndarray, sources,
-         sums: bool) -> tuple[np.ndarray, tuple | None]:
-    """AR(1) x_t = rho x_{t-1} + e_t at points k_j steps apart, from x0.
+def _ar1(x0: float, rho: float, k: np.ndarray, sd: float, z: np.ndarray,
+         sums: np.ndarray | None = None) -> np.ndarray:
+    """AR(1) x_t = rho x_{t-1} + e_t, e_t ~ N(0, sd^2), at points k_j
+    steps apart, from x0, with one normal z per point.
 
-    ``sources`` lists independent innovation parts as (sd, z): each adds
-    sd times a unit normal per step, and z holds its one normal per point.
-    Over k steps x moves to rho^k x + A, A = sqrt(var_a) sum sd z with
-    var_a = (1 - rho^2k)/(1 - rho^2).  With ``sums`` it also returns, per
-    interval, the law of the sum of its k new values given A: they add
+    Over k steps x moves to rho^k x + A, A = sqrt(var_a) sd z with var_a =
+    (1 - rho^2k)/(1 - rho^2).  With ``sums`` it also adds into its rows,
+    per interval, the law of the sum of its k new values given A: they add
     rho (1 - rho^k)/(1 - rho) x + B, with (A, B) jointly Gaussian linear
     functionals of the innovations, so B given A has mean slope A and a
     residual independent of every A and of the other intervals' residuals.
     """
-    rk = rho ** k
+    rk = np.exp(k * math.log(rho)) if rho > 0.0 else rho ** k
     var_a = (1.0 - rk * rk) / (1.0 - rho * rho)
-    a = np.sqrt(var_a) * sum(sd * z for sd, z in sources)
+    a = sd * np.sqrt(var_a) * z
     x = _linear_scan(rk, a, x0)
-    if not sums:
-        return x, None
-    geo = (1.0 - rk) / (1.0 - rho)
-    cov = (geo - rho * var_a) / (1.0 - rho)
-    var_b = (k - 2.0 * rho * geo + rho * rho * var_a) / (1.0 - rho) ** 2
-    slope = cov / var_a
-    resid = np.maximum(var_b - cov * slope, 0.0)
-    prev = np.concatenate(([x0], x[:-1]))
-    return x, (rho * geo * prev + slope * a,
-               sum(sd * sd for sd, _ in sources) * resid)
+    if sums is not None:
+        c = 1.0 / (1.0 - rho)
+        geo = (1.0 - rk) * c
+        cov = (geo - rho * var_a) * c
+        slope = cov / var_a
+        var_b = (k - 2.0 * rho * geo + rho * rho * var_a) * (c * c)
+        var_b -= cov * slope
+        sums[0] += rho * geo * np.concatenate(([x0], x[:-1]))
+        sums[0] += slope * a
+        sums[1] += sd * sd * np.maximum(var_b, 0.0)
+    return x
 
 
 def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
-                      rng_drift: np.random.Generator,
-                      rng_sensor: np.random.Generator, carry: dict,
+                      rng_drift: np.random.Generator, carry: dict,
                       ends: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """Channel phase at the sorted global slot indices ``slots``, and the
@@ -515,49 +515,48 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     transition: the differential phase, and the support phase when free,
     are random walks; the coarse loop linearised around lock, x_t = (1-g)
     x_{t-1} + w_t - g nu_t, is an AR(1) process with k-step factor (1-g)^k.
-    Unit steps give the slot-by-slot walk, with the same drift draws in
-    every regime.  Per point ``rng_drift`` draws x's drift step and d's
-    drift step (one (2, n) draw), and in "coarse" and "full"
-    ``rng_sensor`` draws x's sensor-noise step.
+    w_t and nu_t reach x only through their sum, one white Gaussian
+    innovation of variance sigma_drift^2 dt + g^2 sigma_sensor^2.  Per
+    point ``rng_drift`` draws x's normal and d's (one (2, n) draw), so at
+    the same slots every regime shares them: the same differential walk,
+    and x's normals scaled to the regime's innovation.
 
     Block means are formed only when ``ends`` (sorted indices of the block
     ends among ``slots``) is given; ``_channel_phase`` gives it in "full".
     An interval's sum of values is its mean given the steps plus a
     Gaussian residual independent of everything else, so a block's
     residual is one normal of the intervals' summed variance: after the
-    step draws ``rng_drift`` draws one normal per closed block.  The
-    open block's partial sum and residual variance ride in
-    ``carry["open"]`` and ``carry["open_var"]``.
+    step draws ``rng_drift`` draws one normal per closed block.  The open
+    block's partial sum and residual variance ride in ``carry["open"]``
+    and ``carry["open_var"]``.
     """
     k = np.diff(slots, prepend=carry["pos"]).astype(float)
     sq = math.sqrt(dt)
-    sums = ends is not None
+    sums = None if ends is None else np.zeros((2, k.size))
     z = rng_drift.standard_normal((2, k.size))
     if cfg.regime == "free":
-        x, x_sum = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0],
-                                sums)
+        x = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0], sums)
     else:
-        nu = rng_sensor.standard_normal(k.size)
-        x, x_sum = _ar1(carry["x"], 1.0 - cfg.coarse_gain, k, (
-            (cfg.sigma_drift * sq, z[0]),
-            (cfg.coarse_gain * cfg.coarse_sensor_noise, nu)), sums)
+        g = cfg.coarse_gain
+        x = _ar1(carry["x"], 1.0 - g, k, math.hypot(
+            cfg.sigma_drift * sq, g * cfg.coarse_sensor_noise), z[0], sums)
         if not np.isfinite(x[-1]) or abs(x[-1]) > 1e6:
             raise FeedbackDivergence("coarse loop diverged")
-    d, d_sum = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[1], sums)
+    d = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[1], sums)
     carry.update(pos=int(slots[-1]), x=float(x[-1]), d=float(d[-1]))
-    if not sums:
-        return x + d, None
-    # Sum and residual variance per block; the last segment is the one
-    # left open (a zero column when the last slot ends a block).
-    parts = np.zeros((2, k.size + 1))
-    parts[0, :-1] = x_sum[0] + d_sum[0]
-    parts[1, :-1] = x_sum[1] + d_sum[1]
-    parts = np.add.reduceat(parts, np.append(0, ends + 1), axis=1)
-    parts[:, 0] += (carry["open"], carry["open_var"])
-    carry.update(open=float(parts[0, -1]), open_var=float(parts[1, -1]))
-    total, var = parts[:, :-1]
-    residual = np.sqrt(var) * rng_drift.standard_normal(total.size)
-    return x + d, (total + residual) / cfg.fine_block_slots(dt)
+    x += d
+    if sums is None:
+        return x, None
+    # Per closed block, its sum and residual variance; the rest stays open.
+    sums[:, 0] += (carry["open"], carry["open_var"])
+    cut = int(ends[-1]) + 1 if ends.size else 0
+    carry["open"], carry["open_var"] = sums[:, cut:].sum(axis=1).tolist()
+    if not cut:
+        return x, np.zeros(0)
+    total, var = np.add.reduceat(sums[:, :cut], np.append(0, ends[:-1] + 1),
+                                 axis=1)
+    total += np.sqrt(var) * rng_drift.standard_normal(total.size)
+    return x, total / cfg.fine_block_slots(dt)
 
 
 def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
@@ -566,18 +565,18 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
     """Fine feedback: per-block reference-count estimate, integral update.
 
-    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``); entry i
-    of ``ends`` is the index among the ``phases`` of the end of the i-th
-    block closing here, and ``means`` its mean phase
-    (``_phase_trajectory``).  Each closed block's mean is shifted by the
-    correction ``carry["c_f"]``, which its estimate then updates; a phase
-    takes the correction of its block.  A block's two reference counts
-    total n ~ Poisson(B times the flux) at any phase, and detector 1's n1
-    given n is Bin(n, (1 + V cos delta) / 2).  (n1 - n2) / n ~= V cos delta
-    is unbiased at quadrature, the lock point ``_SETPOINT``; an empty block
-    corrects nothing.  The seeded contract: per call one ``rng_ref.poisson``
-    vector of the totals, then per non-empty block, in order, one scalar
-    ``rng_ref.binomial``; nothing else reads ``rng_ref``.
+    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``); entry i of
+    ``ends`` is the index among the ``phases`` of the end of the i-th block
+    closing here, and ``means`` its mean phase (``_phase_trajectory``).  Each
+    closed block's mean is shifted by the correction ``carry["c_f"]``, which
+    its estimate then updates; a phase takes the correction of its block, added
+    to ``phases`` in place.  A block's two reference counts total n ~ Poisson(B
+    times the flux) at any phase, and detector 1's n1 given n is Bin(n, (1 + V
+    cos delta) / 2).  (n1 - n2) / n ~= V cos delta is unbiased at quadrature,
+    the lock point ``_SETPOINT``; an empty block corrects nothing.  The seeded
+    contract: per call one ``rng_ref.poisson`` vector of the totals, then per
+    non-empty block, in order, one scalar ``rng_ref.binomial``; nothing else
+    reads ``rng_ref``.
     """
     totals = rng_ref.poisson(cfg.fine_block_slots(dt) * ref_flux_per_slot,
                              means.size)
@@ -593,54 +592,60 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
                 raise FeedbackDivergence("fine loop diverged")
         shift.append(c_f)
     carry["c_f"] = c_f
-    return phases + np.repeat(shift, np.diff(ends, prepend=-1,
-                                             append=phases.size - 1))
+    width = np.append(ends, phases.size - 1)    # points per block
+    width[1:] -= ends
+    width[0] += 1
+    phases += np.repeat(shift, width)
+    return phases
 
 
 def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
                    rngs, carry: dict, ref_flux_per_slot: float,
-                   visibility: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluated slots and the channel phase minus the lock setpoint there.
+                   visibility: float) -> np.ndarray:
+    """The channel phase minus the lock setpoint at each requested slot.
 
     The one phase path, for ``run_protocol`` per batch and
     ``simulate_phase_trace`` once.  ``slots`` are global slot indices past
-    the carried position, in any order, repeats allowed; the evaluated
-    slots come back sorted and distinct.  ``rngs`` are the drift, sensor
-    and reference streams, ``carry`` the loops' state (empty: start before
-    slot 0), left as it is by an empty request.  Per evaluated slot
-    "ideal" draws one normal from the drift stream, an i.i.d. Gaussian
-    residual of width ``residual_sigma``.  The other regimes run
-    ``_phase_trajectory``: two drift normals per slot, plus one sensor
-    normal in "coarse" and "full".  "full" adds the fine-block ends up to
-    the last slot, and each block closing there takes one more drift
-    normal (its sum's residual); each call's closed blocks draw their
-    reference totals as one vector and each non-empty one a binomial
-    (``_apply_fine_blocks``).
+    the carried position, in any order, repeats allowed, and the phases
+    come back in their order.  ``rngs`` are the drift and reference
+    streams, ``carry`` the loops' state (empty: start before slot 0), left
+    as it is by an empty request.  The evaluated points are the distinct
+    slots, plus in "full" the fine-block ends up to the last slot, found
+    by one stable argsort (the sorted runs merge) with an inverse index.
+    Per point "ideal" draws one normal from the drift stream, an i.i.d.
+    Gaussian residual of width ``residual_sigma``.  The other regimes run
+    ``_phase_trajectory``: two drift normals per point.  In "full" each
+    block closing at a point takes one more drift normal (its sum's
+    residual); each call's closed blocks draw their reference totals as
+    one vector and each non-empty one a binomial (``_apply_fine_blocks``).
     """
-    rng_drift, rng_sensor, rng_ref = rngs
+    rng_drift, rng_ref = rngs
     if not slots.size:
-        return slots, np.zeros(0)
+        return np.zeros(0)
     if not carry:
         carry.update(pos=-1, x=0.0, d=_SETPOINT + _INITIAL_OFFSET, c_f=0.0,
                      open=0.0, open_var=0.0)
     full = cfg.regime == "full"
+    request = slots
     if full:
         block = cfg.fine_block_slots(dt)
         k = np.arange((carry["pos"] + 1) // block, (slots.max() + 1) // block)
-        block_ends = (k + 1) * block - 1
-        slots = np.concatenate([slots, block_ends])
-    points = np.sort(slots, kind="stable")     # merges the sorted runs
-    points = points[np.diff(points, prepend=-1) > 0]
+        request = np.concatenate([slots, (k + 1) * block - 1])
+    order = np.argsort(request, kind="stable")   # merges the sorted runs
+    ranked = request[order]
+    distinct = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=distinct[1:])
+    at = np.empty_like(order)
+    at[order] = np.add.accumulate(distinct, dtype=np.intp) - 1
+    points = ranked[distinct]
     if cfg.regime == "ideal":
-        return points, cfg.residual_sigma * rng_drift.standard_normal(
-            points.size)
-    ends = np.searchsorted(points, block_ends) if full else None
-    phi, means = _phase_trajectory(cfg, points, dt, rng_drift, rng_sensor,
-                                   carry, ends)
+        return cfg.residual_sigma * rng_drift.standard_normal(points.size)[at]
+    ends = at[slots.size:] if full else None
+    phi, means = _phase_trajectory(cfg, points, dt, rng_drift, carry, ends)
     if full:
         phi = _apply_fine_blocks(cfg, phi, means, ends, dt, rng_ref, carry,
                                  ref_flux_per_slot, visibility)
-    return points, phi - _SETPOINT
+    return phi[at[:slots.size]] - _SETPOINT
 
 
 @dataclass(frozen=True)
@@ -671,17 +676,20 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
 
     The same phase code as ``run_protocol``, evaluated at every step and
     reported as the residual from the setpoint, in the frame of
-    ``run_protocol``'s trace.  The drift increments come from a stream
-    independent of the sensor and reference streams, so runs with the same
-    seed experience the same physical drift in every regime.
+    ``run_protocol``'s trace.  The drift normals come from a stream
+    independent of the reference stream, so runs with the same seed share
+    them in every regime: the same differential walk, and the same normals
+    behind the support phase's steps, each scaled to the regime's
+    innovation (the drift step alone when free, plus the coarse loop's
+    sensor noise otherwise).
     """
     if n_steps <= 0 or dt <= 0:
         raise ValueError("n_steps and dt must be positive")
     rngs = [np.random.default_rng(c)
-            for c in np.random.SeedSequence(seed).spawn(3)]
+            for c in np.random.SeedSequence(seed).spawn(2)]
     slots = np.arange(n_steps)
-    _, phases = _channel_phase(cfg, slots, dt, rngs, {}, _REF_INTENSITY,
-                               visibility=0.99)
+    phases = _channel_phase(cfg, slots, dt, rngs, {}, _REF_INTENSITY,
+                            visibility=0.99)
     return PhaseTrace(times_s=slots * dt, delta_phi_rad=phases,
                       regime=cfg.regime, seed=seed)
 
@@ -731,18 +739,16 @@ def _tag_posterior(mu_send: float, mu_silent: float, q: float,
     emits nothing and the sender exactly one photon; such a slot is tagged
     (single-photon ground truth) and has the one-photon law P1: the photon
     survives with q and routes 50/50, and each detector adds its dark
-    count.  Bayes gives
-    P(tag | o) = t P1(o) / P_coh(o), capped at 1; an outcome that never
-    occurs (P_coh(o) = 0, e.g. a blind, dark-free detector) gets 0.
+    count.  Bayes gives P(tag | o) = t P1(o) / P_coh(o), capped at 1; an
+    outcome that never occurs (P_coh(o) = 0, e.g. a blind, dark-free
+    detector) gets 0.  Python floats in and out, one array at the end.
     """
     tag = math.exp(-mu_silent) * mu_send * math.exp(-mu_send)
     only = (1.0 - p_dark) * (q / 2.0 + (1.0 - q) * p_dark)
-    one_photon = np.array([only, only, q * p_dark + (1.0 - q) * p_dark**2,
-                           (1.0 - q) * (1.0 - p_dark) ** 2])
-    coherent = np.asarray(coherent)
-    posterior = np.divide(tag * one_photon, coherent, out=np.zeros(4),
-                          where=coherent > 0.0)
-    return np.minimum(1.0, posterior)
+    one_photon = (only, only, q * p_dark + (1.0 - q) * p_dark**2,
+                  (1.0 - q) * (1.0 - p_dark) ** 2)
+    return np.array([min(1.0, tag * p1 / p) if p > 0.0 else 0.0
+                     for p1, p in zip(one_photon, coherent)])
 
 
 def _scatter(labels: np.ndarray, n: int,
@@ -758,12 +764,12 @@ def _scatter(labels: np.ndarray, n: int,
     about twice as fast).  Where events share a slot the first keeps it,
     and the others take a uniformly random sample of the free slots,
     without replacement and in random order: the r-th free slot is r plus
-    the taken slots t_i with t_i - i <= r.  Every step
-    commutes with any relabelling of the slots, so the events' slots are a
-    uniformly random injection, the law of ``choice(n, k,
-    replace=False)``, with no ``choice`` over the whole batch: memory stays
-    near 9 bytes per event, and only the sample of free slots (about
-    k^2 / 2n events) goes through ``choice``.
+    the taken slots t_i with t_i - i <= r.  Every step commutes with any
+    relabelling of the slots, so the events' slots are a uniformly random
+    injection, the law of ``choice(n, k, replace=False)``, with no
+    ``choice`` over the whole batch: memory stays near 9 bytes per event,
+    and only the sample of free slots (about k^2 / 2n events) goes through
+    ``choice``.
     """
     key = np.int32 if n < _INT32_KEY_SLOTS else np.int64
     events = rng.integers(0, n, labels.size, dtype=key)
@@ -816,19 +822,19 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     distinct slots, in slot order (int32 sort keys below 2^23 slots a
     batch); adding the batch's offset makes them int64 global slots.  Every
     batch draw comes from the run's one stream, which made the set-up
-    draws, and the phase from three streams built with it, so no batch
+    draws, and the phase from two streams built with it, so no batch
     builds a generator.  One ``take`` of ``_LABEL_BITS`` gives each event
-    its attribute byte, and a phase-blind event's outcome, key
-    bits and tag are bits of it, with no phase or uniform draw.  An XX
-    candidate draws its global phase difference theta_A - theta_B uniform
-    on [0, 2 pi) (only that difference mod 2 pi enters the interference and
-    the matching windows), adds the channel phase at its slot and keeps
+    its attribute byte, and a phase-blind event's outcome, key bits and tag
+    are bits of it, with no phase or uniform draw.  An XX candidate draws
+    its global phase difference theta_A - theta_B uniform on [0, 2 pi)
+    (only that difference mod 2 pi enters the interference and the
+    matching windows), adds the channel phase at its slot and keeps
     outcome (c1, c2) with probability P(c1, c2 | delta) / p_bar.  Double
     clicks stay events, so both detectors' clicks reach
     ``filter_deadtime``.  Phase (``_channel_phase``) and deadtime run on
     the global slot clock; each batch asks for the phase at its XX
-    candidate slots and its share of ~4096 trace slots spread over the run.
-    The module docstring says why this is exact.
+    candidate slots and its share of ~4096 trace slots spread over the run,
+    in that order.  The module docstring says why this is exact.
 
     The tallies are one ``bincount`` of the heralded labels per batch,
     folded by code at the end.  Each Z-window herald, picked by one
@@ -855,7 +861,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
     seeds = np.random.SeedSequence(seed)
     rng_run = np.random.default_rng(seeds)
-    phase_rngs = [np.random.default_rng(s) for s in seeds.spawn(3)]
+    phase_rngs = [np.random.default_rng(s) for s in seeds.spawn(2)]
     sent = fair_sampled_classes(params.alice, params.bob, n_slots,
                                 rng_run).ravel()
 
@@ -882,9 +888,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     fate = rng_run.multinomial(sent, pvals)
     tag_prob = np.array([
         _tag_posterior(mu_a[_SN], mu_b[_SN], eta_a * det.efficiency, p_dark,
-                       law[_SN]),
+                       law[_SN].tolist()),
         _tag_posterior(mu_b[_NS], mu_a[_NS], eta_b * det.efficiency, p_dark,
-                       law[_NS])])
+                       law[_NS].tolist())])
     tagged = rng_run.binomial(fate[[_SN, _NS]], tag_prob)
     # Labels not yet placed: each label's events, then the other slots.
     left = np.append(fate.ravel()[_LABEL_CELL], fate[:, 3].sum())
@@ -910,7 +916,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     phase_carry = {}
     dead_slots = det.dead_slots(params.protocol_rate_hz)
     last_kept = [-(dead_slots + 1)] * 2
-    trace_t, trace_phi = [], []
+    trace_phi = []
     lap("draws")
 
     for b in range(n_batches):
@@ -928,11 +934,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
         # Channel phase at the XX candidate slots and the trace slots.
         trace_slots = np.arange(lo + -lo % trace_stride, lo + n, trace_stride)
-        points, phi = _channel_phase(
+        phi = _channel_phase(
             phase_cfg, np.concatenate([xx_slot, trace_slots]), slot_dt,
             phase_rngs, phase_carry, ref_flux, visibility)
-        trace_t.append(trace_slots * slot_dt)
-        trace_phi.append(phi[np.searchsorted(points, trace_slots)])
+        trace_phi.append(phi[xx_slot.size:])
         lap("phase")
 
         # Click outcomes.  A phase-blind event's outcome is its label's; an
@@ -944,10 +949,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         xx_code = _LABEL_CODE[label[xx_at]]
         u = rng_run.random(xx_at.size) * p_bar[xx_code]
         dtheta = rng_run.random(xx_at.size) * (2.0 * np.pi)
-        p1, p2 = click_probs(
-            mu_a[xx_code], mu_b[xx_code],
-            dtheta + phi[np.searchsorted(points, xx_slot)],
-            eta_a, eta_b, det.efficiency, p_dark, visibility)
+        p1, p2 = click_probs(mu_a[xx_code], mu_b[xx_code],
+                             dtheta + phi[:xx_slot.size], eta_a, eta_b,
+                             det.efficiency, p_dark, visibility)
         both = p1 * p2
         xx_c1 = u < p1
         xx_c2 = (u >= p1 - both) & (u < p1 + p2 - both)
@@ -995,28 +999,24 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     raw = RawKeyPair(np.concatenate(key_events))
 
     tag_sent = tagged.sum(axis=1).tolist()
-    gt = {"sn_sent": tag_sent[0], "sn_heralded": tag_heralded[0],
-          "ns_sent": tag_sent[1], "ns_heralded": tag_heralded[1]}
-    s10_true = gt["sn_heralded"] / gt["sn_sent"] if gt["sn_sent"] else 0.0
-    s01_true = gt["ns_heralded"] / gt["ns_sent"] if gt["ns_sent"] else 0.0
+    s10_true, s01_true = (h / t if t else 0.0
+                          for h, t in zip(tag_heralded, tag_sent))
     v_a, v_b = params.alice.v, params.bob.v
     v_sum = v_a + v_b
-    gt.update({
-        "s10_true": s10_true,
-        "s01_true": s01_true,
-        "s1_true": ((v_a * s10_true + v_b * s01_true) / v_sum
-                    if v_sum > 0 else 0.0),
-        "xuu_matched": int(x_matched[_XUXU]),
-        "xvv_matched": int(x_matched[_XVXV]),
-    })
+    gt = {"sn_sent": tag_sent[0], "sn_heralded": tag_heralded[0],
+          "ns_sent": tag_sent[1], "ns_heralded": tag_heralded[1],
+          "s10_true": s10_true, "s01_true": s01_true,
+          "s1_true": ((v_a * s10_true + v_b * s01_true) / v_sum
+                      if v_sum > 0 else 0.0),
+          "xuu_matched": int(x_matched[_XUXU]),
+          "xvv_matched": int(x_matched[_XVXV])}
 
-    trace = PhaseTrace(times_s=np.concatenate(trace_t),
+    trace = PhaseTrace(times_s=np.arange(0, n_slots, trace_stride) * slot_dt,
                        delta_phi_rad=np.concatenate(trace_phi),
                        regime=phase_cfg.regime, seed=seed)
     lap("tally")
     return SimOutcome(counts=counts, raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,
                       ground_truth=gt, wall_s=lap_start - t_start,
-                      stage_s=stage_s,
-                      candidates=n_cand, accepted=n_cand - dropped,
-                      batches=n_batches)
+                      stage_s=stage_s, candidates=n_cand,
+                      accepted=n_cand - dropped, batches=n_batches)

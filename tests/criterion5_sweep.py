@@ -1,12 +1,14 @@
-"""Criterion-5 seed sweep: how often a gate trips, and on what.
+"""Criterion-5 and criterion-7 seed sweeps: how often a gate trips, and on
+what.
 
     PYTHONPATH=src python tests/criterion5_sweep.py [FIRST LAST]
-        [--gate {category,field-deadtime,x-qber}] [--jobs N]
+        [--gate {category,field-deadtime,x-qber,lock}] [--jobs N]
 
-Reruns the run of one of ``test_acceptance``'s criterion-5 gates at every
-seed from FIRST to LAST and prints how many runs trip the gate, max |z| <=
-3 over its statistics, and each statistic's mean z over the seeds with its
-standard error.  The gates:
+Reruns the run of one of ``test_acceptance``'s seeded gates at every seed
+from FIRST to LAST (default: 1000 seeds from the gate's pinned seed) and
+prints how many runs trip it.  The criterion-5 gates check max |z| <= 3
+over their statistics and also print each statistic's mean z over the
+seeds with its standard error:
 
 * ``category``: the 25 dB criterion-5 link, 1e8 slots, z of each of the 25
   categories against ``expected_rates_model`` (default seeds 2026-3025,
@@ -16,6 +18,11 @@ standard error.  The gates:
   seeds 2029-3028);
 * ``x-qber``: the criterion-5 link at 4e9 slots, the binomial z of the
   XXvv and XXuu matched-window QBERs (default seeds 2027-3026).
+
+``lock`` reruns criterion 7's two checks (``criterion7_stats``, default
+seeds 41-1040): the coarse loop cuts the free residual std at least
+``COARSE_REDUCTION``-fold, and the full loop's |mean offset| stays within
+``LOCK_TOLERANCE``.  It prints the trips of each and the worst values.
 
 A correct sampler trips the category gates on a few per cent of seeds and
 the x-qber gate on about 0.5%, and keeps every mean z within a few
@@ -36,7 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import PARAMS_PATH                      # noqa: E402
 from test_acceptance import (                         # noqa: E402
-    category_z, criterion5_run, x_qber_z)
+    COARSE_REDUCTION, LOCK_TOLERANCE, category_z, criterion5_run,
+    criterion7_stats, x_qber_z)
 from tfqkd import keyrate, model                     # noqa: E402
 from tfqkd.montecarlo import PhaseConfig, run_protocol  # noqa: E402
 
@@ -69,10 +77,41 @@ def _x_qber_run(seed: int):
     return x_qber_z(*criterion5_run(params, X_QBER_SLOTS, seed))
 
 
-# Gate name: (its z per statistic at a seed, the gate's pinned seed).
+# Gate name: (its statistics at a seed, the gate's pinned seed).
 GATES = {"category": (_category_run, 2026),
          "field-deadtime": (_field_deadtime_run, 2029),
-         "x-qber": (_x_qber_run, 2027)}
+         "x-qber": (_x_qber_run, 2027),
+         "lock": (criterion7_stats, 41)}
+
+
+def z_report(rows: list, seeds: range) -> str:
+    """Trips of max |z| <= GATE, and each statistic's mean z."""
+    names = list(rows[0])
+    z = np.array([list(row.values()) for row in rows])
+    worst = np.abs(z).max(axis=1)
+    trips = int(np.count_nonzero(worst > GATE))
+    lines = [f"{trips} trip the max |z| <= {GATE:g} gate "
+             f"({100.0 * trips / len(seeds):.1f}%)"
+             + (f"; seed {seeds[0]} trips" if worst[0] > GATE else "")]
+    se = z.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+    for k, m, s in zip(names, z.mean(axis=0), se):
+        lines.append(f"  {k}  mean z {m:+.3f} +- {s:.3f}"
+                     + ("  <- beyond 3 s.e." if abs(m) > 3.0 * s else ""))
+    return "\n".join(lines)
+
+
+def lock_report(rows: list, seeds: range) -> str:
+    """Trips of criterion 7's two checks, and the worst value of each."""
+    ratio = np.array([row["ratio"] for row in rows])
+    offset = np.array([row["offset"] for row in rows])
+    low = int(np.count_nonzero(ratio < COARSE_REDUCTION))
+    far = int(np.count_nonzero(offset > LOCK_TOLERANCE))
+    return (f"{low} trip the coarse reduction >= {COARSE_REDUCTION:g}x and "
+            f"{far} the |offset| <= {LOCK_TOLERANCE:g} rad lock\n"
+            f"  ratio: min {ratio.min():.2f} (seed {seeds[ratio.argmin()]}),"
+            f" median {np.median(ratio):.2f}\n"
+            f"  |offset|: max {offset.max():.4f} (seed "
+            f"{seeds[offset.argmax()]}), median {np.median(offset):.4f}")
 
 
 def main(argv=None) -> None:
@@ -90,18 +129,9 @@ def main(argv=None) -> None:
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
         rows = list(pool.map(run, seeds, chunksize=8))
-    names = list(rows[0])
-    z = np.array([list(row.values()) for row in rows])
-    worst = np.abs(z).max(axis=1)
-    trips = int(np.count_nonzero(worst > GATE))
+    report = lock_report if args.gate == "lock" else z_report
     print(f"{args.gate} gate, {len(seeds)} seeds {first}-{last}, "
-          f"{time.perf_counter() - start:.0f} s: {trips} trip the "
-          f"max |z| <= {GATE:g} gate ({100.0 * trips / len(seeds):.1f}%)"
-          + (f"; seed {first} trips" if worst[0] > GATE else ""))
-    se = z.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    for k, m, s in zip(names, z.mean(axis=0), se):
-        print(f"  {k}  mean z {m:+.3f} +- {s:.3f}"
-              + ("  <- beyond 3 s.e." if abs(m) > 3.0 * s else ""))
+          f"{time.perf_counter() - start:.0f} s: " + report(rows, seeds))
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ FIELD_PHASE_ERROR = 0.0508
 FIELD_EZ_AOPP = 0.0356
 FIELD_N_TOT = 1.36581e13
 LOCK_TOLERANCE = 0.05      # rad, |mean offset| of a locked trace
+COARSE_REDUCTION = 10.0    # least free / coarse residual-std ratio
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -82,6 +83,18 @@ def x_qber_z(out, pred) -> dict:
         z[name] = (q_mc - q_model) / math.sqrt(
             q_model * (1.0 - q_model) / matched)
     return z
+
+
+def criterion7_stats(seed: int) -> dict:
+    """Criterion 7's two statistics from 150 000-step traces of 10 us at
+    one seed: the free / coarse residual-std ratio, and the full regime's
+    |mean offset| over the trace's second half."""
+    free, coarse, full = (
+        simulate_phase_trace(PhaseConfig(regime=r), 150_000, 1e-5, seed=seed)
+        for r in ("free", "coarse", "full"))
+    tail = full.delta_phi_rad[full.delta_phi_rad.size // 2:]
+    return {"ratio": free.residual_std() / coarse.residual_std(),
+            "offset": abs(float(np.mean(tail)))}
 
 
 @pytest.fixture(scope="module")
@@ -415,22 +428,20 @@ class TestCriterion6AoppOracle:
                        f"{checked} sampled 20-bit cases")
 
 
+@pytest.fixture(scope="module")
+def lock_stats():
+    return criterion7_stats(seed=41)
+
+
 class TestCriterion7PhaseStabilisation:
-    def test_coarse_reduction(self):
-        free = simulate_phase_trace(PhaseConfig(regime="free"), 150_000,
-                                    1e-5, seed=41)
-        coarse = simulate_phase_trace(PhaseConfig(regime="coarse"), 150_000,
-                                      1e-5, seed=41)
-        ratio = free.residual_std() / coarse.residual_std()
-        ok = ratio >= 10.0
+    def test_coarse_reduction(self, lock_stats):
+        ratio = lock_stats["ratio"]
+        ok = ratio >= COARSE_REDUCTION
         verdict(7, ok, f"coarse feedback reduces residual std by "
                        f"{ratio:.1f}x (>=10x, same seed and sigma)")
 
-    def test_full_lock(self):
-        cfg = PhaseConfig(regime="full")
-        trace = simulate_phase_trace(cfg, 150_000, 1e-5, seed=41)
-        tail = trace.delta_phi_rad[trace.delta_phi_rad.size // 2:]
-        offset = abs(float(np.mean(tail)))
+    def test_full_lock(self, lock_stats):
+        offset = lock_stats["offset"]
         ok = offset <= LOCK_TOLERANCE
         verdict(7, ok, f"coarse+fine mean offset {offset:.4f} rad within "
                        f"lock tolerance {LOCK_TOLERANCE}")

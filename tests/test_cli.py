@@ -260,6 +260,7 @@ class TestMonteCarlo:
     (["montecarlo", "--slots", str(2**55)], "--slots"),
     (["bounds", "--sweep-db", "0:10:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "1e-300:1e-300:1"], "--sweep-db"),
+    (["phasestab", "--steps", "10", "--dt", "1e300"], "--dt"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
@@ -452,6 +453,14 @@ class TestPhasestab:
         # capped at MAX_SLOTS: no block closes in the run.
         assert run_cli(["phasestab", "--steps", "10",
                         "--dt", "1e-300"]) == cli.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert math.isfinite(summary["residual_std_rad"])
+
+    def test_long_step_that_holds_the_coarse_loop(self, capsys):
+        # A 1e6 s step draws 5e4 rad of drift, and the coarse loop stays
+        # inside its divergence bound; at 1e300 s it does not (exit 3).
+        assert run_cli(["phasestab", "--steps", "10", "--dt", "1e6",
+                        "--regime", "coarse"]) == cli.EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert math.isfinite(summary["residual_std_rad"])
 

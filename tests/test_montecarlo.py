@@ -110,7 +110,7 @@ def _trajectory(cfg: PhaseConfig, n: int, x0: float, d0: float,
                 dt: float = 1e-6, seed: int = 5):
     rng = np.random.default_rng(seed)
     carry = {"pos": -1, "x": x0, "d": d0}
-    phases, _ = _phase_trajectory(cfg, np.arange(n), dt, rng, rng, carry)
+    phases, _ = _phase_trajectory(cfg, np.arange(n), dt, rng, carry)
     return phases, carry
 
 
@@ -267,11 +267,11 @@ class TestSparsePhaseLaw:
             slots = np.arange(n)
         carry = {"pos": -1, "x": 0.1, "d": montecarlo._SETPOINT + 0.3,
                  "c_f": 0.0, "open": 0.0, "open_var": 0.0}
-        drift, sensor, ref = [np.random.default_rng(s) for s in
-                              np.random.SeedSequence(seed).spawn(3)]
+        drift, ref = [np.random.default_rng(s) for s in
+                      np.random.SeedSequence(seed).spawn(2)]
         at = np.searchsorted(slots, ends)
-        phases, means = _phase_trajectory(cfg, slots, self.DT, drift, sensor,
-                                          carry, at)
+        phases, means = _phase_trajectory(cfg, slots, self.DT, drift, carry,
+                                          at)
         # Block mean minus the phase at the block's last slot: the part of
         # each block sum that the evaluated slots leave free.
         spread = means - phases[at]
@@ -307,12 +307,12 @@ class TestSparsePhaseLaw:
         # innovations.  Their covariance from one k-step transition must
         # equal the one of k unit steps (rho None: random walk, else AR(1)).
         def walk(steps, z_step, z_area):
+            sums = np.zeros((2, steps.size))
             if rho is None:
-                v, (mean, var) = montecarlo._random_walk(0.0, 1.0, steps,
-                                                         z_step, True)
+                v = montecarlo._random_walk(0.0, 1.0, steps, z_step, sums)
             else:
-                v, (mean, var) = montecarlo._ar1(0.0, rho, steps,
-                                                 ((1.0, z_step),), True)
+                v = montecarlo._ar1(0.0, rho, steps, 1.0, z_step, sums)
+            mean, var = sums
             return v, np.cumsum(mean + np.sqrt(var) * z_area)
 
         unit = np.ones(k)
@@ -325,6 +325,50 @@ class TestSparsePhaseLaw:
         sparse = np.array([[v[-1], s[-1]] for v, s in (
             walk(one, np.array([1.0]), np.array([0.0])),
             walk(one, np.array([0.0]), np.array([1.0])))])
+        np.testing.assert_allclose(sparse.T @ sparse, dense.T @ dense,
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 500])
+    @pytest.mark.parametrize("gain", [0.05, 0.5, 1.5])
+    def test_one_innovation_matches_the_two_source_slot_loop(self, gain, k):
+        # The slot loop x_t = (1 - g) x_{t-1} + w_t - g nu_t draws the drift
+        # step w and the sensor noise nu separately.  The value and the
+        # running sum after k slots are linear in those 2k innovations, and
+        # their covariance must equal that of one k-step transition of
+        # ``_phase_trajectory`` (one normal for the value, one for the
+        # block sum's residual) at the configured drift and sensor noise.
+        dt = 1e-6
+        cfg = PhaseConfig(regime="coarse", sigma_drift=50.0, sigma_diff=0.0,
+                          coarse_gain=gain, coarse_sensor_noise=0.02,
+                          fine_block_s=k * dt)
+        assert cfg.fine_block_slots(dt) == k
+        drift = cfg.sigma_drift * math.sqrt(dt) * np.eye(2 * k, k)
+        sensor = cfg.coarse_sensor_noise * np.eye(2 * k, k, -k)
+        x = np.zeros(2 * k)     # one entry per unit innovation
+        total = np.zeros(2 * k)
+        for t in range(k):
+            x = (1.0 - gain) * x + drift[:, t] - gain * sensor[:, t]
+            total += x
+        dense = np.column_stack([x, total])
+
+        class Normals:
+            def __init__(self, *draws):
+                self.draws = [np.array(d, dtype=float) for d in draws]
+
+            def standard_normal(self, shape):
+                out = self.draws.pop(0)
+                assert out.shape == np.empty(shape).shape
+                return out
+
+        rows = []
+        for z_step, z_area in ((1.0, 0.0), (0.0, 1.0)):
+            carry = {"pos": -1, "x": 0.0, "d": 0.0, "open": 0.0,
+                     "open_var": 0.0}
+            phases, means = _phase_trajectory(
+                cfg, np.array([k - 1]), dt,
+                Normals([[z_step], [0.0]], [z_area]), carry, np.array([0]))
+            rows.append([phases[0], means[0] * k])
+        sparse = np.array(rows)
         np.testing.assert_allclose(sparse.T @ sparse, dense.T @ dense,
                                    rtol=1e-9)
 
@@ -431,13 +475,14 @@ class TestFeedback:
         # the correction it already holds.
         cfg = PhaseConfig(regime="full", fine_block_s=1e-5)
         phases = np.linspace(0.0, 1.0, 1000)
+        expected = phases + 0.25    # the phases are corrected in place
         ends = np.arange(99, 1000, 100)
         carry = {"c_f": 0.25}
         out = _apply_fine_blocks(cfg, phases, phases[ends], ends, 1e-7,
                                  np.random.default_rng(0), carry,
                                  ref_flux_per_slot=0.0, visibility=0.99)
         assert carry == {"c_f": 0.25}
-        assert np.array_equal(out, phases + 0.25)
+        assert np.array_equal(out, expected)
 
     def test_divergent_gain_rejected(self):
         with pytest.raises(FeedbackDivergence):
@@ -487,12 +532,10 @@ class TestGlobalSlotClock:
                 draws["binomial"] += 1
                 return self.rng.binomial(n, p)
 
-        def trajectory_spy(cfg_, slots, dt, rng_drift, rng_sensor, carry,
-                           ends):
+        def trajectory_spy(cfg_, slots, dt, rng_drift, carry, ends):
             evaluated.append(slots)
             closed.append(slots[ends])
-            return phase_trajectory(cfg_, slots, dt, rng_drift, rng_sensor,
-                                    carry, ends)
+            return phase_trajectory(cfg_, slots, dt, rng_drift, carry, ends)
 
         def spy(cfg_, phases, means, ends, dt, rng_ref, *rest):
             draws["calls"] += 1
@@ -510,45 +553,73 @@ class TestGlobalSlotClock:
         assert draws["poisson"] == draws["calls"] == len(closed)
         assert 0 < draws["binomial"] <= expected.size
 
-    def test_empty_request_leaves_the_carry(self):
+    def test_empty_request_leaves_the_carry(self, monkeypatch):
         cfg = PhaseConfig(regime="full", fine_block_s=1e-4)
-        rngs = [np.random.default_rng(s) for s in range(3)]
+        rngs = [np.random.default_rng(s) for s in range(2)]
         carry = {}
-        points, _ = montecarlo._channel_phase(
+        evaluated = []
+        phase_trajectory = montecarlo._phase_trajectory
+
+        def trajectory_spy(cfg_, slots, *rest):
+            evaluated.append(slots.tolist())
+            return phase_trajectory(cfg_, slots, *rest)
+
+        monkeypatch.setattr(montecarlo, "_phase_trajectory", trajectory_spy)
+        phi = montecarlo._channel_phase(
             cfg, np.array([250, 7, 250]), 1e-6, rngs, carry, 20.0, 0.99)
-        assert points.tolist() == [7, 99, 199, 250]
+        assert evaluated == [[7, 99, 199, 250]] and phi.size == 3
         before = dict(carry)
-        points, phi = montecarlo._channel_phase(
+        phi = montecarlo._channel_phase(
             cfg, np.zeros(0, dtype=np.int64), 1e-6, rngs, carry, 20.0, 0.99)
-        assert points.size == 0 and phi.size == 0
+        assert phi.size == 0 and len(evaluated) == 1
         assert carry == before
+
+    @pytest.mark.parametrize("regime", ["ideal", "free", "coarse", "full"])
+    def test_phases_come_back_in_request_order(self, regime):
+        # An unsorted request with repeats that hits the block ends 99 and
+        # 199 gets each slot's phase in request order: the phase that a
+        # request for the evaluated points themselves (its distinct slots,
+        # plus the block ends in "full") gets there from the same streams.
+        cfg = PhaseConfig(regime=regime, fine_block_s=1e-4)
+        request = np.array([250, 7, 199, 250, 99, 7, 31, 250])
+        evaluated = np.array([7, 31, 99, 199, 250])
+
+        def phases(slots):
+            rngs = [np.random.default_rng(s) for s in (4, 5)]
+            return montecarlo._channel_phase(cfg, slots, 1e-6, rngs, {},
+                                             20.0, 0.99)
+
+        at_points = phases(evaluated)
+        assert np.unique(at_points).size == evaluated.size
+        expected = at_points[np.searchsorted(evaluated, request)]
+        assert phases(request).tobytes() == expected.tobytes()
 
 
 class TestPhaseDrawBudget:
     """The phase layer draws only what it reads, per evaluated slot and per
     closed fine block."""
 
-    # Normals per evaluated slot from the drift and sensor streams.
-    PER_POINT = {"ideal": (1, 0), "free": (2, 0), "coarse": (2, 1),
-                 "full": (2, 1)}
+    # Normals per evaluated slot from the drift stream.
+    PER_POINT = {"ideal": 1, "free": 2, "coarse": 2, "full": 2}
 
     @pytest.mark.parametrize("regime", ["ideal", "free", "coarse", "full"])
     def test_each_stream_advances_by_the_budget(self, regime):
         # 100-slot fine blocks: a request up to slot 1234 closes 12 blocks
         # (ends 99 .. 1199) in "full", and each takes one drift normal.
+        # Only "full" reads the reference stream.
         cfg = PhaseConfig(regime=regime, fine_block_s=1e-4)
-        streams = [np.random.default_rng(s) for s in (1, 2, 3)]
-        twins = [np.random.default_rng(s) for s in (1, 2, 3)]
-        points, _ = montecarlo._channel_phase(
+        streams = [np.random.default_rng(s) for s in (1, 2)]
+        twin, ref_twin = (np.random.default_rng(s) for s in (1, 2))
+        phi = montecarlo._channel_phase(
             cfg, np.array([1234, 5, 250, 251, 777]), 1e-6, streams, {},
             20.0, 0.99)
+        assert phi.size == 5
         closed = 12 if regime == "full" else 0
-        assert points.size == 5 + closed
-        drift, sensor = self.PER_POINT[regime]
-        twins[0].standard_normal(drift * points.size + closed)
-        twins[1].standard_normal(sensor * points.size)
-        for stream, twin in zip(streams[:2], twins):
-            assert stream.bit_generator.state == twin.bit_generator.state
+        twin.standard_normal(self.PER_POINT[regime] * (5 + closed) + closed)
+        assert streams[0].bit_generator.state == twin.bit_generator.state
+        if regime != "full":
+            assert (streams[1].bit_generator.state
+                    == ref_twin.bit_generator.state)
 
 
 class TestPhaseTracePin:
@@ -558,11 +629,11 @@ class TestPhaseTracePin:
     @pytest.mark.parametrize("regime, digest", [
         pytest.param("free", "a385d1bdf71480c7a162d69b9963f305"
                              "e89e75f40b323deec13403dc4d39e8f6", id="free"),
-        pytest.param("coarse", "82168519ef73a7e0673dc417c48937cd"
-                               "7fc4d72133cd4337f8be4362509ab95e",
+        pytest.param("coarse", "6bdbb3666377cb32a578370d2a1e8c93"
+                               "4e73bed7dcca7222991458cb81c143f7",
                      id="coarse"),
-        pytest.param("full", "ae9f2284b69520365d8644c7a99aeab3"
-                             "1e0118c48b78ace5a1162c1053f69e25", id="full"),
+        pytest.param("full", "b498525d9f1253861f1e02ec0065068f"
+                             "7b3e55403559b301f45b65675532012e", id="full"),
     ])
     def test_trace_is_bit_identical(self, regime, digest):
         trace = simulate_phase_trace(PhaseConfig(regime=regime), 150_050,
@@ -598,8 +669,8 @@ class TestSamplerPin:
         pytest.param("metro-1us", "59925a59f18344c01c9fabbdf0936981"
                                   "208460ff9ba1808a75502c1328fcfaea",
                      id="metro-1us"),
-        pytest.param("field", "7ac1ca28376534f1a561919710e55aa6"
-                              "bde69807dc79244d436fc24d7cd29923", id="field"),
+        pytest.param("field", "c533681433ae164397dff7eee71fdf37"
+                              "22e9c8e24130293c8f2504980668466c", id="field"),
     ])
     def test_outputs_are_bit_identical(self, case, digest, params,
                                        field_link, field_detector):
@@ -980,7 +1051,7 @@ class TestRunProtocol:
     def test_streams_are_built_once_per_run(self, params, quick_link,
                                             quick_det, field_link,
                                             field_detector, monkeypatch):
-        # The run's stream and the three phase streams, whatever the
+        # The run's stream and the two phase streams, whatever the
         # number of batches: no batch builds a generator.
         built = []
         default_rng = np.random.default_rng
@@ -997,7 +1068,7 @@ class TestRunProtocol:
             out = run_protocol(params, link, det, PhaseConfig(), 10_000_000,
                                seed=3)
             batches.append(out.batches)
-            assert len(built) == 4
+            assert len(built) == 3
         assert batches[0] > 1 and batches[1] == 1
 
     def test_phase_blind_codes_skip_the_thinning(self, params, quick_link,
