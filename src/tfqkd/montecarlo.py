@@ -464,10 +464,9 @@ def _random_walk(v0: float, sd: float, k: np.ndarray, z: np.ndarray,
     independent of every W and of the other intervals' residuals.
     """
     step = sd * np.sqrt(k) * z
-    v = v0 + np.cumsum(step)
+    v = v0 + step.cumsum()
     if sums is not None:
-        prev = np.concatenate(([v0], v[:-1]))
-        sums[0] += k * prev + 0.5 * (k + 1.0) * step
+        sums[0] += k * np.concatenate(([v0], v[:-1])) + 0.5 * (k + 1.0) * step
         sums[1] += (sd * sd / 12.0) * (k * k * k - k)
     return v
 
@@ -530,7 +529,8 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     block's partial sum and residual variance ride in ``carry["open"]``
     and ``carry["open_var"]``.
     """
-    k = np.diff(slots, prepend=carry["pos"]).astype(float)
+    k = np.subtract(slots, np.concatenate(([carry["pos"]], slots[:-1])),
+                    dtype=float)
     sq = math.sqrt(dt)
     sums = None if ends is None else np.zeros((2, k.size))
     z = rng_drift.standard_normal((2, k.size))
@@ -540,7 +540,7 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
         g = cfg.coarse_gain
         x = _ar1(carry["x"], 1.0 - g, k, math.hypot(
             cfg.sigma_drift * sq, g * cfg.coarse_sensor_noise), z[0], sums)
-        if not np.isfinite(x[-1]) or abs(x[-1]) > 1e6:
+        if not abs(x[-1]) <= 1e6:      # NaN included
             raise FeedbackDivergence("coarse loop diverged")
     d = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[1], sums)
     carry.update(pos=int(slots[-1]), x=float(x[-1]), d=float(d[-1]))
@@ -550,11 +550,11 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     # Per closed block, its sum and residual variance; the rest stays open.
     sums[:, 0] += (carry["open"], carry["open_var"])
     cut = int(ends[-1]) + 1 if ends.size else 0
-    carry["open"], carry["open_var"] = sums[:, cut:].sum(axis=1).tolist()
+    carry["open"], carry["open_var"] = np.add.reduce(sums[:, cut:], 1).tolist()
     if not cut:
         return x, np.zeros(0)
-    total, var = np.add.reduceat(sums[:, :cut], np.append(0, ends[:-1] + 1),
-                                 axis=1)
+    total, var = np.add.reduceat(sums[:, :cut],
+                                 np.concatenate(([0], ends[:-1] + 1)), axis=1)
     total += np.sqrt(var) * rng_drift.standard_normal(total.size)
     return x, total / cfg.fine_block_slots(dt)
 
@@ -592,10 +592,10 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
                 raise FeedbackDivergence("fine loop diverged")
         shift.append(c_f)
     carry["c_f"] = c_f
-    width = np.append(ends, phases.size - 1)    # points per block
+    width = np.concatenate((ends, [phases.size - 1]))   # points per block
     width[1:] -= ends
     width[0] += 1
-    phases += np.repeat(shift, width)
+    phases += np.array(shift).repeat(width)
     return phases
 
 
@@ -631,7 +631,7 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
         block = cfg.fine_block_slots(dt)
         k = np.arange((carry["pos"] + 1) // block, (slots.max() + 1) // block)
         request = np.concatenate([slots, (k + 1) * block - 1])
-    order = np.argsort(request, kind="stable")   # merges the sorted runs
+    order = request.argsort(kind="stable")   # merges the sorted runs
     ranked = request[order]
     distinct = np.ones(ranked.size, dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=distinct[1:])
