@@ -18,7 +18,6 @@ __all__ = [
     "thermal_mean_photon",
     "noisy_skc0_ub",
     "capacity_point",
-    "capacity_sweep",
 ]
 
 
@@ -115,11 +114,3 @@ def capacity_point(loss_db: float, det_efficiency: float,
         "valid": int(valid),
     }
 
-
-def capacity_sweep(sweep_loss_db, det_efficiency: float, dark_prob: float,
-                   asym_split_fraction: float = 0.6) -> list[dict]:
-    """CSV-ready rows of all bounds across a loss sweep."""
-    return [
-        capacity_point(loss, det_efficiency, dark_prob, asym_split_fraction)
-        for loss in sweep_loss_db
-    ]

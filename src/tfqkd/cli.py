@@ -41,21 +41,20 @@ class SchemaError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    """The counts file's JSON; text not UTF-8 or not JSON is a schema error."""
     try:
         return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise IOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_bundle(path: str, structural: bool = True) -> dict:
-    """The parameter file's bundle.  A file that fails one of
-    ``model.structural_checks`` is a schema error, unless ``structural`` is
-    False (``validate`` reports those checks itself, with exit 2)."""
-    raw = _load_json(path)
+    """The parameter file's bundle (``model.load_params_file``).  A file
+    that holds no parameter set is a schema error, and so is one that fails
+    one of ``model.structural_checks``, unless ``structural`` is False
+    (``validate`` reports those checks itself, with exit 2)."""
     try:
-        bundle = model.load_params_file_from_dict(raw)
+        bundle = model.load_params_file(path)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"parameter file {path}: {exc}") from exc
     if structural:
@@ -159,23 +158,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    """One ``bounds.capacity_point`` row per --sweep-db point.  A point
+    outside its domain (a transmissivity that rounds to 1, where the
+    capacities diverge) is a schema error that names the point."""
     bundle = _load_bundle(args.params)
     det = bundle["detector"]
     if det is None:
         raise SchemaError("bounds needs detector keys in the parameter file")
     _check("--asym-split", args.asym_split, FRACTION)
     sweep = _parse_sweep(args.sweep_db)
-    # The capacities diverge at transmissivity 1.  The largest a point
-    # takes is the repeater arm's, at half the loss; it is formed per point
-    # as in ``bounds.capacity_point``, since numpy's array power can round
-    # otherwise.
-    for loss in sweep:
-        if 10.0 ** (-loss / 20.0) == 1.0:
-            raise SchemaError(f"--sweep-db point {loss} dB has a "
-                              "transmissivity that rounds to 1")
     dark_per_gate = det.dark_prob(bundle["protocol"].clock_rate_hz)
-    rows = bounds_mod.capacity_sweep(sweep, det.efficiency, dark_per_gate,
-                                     asym_split_fraction=args.asym_split)
+    rows = []
+    for loss in sweep:
+        try:
+            rows.append(bounds_mod.capacity_point(
+                loss, det.efficiency, dark_per_gate, args.asym_split))
+        except ValueError as exc:
+            raise SchemaError(f"--sweep-db point {loss} dB: {exc}") from exc
     _write_rows(rows, args.out, args.format)
     return EXIT_OK
 

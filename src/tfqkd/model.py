@@ -135,9 +135,10 @@ class ProtocolParams:
     def matched_fraction(self) -> float:
         """Fraction of uniform phase pairs accepted by the matching rule.
 
-        Two windows (around 0 and around pi) of full width 4*pi/M each.
+        Two windows (around 0 and around pi) of full width 4*pi/M each,
+        disjoint at every M that ``structural_checks`` accepts (M >= 4).
         """
-        return min(1.0, 4.0 / self.phase_slices_m)
+        return 4.0 / self.phase_slices_m
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,8 @@ class DetectorParams:
         """
         p = self.dark_rate_hz / rate_hz
         if not 0.0 <= p < 1.0:
-            raise ValueError("dark probability must lie in [0, 1)")
+            raise ValueError(f"dark_rate_hz must lie below the gate rate "
+                             f"{rate_hz} Hz, not {self.dark_rate_hz}")
         return p
 
     def dead_slots(self, protocol_rate_hz: float) -> int:
@@ -304,7 +306,9 @@ def structural_checks(params: ProtocolParams) -> list[ConstraintCheck]:
             and min(side.p_u, side.p_v, side.p_w) >= 0.0,
             f"p_u+p_v+p_w={decoy_sum}",
         )
-    structural("phase_slices", params.phase_slices_m >= 2,
+    structural("phase_slices", params.phase_slices_m >= 4,
+               f"require M >= 4, so that the matching windows around 0 and "
+               f"pi (half-width 2*pi/M) do not overlap, got "
                f"M={params.phase_slices_m}")
     structural("duty_cycle", 0.0 < params.duty_cycle <= 1.0,
                f"duty={params.duty_cycle}")
@@ -463,13 +467,21 @@ _PROTOCOL_KEYS = [
 ]
 
 
+def _number(raw: dict, key: str) -> int | float:
+    """``raw[key]``, which must be an int or a float (a bool is neither)."""
+    if type(raw[key]) not in (int, float):
+        raise ValueError(f"{key} must be a number, not {raw[key]!r}")
+    return raw[key]
+
+
 def _given(raw: dict, *keys: str) -> dict:
-    """The entries of ``raw`` under ``keys`` that the file sets."""
-    return {k: raw[k] for k in keys if k in raw}
+    """The entries of ``raw`` under ``keys`` that the file sets, each a
+    ``_number``."""
+    return {k: _number(raw, k) for k in keys if k in raw}
 
 
 def _side_from_dict(raw: dict, side: str) -> SideParams:
-    return SideParams(**{name: raw[f"{stem}_{side}"]
+    return SideParams(**{name: _number(raw, f"{stem}_{side}")
                          for name, stem in _SIDE_KEYS.items()})
 
 
@@ -477,14 +489,14 @@ def params_from_dict(raw: dict) -> ProtocolParams:
     missing = [k for k in _PROTOCOL_KEYS if k not in raw]
     if missing:
         raise KeyError(f"parameter file is missing keys: {missing}")
-    m = raw["phase_slices_M"]
-    if not (isinstance(m, int) or float(m).is_integer()):  # 16.9 is no M
+    m = _number(raw, "phase_slices_M")
+    if isinstance(m, float) and not m.is_integer():  # 16.9 is no M
         raise ValueError("phase_slices_M must be a whole number")
     return ProtocolParams(
         alice=_side_from_dict(raw, "A"), bob=_side_from_dict(raw, "B"),
         phase_slices_m=int(m),
-        clock_rate_hz=float(raw["clock_rate_hz"]),
-        duty_cycle=float(raw["duty_cycle"]),
+        clock_rate_hz=float(_number(raw, "clock_rate_hz")),
+        duty_cycle=float(_number(raw, "duty_cycle")),
     )
 
 
@@ -498,7 +510,7 @@ def link_from_dict(raw: dict) -> LinkBudget | None:
 def detector_from_dict(raw: dict) -> DetectorParams | None:
     if "detector_efficiency" not in raw:
         return None
-    return DetectorParams(efficiency=raw["detector_efficiency"],
+    return DetectorParams(efficiency=_number(raw, "detector_efficiency"),
                           **_given(raw, "dark_rate_hz", "deadtime_s"))
 
 
@@ -507,30 +519,29 @@ def security_from_dict(raw: dict) -> SecurityParams:
         **_given(raw, *(f.name for f in fields(SecurityParams))))
 
 
-def load_params_file_from_dict(raw: dict) -> dict:
-    """Split a flat parameter object into its typed parts.
+def load_params_file(path: str | Path) -> dict:
+    """Load a parameter JSON file into its typed parts.
 
     Returns a dict with keys "protocol", "link", "detector", "security" and
     "extras" (visibility in [0, 1] and misalignment_sigma_rad >= 0, each
-    finite, or their defaults).  Link and detector sections are optional;
-    a detector's dark rate must lie below the clock rate, so that its dark
-    probability per gate is below 1 (``DetectorParams.dark_prob``).  A
+    finite, or their defaults); every value read is an int or a float.
+    Link and detector sections are optional; a detector's dark probability
+    per clock gate must lie below 1 (``DetectorParams.dark_prob``).  A
     clock rate that is not positive is left to ``structural_checks``.
+    Raises OSError when the file cannot be read, else KeyError, ValueError
+    (text that is not UTF-8 or not JSON, too) or TypeError.
     """
-    extras = {"visibility": raw.get("visibility", DEFAULT_VISIBILITY),
-              "misalignment_sigma_rad": raw.get(
-                  "misalignment_sigma_rad", DEFAULT_MISALIGNMENT_SIGMA_RAD)}
+    raw = json.loads(Path(path).read_text())
+    protocol, detector = params_from_dict(raw), detector_from_dict(raw)
+    extras = {"visibility": DEFAULT_VISIBILITY,
+              "misalignment_sigma_rad": DEFAULT_MISALIGNMENT_SIGMA_RAD}
+    extras.update(_given(raw, *extras))
     for (key, value), high in zip(extras.items(), (1.0, math.inf)):
-        if (type(value) not in (int, float) or not 0.0 <= value <= high
-                or value == math.inf):
+        if not 0.0 <= value <= high or value == math.inf:
             raise ValueError(f"{key} must be a finite number in [0, {high}], "
                              f"not {value!r}")
-    protocol, detector = params_from_dict(raw), detector_from_dict(raw)
-    clock = protocol.clock_rate_hz
-    if detector is not None and detector.dark_rate_hz >= clock > 0.0:
-        raise ValueError(f"dark_rate_hz must lie below clock_rate_hz {clock} "
-                         f"(one gate per clock period), not "
-                         f"{detector.dark_rate_hz}")
+    if detector is not None and protocol.clock_rate_hz > 0.0:
+        detector.dark_prob(protocol.clock_rate_hz)   # one gate per period
     return {
         "protocol": protocol,
         "link": link_from_dict(raw),
@@ -538,8 +549,3 @@ def load_params_file_from_dict(raw: dict) -> dict:
         "security": security_from_dict(raw),
         "extras": extras,
     }
-
-
-def load_params_file(path: str | Path) -> dict:
-    """Load a parameter JSON file into its typed parts."""
-    return load_params_file_from_dict(json.loads(Path(path).read_text()))

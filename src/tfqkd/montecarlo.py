@@ -118,7 +118,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aopp import RawKeyPair
-from .decoy import CATEGORY_CLASSES, DecoyCounts
+from .decoy import CATEGORY_CLASSES, DecoyCounts, bound_s1
 from .model import (
     DEFAULT_VISIBILITY,
     MAX_SLOTS,
@@ -323,10 +323,12 @@ def phase_matched_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
     """Expected QBER of phase-matched same-decoy X pairs, in closed form.
 
     A pair is accepted when its encoding-phase difference theta lies in
-    [-W, W] (W = ``window_rad``; the pi-shifted window is identical by
-    symmetry), and delta = theta + a Gaussian residual channel phase of
-    width ``jitter_sigma``.  The QBER is the heralds by the wrong detector
-    (2 alone) over all heralds, each integrated over the window.
+    [-W, W] (W = ``window_rad``; the window around pi, disjoint from it at
+    every M >= 4 that ``model.structural_checks`` accepts, gives the same
+    QBER with the detectors swapped), and delta = theta + a Gaussian
+    residual channel phase of width ``jitter_sigma``.  The QBER is the
+    heralds by the wrong detector (2 alone) over all heralds, each
+    integrated over the window.
 
     With A +- B the ``detector_means`` at delta = 0 and x = (1 - p_dark)
     exp(-A), the no-click probabilities are x exp(-+B cos delta), so the
@@ -977,8 +979,9 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         near0 = np.minimum(dt_xx, 2.0 * np.pi - dt_xx) <= window
         nearpi = np.abs(dt_xx - np.pi) <= window
         # Detector 1 is the constructive port in the 0-window; matches in
-        # the pi-window flip the expected detector.
-        errors = (near0 & ~xx_h1) | (nearpi & ~near0 & xx_h1)
+        # the pi-window flip the expected detector.  The windows are
+        # disjoint (M >= 4, ``model.structural_checks``).
+        errors = (near0 & ~xx_h1) | (nearpi & xx_h1)
         x_matched += np.bincount(xx_code[xx][near0 | nearpi], minlength=25)
         x_errors += np.bincount(xx_code[xx][errors], minlength=25)
         lap("tally")
@@ -1001,13 +1004,10 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     tag_sent = tagged.sum(axis=1).tolist()
     s10_true, s01_true = (h / t if t else 0.0
                           for h, t in zip(tag_heralded, tag_sent))
-    v_a, v_b = params.alice.v, params.bob.v
-    v_sum = v_a + v_b
     gt = {"sn_sent": tag_sent[0], "sn_heralded": tag_heralded[0],
           "ns_sent": tag_sent[1], "ns_heralded": tag_heralded[1],
           "s10_true": s10_true, "s01_true": s01_true,
-          "s1_true": ((v_a * s10_true + v_b * s01_true) / v_sum
-                      if v_sum > 0 else 0.0),
+          "s1_true": bound_s1(s01_true, s10_true, params),
           "xuu_matched": int(x_matched[_XUXU]),
           "xvv_matched": int(x_matched[_XVXV])}
 

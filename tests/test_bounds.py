@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tfqkd.bounds import (
     capacity_point,
-    capacity_sweep,
     noisy_skc0_ub,
     relative_skc0,
     skc0,
@@ -131,8 +130,8 @@ class TestNoisyUpperBound:
 
 class TestSweep:
     def test_row_schema_and_invariants(self):
-        rows = capacity_sweep([10.0, 30.0, 56.0], det_efficiency=0.145,
-                              dark_prob=9e-7)
+        rows = [capacity_point(loss, det_efficiency=0.145, dark_prob=9e-7)
+                for loss in (10.0, 30.0, 56.0)]
         assert list(rows[0]) == ["loss_db", "skc0", "skc0_relative",
                                  "skc1_sym", "skc1_asym", "noisy_ub", "valid"]
         for row in rows:

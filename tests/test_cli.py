@@ -36,6 +36,25 @@ class TestValidate:
     def test_missing_file_is_io_error(self):
         assert run_cli(["validate", "--params", "/nonexistent.json"]) == cli.EXIT_IO
 
+    def test_params_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b'\xff\xfe{"a":1}')
+        assert run_cli(["validate", "--params", str(bad)]) == cli.EXIT_SCHEMA
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, code", [(3, cli.EXIT_VALIDATION),
+                                         (4, cli.EXIT_OK)])
+    def test_phase_slices_below_four_fail(self, m, code, tmp_path, capsys):
+        # Below M = 4 the matching windows around 0 and pi overlap.
+        raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+        raw["phase_slices_M"] = m
+        params = tmp_path / "m.json"
+        params.write_text(json.dumps(raw))
+        assert run_cli(["validate", "--params", str(params)]) == code
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = [c["name"] for c in checks if not c["passed"]]
+        assert failed == ([] if m == 4 else ["phase_slices"])
+
 
 class TestKeyrate:
     def test_field_fixture_rate(self, tmp_path):
@@ -261,6 +280,8 @@ class TestMonteCarlo:
     (["bounds", "--sweep-db", "0:10:2"], "--sweep-db"),
     (["bounds", "--sweep-db", "1e-300:1e-300:1"], "--sweep-db"),
     (["phasestab", "--steps", "10", "--dt", "1e300"], "--dt"),
+    (["bounds", "--sweep-db", "10:0:2"], "--sweep-db"),
+    (["simulate", "--sweep-db", "10:0:2"], "--sweep-db"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
@@ -306,20 +327,23 @@ def test_starved_class_is_a_schema_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["keyrate", "simulate", "montecarlo"])
+@pytest.mark.parametrize("cmd", ["keyrate", "simulate", "montecarlo",
+                                 "bounds"])
 @pytest.mark.parametrize("key, value", [("phase_slices_M", 0), ("s_A", -0.5),
                                         ("eps_A", float("nan")),
                                         ("eps_B", 0.0), ("eps_A", 1.0),
                                         ("u_A", 900.0),
                                         ("u_A", float("inf")),
-                                        ("clock_rate_hz", float("inf"))])
+                                        ("clock_rate_hz", float("inf")),
+                                        ("phase_slices_M", 3)])
 def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
                                                            tmp_path, capsys):
     # A file failing a structural check of validate_params stops every
     # subcommand at the boundary; validate itself reports the checks.  A
     # send probability of 0 or 1 would divide by zero in the security
     # condition, u_A = 900 or Infinity (json's literal) would overflow the
-    # decoy bound's e^u, and an infinite clock rate the deadtime in slots.
+    # decoy bound's e^u, an infinite clock rate the deadtime in slots, and
+    # M = 3 would overlap the matching windows around 0 and pi.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"
@@ -343,14 +367,17 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
     ("misalignment_sigma_rad", -0.3), ("misalignment_sigma_rad", float("nan")),
     ("misalignment_sigma_rad", float("inf")), ("phase_slices_M", 16.9),
     ("phase_slices_M", float("inf")), ("dark_rate_hz", float("inf")),
-    ("dark_rate_hz", 2e9), ("deadtime_s", float("inf"))])
+    ("dark_rate_hz", 2e9), ("deadtime_s", float("inf")), ("s_A", "0.5"),
+    ("eps_A", None), ("p_z_B", [0.5]), ("u_B", {}), ("clock_rate_hz", "1e9"),
+    ("duty_cycle", "0.5"), ("phase_slices_M", "16"),
+    ("detector_efficiency", True), ("loss_ac_db", "3"), ("f_ec", None)])
 def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
                                                capsys):
     # A visibility outside [0, 1], a negative or non-finite misalignment
     # width, a fractional phase-slice count (16.9 used to run as 16), an
-    # infinite deadtime and a dark rate that is infinite or not below the
-    # 1 GHz clock (a dark count in every gate) stop every subcommand at the
-    # boundary, naming the key.
+    # infinite deadtime, a dark rate that is infinite or not below the
+    # 1 GHz clock (a dark count in every gate) and a value that is not a
+    # number stop every subcommand at the boundary, naming the key.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"
@@ -363,6 +390,39 @@ def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
         argv += ["--slots", "100000"]
     assert run_cli(argv) == cli.EXIT_SCHEMA
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b'\xff\xfe{"a":1}', "utf-8"), (b"{oops", "Expecting property name"),
+    (b"[1, 2]", "missing keys")])
+@pytest.mark.parametrize("flag", ["--params", "--counts"])
+def test_file_without_its_schema_is_a_schema_error(flag, content, cause,
+                                                   tmp_path, capsys):
+    # Text that is not UTF-8 or not JSON, or JSON that is not an object.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "report.json"
+    assert run_cli(["keyrate", flag, str(bad), "--out", str(out)]
+                   ) == cli.EXIT_SCHEMA
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, dropped, needs", [
+    ("simulate", "detector_efficiency", "detector keys"),
+    ("bounds", "detector_efficiency", "detector keys"),
+    ("montecarlo", "loss_ac_db", "link and detector keys")])
+def test_missing_section_is_a_schema_error(cmd, dropped, needs, tmp_path,
+                                           capsys):
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    del raw[dropped]
+    params = tmp_path / "partial.json"
+    params.write_text(json.dumps(raw))
+    out = tmp_path / "out.json"
+    assert run_cli([cmd, "--params", str(params), "--out", str(out)]
+                   ) == cli.EXIT_SCHEMA
+    assert needs in capsys.readouterr().err
     assert not out.exists()
 
 

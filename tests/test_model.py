@@ -423,6 +423,17 @@ class TestParamsIO:
         with pytest.raises(KeyError):
             model.params_from_dict({"s_A": 0.5})
 
+    @pytest.mark.parametrize("content, error", [
+        (b'\xff\xfe{"a": 1}', ValueError),     # not UTF-8
+        (b"{oops", ValueError),                 # not JSON
+        (b"[1, 2]", KeyError),                  # no keys
+        (b"5", TypeError)])
+    def test_file_without_a_parameter_set(self, tmp_path, content, error):
+        path = tmp_path / "params.json"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            model.load_params_file(path)
+
     def test_each_side_reads_its_own_keys(self, bundle, params):
         assert set(bundle) == {"protocol", "link", "detector", "security",
                                "extras"}

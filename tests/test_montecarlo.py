@@ -1133,16 +1133,11 @@ class TestRunProtocol:
             assert out.counts.detected[k] <= out.counts.sent[k]
 
     def test_dark_only_heralding_rate(self, params):
-        # All intensities zero: heralded rate per slot = 2 p (1 - p).
-        silent = dataclasses.replace(
-            params,
-            alice=dataclasses.replace(params.alice, s=0.0, u=0.0, v=0.0,
-                                      w=0.0),
-            bob=dataclasses.replace(params.bob, s=0.0, u=0.0, v=0.0, w=0.0),
-        )
+        # No light reaches the detectors (1000 dB per arm, transmissivity
+        # 1e-100): heralded rate per slot = 2 p (1 - p).
         det = DetectorParams(efficiency=0.5, dark_rate_hz=1e7)  # p = 0.01
-        link = LinkBudget(1, 1, 3.0, 3.0)
-        out = run_protocol(silent, link, det, PhaseConfig(), 200_000, seed=9)
+        link = LinkBudget(1, 1, 1000.0, 1000.0)
+        out = run_protocol(params, link, det, PhaseConfig(), 200_000, seed=9)
         p = 0.01
         expected = 2 * p * (1 - p)
         rate = sum(out.counts.detected.values()) / out.n_slots
@@ -1271,6 +1266,25 @@ class TestRunProtocol:
 
 
 class TestModelAgreement:
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_matched_vv_qber_at_the_smallest_and_bundled_m(self, params, m):
+        # The sampler's XXvv QBER against phase_matched_qber, in binomial
+        # sigma of the run's matched count, on a small ideal link, at the
+        # bundled M and at the smallest M that structural_checks accepts
+        # (at M = 4 the 0 and pi windows meet only at their edges).
+        p = dataclasses.replace(params, phase_slices_m=m)
+        link = LinkBudget(1, 1, 3.0, 3.0)
+        det = DetectorParams(efficiency=0.7)
+        out = run_protocol(p, link, det,
+                           PhaseConfig(regime="ideal", residual_sigma=0.0),
+                           20_000_000, seed=10, visibility=0.97)
+        pred = keyrate.expected_rates_model(p, link, det, visibility=0.97,
+                                            misalignment_sigma_rad=0.0,
+                                            n_tot=20_000_000)
+        q, matched = pred.qber_xvv, out.ground_truth["xvv_matched"]
+        z = (out.counts.qber_xvv - q) / math.sqrt(q * (1.0 - q) / matched)
+        assert abs(z) <= 3.0, (out.counts.qber_xvv, q, matched)
+
     def test_fock_window_keeps_the_forward_model_law(self, params):
         # The sn / ns windows take the forward model's phase-averaged law,
         # and tagging by the posterior keeps the Fock picture's tag share.
