@@ -86,21 +86,19 @@ def noisy_skc0_ub(eta: float, n_bar: float) -> tuple[float, bool]:
     return value, valid
 
 
-def capacity_point(loss_db: float, det_efficiency: float,
-                   dark_prob: float,
-                   asym_split_fraction: float = 0.6) -> dict:
+def capacity_point(loss_db: float, eta_a: float, eta_b: float,
+                   det_efficiency: float, dark_prob: float) -> dict:
     """Every bound at one total channel loss, as a CSV row.
 
     Columns: loss_db, skc0, skc0_relative, skc1_sym (repeater mid-channel),
-    skc1_asym (repeater with ``asym_split_fraction`` of the loss on the A
-    arm), noisy_ub and valid (1 when the thermal bound's validity condition
-    holds).  ``dark_prob`` is the per-gate, per-detector dark probability
-    entering the thermal bound.
+    skc1_asym (repeater between arms of transmissivities ``eta_a`` and
+    ``eta_b``; ``tfqkd bounds`` passes the arms ``keyrate.split_loss_link``
+    builds at ``loss_db``), noisy_ub and valid (1 when the thermal bound's
+    validity condition holds).  ``dark_prob`` is the per-gate,
+    per-detector dark probability entering the thermal bound.
     """
     eta = 10.0 ** (-loss_db / 10.0)
     eta_half = 10.0 ** (-loss_db / 20.0)
-    eta_a = 10.0 ** (-loss_db * asym_split_fraction / 10.0)
-    eta_b = eta / eta_a
     eta_det = eta * det_efficiency
     n_bar = thermal_mean_photon(dark_prob, eta_det)
     ub, valid = noisy_skc0_ub(eta_det, n_bar)
@@ -113,4 +111,3 @@ def capacity_point(loss_db: float, det_efficiency: float,
         "noisy_ub": ub,
         "valid": int(valid),
     }
-

@@ -71,7 +71,6 @@ FINITE = ("finite", math.isfinite)
 POSITIVE = ("finite and positive", lambda v: math.isfinite(v) and v > 0)
 NON_NEGATIVE = ("finite and non-negative",
                 lambda v: math.isfinite(v) and v >= 0)
-FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 def _check(flag: str, value, domain) -> None:
@@ -91,7 +90,10 @@ def _parse_sweep(spec: str) -> np.ndarray:
         _check("--sweep-db", value, domain)
     if stop < start:
         raise SchemaError(f"--sweep-db range {spec!r} ends before it starts")
-    return np.arange(start, stop + 0.5 * step, step)
+    try:
+        return np.arange(start, stop + 0.5 * step, step)
+    except (ValueError, MemoryError) as exc:    # more points than numpy holds
+        raise SchemaError(f"--sweep-db range {spec!r}: {exc}") from exc
 
 
 def _write_text(text: str, out: str | None):
@@ -158,21 +160,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    """One ``bounds.capacity_point`` row per --sweep-db point.  A point
-    outside its domain (a transmissivity that rounds to 1, where the
-    capacities diverge) is a schema error that names the point."""
+    """One ``bounds.capacity_point`` row per --sweep-db point, on simulate's
+    link there (``keyrate.split_loss_link``).  A point outside its domain
+    (eta rounding to 1: the capacities diverge) is a schema error naming it."""
     bundle = _load_bundle(args.params)
     det = bundle["detector"]
     if det is None:
         raise SchemaError("bounds needs detector keys in the parameter file")
-    _check("--asym-split", args.asym_split, FRACTION)
+    _check("--arm-delta-db", args.arm_delta_db, FINITE)
     sweep = _parse_sweep(args.sweep_db)
     dark_per_gate = det.dark_prob(bundle["protocol"].clock_rate_hz)
     rows = []
     for loss in sweep:
+        etas = model.transmissivities(keyrate.split_loss_link(
+            loss, bundle["protocol"], args.arm_delta_db))
         try:
             rows.append(bounds_mod.capacity_point(
-                loss, det.efficiency, dark_per_gate, args.asym_split))
+                loss, *etas, det.efficiency, dark_per_gate))
         except ValueError as exc:
             raise SchemaError(f"--sweep-db point {loss} dB: {exc}") from exc
     _write_rows(rows, args.out, args.format)
@@ -254,7 +258,9 @@ def _write_trace_csv(trace: montecarlo.PhaseTrace, path: Path):
 
 
 def cmd_phasestab(args) -> int:
-    _check("--steps", args.steps, POSITIVE)
+    if not 0 < args.steps < montecarlo.MAX_SLOTS:
+        raise SchemaError(f"--steps must be positive and below 2^55, "
+                          f"got {args.steps}")
     _check("--dt", args.dt, POSITIVE)
     _check("--seed", args.seed, NON_NEGATIVE)
     cfg = montecarlo.PhaseConfig(regime=args.regime)
@@ -289,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(default=None, help="output file"),
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--seed": dict(type=int, default=1),
+        "--sweep-db": dict(default="10:60:2", help="a:b:step in dB"),
+        "--arm-delta-db": dict(type=float, default=None, help=(
+            "extra loss on the A arm when keyrate.split_loss_link splits a "
+            "total loss; default balances the detected v fluxes")),
     }
 
     def common(sp, *flags):
@@ -306,21 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_keyrate)
 
     sp = sub.add_parser("simulate", help="analytic key-rate sweep vs loss")
-    common(sp, "--params", "--out", "--format")
-    sp.add_argument("--sweep-db", default="10:60:2", help="a:b:step in dB")
+    common(sp, "--params", "--out", "--format", "--sweep-db",
+           "--arm-delta-db")
     sp.add_argument("--n-tot", type=float, default=1.36581e13)
-    sp.add_argument("--arm-delta-db", type=float, default=None,
-                    help="extra loss on the A arm; default balances the "
-                         "detected v fluxes")
     sp.add_argument("--attenuation", type=float, default=0.22,
                     help="dB/km used to convert loss to length (approximate)")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("bounds", help="capacity bounds sweep vs loss")
-    common(sp, "--params", "--out", "--format")
-    sp.add_argument("--sweep-db", default="10:60:2", help="a:b:step in dB")
-    sp.add_argument("--asym-split", type=float, default=0.6,
-                    help="fraction of the loss on the A arm for SKC1 asym")
+    sp = sub.add_parser("bounds", help="capacity bounds sweep vs loss "
+                        "(SKC1 asym over simulate's arm split)")
+    common(sp, "--params", "--out", "--format", "--sweep-db",
+           "--arm-delta-db")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("montecarlo", help="stochastic protocol run")
@@ -328,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--loss-db", type=float, default=None,
                     help="override the link with this total loss, split "
-                         "over the arms as in simulate")
+                         "over the arms as in simulate and bounds "
+                         "(keyrate.split_loss_link, flux-balanced)")
     sp.add_argument("--regime", default="ideal",
                     choices=("free", "coarse", "full", "ideal"))
     sp.set_defaults(func=cmd_montecarlo)

@@ -23,6 +23,7 @@ from .model import (
     Z_SEND,
     ProtocolParams,
     SecurityParams,
+    _number,
 )
 
 __all__ = [
@@ -118,23 +119,18 @@ class DecoyCounts:
     def from_counts_dict(cls, raw: dict, params: ProtocolParams) -> "DecoyCounts":
         """Build from the external counts schema (Detected-XXvv, ... keys).
 
-        Other keys, such as the "provenance" of a Monte Carlo outcome file,
-        are ignored.
+        Numbers follow ``model._number``; a QBER may also be null.  Other
+        keys, such as a Monte Carlo outcome file's "provenance", are ignored.
         """
-        missing = [k for k in CATEGORIES if f"Detected-{k}" not in raw]
+        keys = {k: f"Detected-{k}" for k in CATEGORIES}
+        missing = [k for k in [*keys.values(), "N_total_sent"] if k not in raw]
         if missing:
-            raise KeyError(
-                "counts file is missing keys: "
-                + ", ".join(f"Detected-{k}" for k in missing)
-            )
-        if "N_total_sent" not in raw:
-            raise KeyError("counts file is missing key: N_total_sent")
-        detected = {k: float(raw[f"Detected-{k}"]) for k in CATEGORIES}
-        return cls.from_detected(
-            params, float(raw["N_total_sent"]), detected,
-            qber_xuu=raw.get("Xuu_error_rate"),
-            qber_xvv=raw.get("Xvv_error_rate"),
-        )
+            raise KeyError(f"counts file is missing keys: {missing}")
+        detected = {k: float(_number(raw, key)) for k, key in keys.items()}
+        qber_xuu, qber_xvv = (None if raw.get(k) is None else _number(raw, k)
+                              for k in ("Xuu_error_rate", "Xvv_error_rate"))
+        return cls.from_detected(params, float(_number(raw, "N_total_sent")),
+                                 detected, qber_xuu, qber_xvv)
 
     def to_counts_dict(self) -> dict:
         out: dict = {"N_total_sent": self.n_tot}

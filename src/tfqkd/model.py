@@ -468,9 +468,12 @@ _PROTOCOL_KEYS = [
 
 
 def _number(raw: dict, key: str) -> int | float:
-    """``raw[key]``, which must be an int or a float (a bool is neither)."""
+    """``raw[key]``, an int or a float (a bool is neither) that fits a
+    float: the rule for every number in the parameter and counts files."""
     if type(raw[key]) not in (int, float):
         raise ValueError(f"{key} must be a number, not {raw[key]!r}")
+    if type(raw[key]) is int and abs(raw[key]) > sys.float_info.max:
+        raise ValueError(f"{key} is an integer that no float holds")
     return raw[key]
 
 

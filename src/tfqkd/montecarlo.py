@@ -685,8 +685,8 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     innovation (the drift step alone when free, plus the coarse loop's
     sensor noise otherwise).
     """
-    if n_steps <= 0 or dt <= 0:
-        raise ValueError("n_steps and dt must be positive")
+    if not 0 < n_steps < MAX_SLOTS or dt <= 0:
+        raise ValueError("n_steps must lie in [1, 2^55) and dt be positive")
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(seed).spawn(2)]
     slots = np.arange(n_steps)

@@ -4,7 +4,7 @@ import numpy as np
 
 # Z-window event mix of the reference dataset: both-sent, alice-only,
 # bob-only, neither.
-FIELD_FRACTIONS = np.array([0.29132, 0.38035, 0.31323, 0.015097])
+FIELD_MIX = np.array([0.29132, 0.38035, 0.31323, 0.015097])
 
 
 def synthetic_sns_keys(n_bits: int, seed: int):
@@ -16,7 +16,7 @@ def synthetic_sns_keys(n_bits: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     kinds = rng.choice(4, size=n_bits,
-                       p=FIELD_FRACTIONS / FIELD_FRACTIONS.sum())
+                       p=FIELD_MIX / FIELD_MIX.sum())
     alice = ((kinds == 0) | (kinds == 1)).astype(np.uint8)
     bob = ((kinds == 1) | (kinds == 3)).astype(np.uint8)
     return alice, bob

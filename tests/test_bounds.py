@@ -130,7 +130,10 @@ class TestNoisyUpperBound:
 
 class TestSweep:
     def test_row_schema_and_invariants(self):
-        rows = [capacity_point(loss, det_efficiency=0.145, dark_prob=9e-7)
+        # Arms 8 dB apart, as a flux-balanced split of the loss makes them.
+        rows = [capacity_point(loss, eta_a=10 ** (-(loss + 8) / 20),
+                               eta_b=10 ** (-(loss - 8) / 20),
+                               det_efficiency=0.145, dark_prob=9e-7)
                 for loss in (10.0, 30.0, 56.0)]
         assert list(rows[0]) == ["loss_db", "skc0", "skc0_relative",
                                  "skc1_sym", "skc1_asym", "noisy_ub", "valid"]
@@ -140,6 +143,7 @@ class TestSweep:
             assert row["skc0"] >= row["skc0_relative"]
 
     def test_point_at_3db(self):
-        point = capacity_point(10 * math.log10(2.0), det_efficiency=1.0,
-                               dark_prob=0.0)
+        eta_half = 0.5 ** 0.5
+        point = capacity_point(10 * math.log10(2.0), eta_half, eta_half,
+                               det_efficiency=1.0, dark_prob=0.0)
         assert point["skc0"] == pytest.approx(1.0, rel=1e-12)

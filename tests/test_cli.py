@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,24 @@ class TestKeyrate:
         assert run_cli(["keyrate", "--counts", str(counts)]) == cli.EXIT_SCHEMA
         assert "counts file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["Detected-ZZss", "N_total_sent",
+                                     "Xvv_error_rate"])
+    @pytest.mark.parametrize("value", [
+        True, "1000", pytest.param(10**400, id="10**400")])
+    def test_counts_follow_the_parameter_number_rule(self, key, value,
+                                                     tmp_path, capsys):
+        # A bool, a string of digits and an integer no float holds are no
+        # count and no QBER: each stops keyrate, naming the key.
+        raw = json.loads(Path(cli.DEFAULT_COUNTS).read_text())
+        raw[key] = value
+        counts = tmp_path / "bad.json"
+        counts.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert run_cli(["keyrate", "--counts", str(counts), "--out", str(out)]
+                       ) == cli.EXIT_SCHEMA
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_half_transmissivity_row(self, tmp_path):
@@ -122,9 +141,66 @@ class TestBounds:
         row = next(csv.DictReader(out.read_text().splitlines()))
         det = bundle["detector"]
         expected = bounds.capacity_point(
-            30.0, det.efficiency,
+            30.0, 1e-3, 1e-3, det.efficiency,
             det.dark_prob(bundle["protocol"].clock_rate_hz))
         assert float(row["noisy_ub"]) == expected["noisy_ub"]
+
+    @pytest.mark.parametrize("delta", [None, 3.0])
+    def test_bounds_and_simulate_split_the_loss_alike(self, delta, tmp_path,
+                                                      bundle):
+        # Both subcommands evaluate keyrate.split_loss_link at each sweep
+        # point: SKC1 asym is the single-repeater capacity over its arms,
+        # and the key rate is the analysis of the forward model over it.
+        params, det = bundle["protocol"], bundle["detector"]
+        flags = ["--sweep-db", "20:56:36", "--format", "json"]
+        if delta is not None:
+            flags += ["--arm-delta-db", str(delta)]
+        capacity, rates = tmp_path / "bounds.json", tmp_path / "rates.json"
+        assert run_cli(["bounds", *flags, "--out", str(capacity)]) == 0
+        assert run_cli(["simulate", *flags, "--out", str(rates)]) == 0
+        capacity = json.loads(capacity.read_text())
+        rates = json.loads(rates.read_text())
+        dark = det.dark_prob(params.clock_rate_hz)
+        for row, rate in zip(capacity, rates, strict=True):
+            loss = row["loss_db"]
+            assert loss == rate["loss_db"]
+            link = keyrate.split_loss_link(loss, params, delta)
+            assert row["skc1_asym"] == bounds.skc1(
+                *model.transmissivities(link))
+            counts = keyrate.expected_rates_model(
+                params, link, det, bundle["extras"]["visibility"],
+                bundle["extras"]["misalignment_sigma_rad"], 1.36581e13)
+            report = keyrate.analyze_counts(counts, params,
+                                            bundle["security"])
+            assert rate["skr_bit_per_pulse"] == report.r_per_signal
+            # The other bounds depend on the total loss alone.
+            eta = 10 ** (-loss / 10)
+            eta_det = eta * det.efficiency
+            ub, valid = bounds.noisy_skc0_ub(
+                eta_det, bounds.thermal_mean_photon(dark, eta_det))
+            assert row == {
+                "loss_db": loss, "skc0": bounds.skc0(eta),
+                "skc0_relative": bounds.relative_skc0(eta, det.efficiency),
+                "skc1_sym": bounds.skc1(10 ** (-loss / 20),
+                                        10 ** (-loss / 20)),
+                "skc1_asym": row["skc1_asym"], "noisy_ub": ub,
+                "valid": int(valid)}
+        if delta is None:
+            # The bundled field link: 32.12 / 23.88 dB arms at 56 dB.
+            assert capacity[1]["skc1_asym"] == pytest.approx(8.86e-4,
+                                                             rel=1e-3)
+
+    def test_deep_loss_point_warns_of_nothing(self, tmp_path, bundle):
+        # At 6000 dB the total transmissivity underflows to 0 and the arms'
+        # come near it: every bound still comes out without a 0 / 0.
+        out = tmp_path / "bounds.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["bounds", "--sweep-db", "6000:6000:1",
+                            "--format", "json", "--out", str(out)]) == 0
+        row = json.loads(out.read_text())[0]
+        link = keyrate.split_loss_link(6000.0, bundle["protocol"])
+        assert row["skc1_asym"] == bounds.skc1(*model.transmissivities(link))
 
 
 class TestSimulate:
@@ -271,9 +347,9 @@ class TestMonteCarlo:
     (["montecarlo", "--seed", "-1"], "--seed"),
     (["simulate", "--arm-delta-db", "nan"], "--arm-delta-db"),
     (["simulate", "--n-tot", "inf"], "--n-tot"),
-    (["bounds", "--asym-split", "nan"], "--asym-split"),
-    (["bounds", "--asym-split", "1.5"], "--asym-split"),
-    (["bounds", "--asym-split", "-0.5"], "--asym-split"),
+    (["bounds", "--arm-delta-db", "nan"], "--arm-delta-db"),
+    (["bounds", "--arm-delta-db", "inf"], "--arm-delta-db"),
+    (["bounds", "--arm-delta-db=-inf"], "--arm-delta-db"),
     (["phasestab", "--dt", "inf"], "--dt"),
     (["phasestab", "--seed", "-1"], "--seed"),
     (["montecarlo", "--slots", str(2**55)], "--slots"),
@@ -282,6 +358,10 @@ class TestMonteCarlo:
     (["phasestab", "--steps", "10", "--dt", "1e300"], "--dt"),
     (["bounds", "--sweep-db", "10:0:2"], "--sweep-db"),
     (["simulate", "--sweep-db", "10:0:2"], "--sweep-db"),
+    (["simulate", "--sweep-db", "0:60:1e-300"], "--sweep-db"),
+    (["bounds", "--sweep-db", "0:60:1e-300"], "--sweep-db"),
+    (["phasestab", "--steps", str(2**62)], "--steps"),
+    (["phasestab", "--steps", str(2**63)], "--steps"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
@@ -370,14 +450,17 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
     ("dark_rate_hz", 2e9), ("deadtime_s", float("inf")), ("s_A", "0.5"),
     ("eps_A", None), ("p_z_B", [0.5]), ("u_B", {}), ("clock_rate_hz", "1e9"),
     ("duty_cycle", "0.5"), ("phase_slices_M", "16"),
-    ("detector_efficiency", True), ("loss_ac_db", "3"), ("f_ec", None)])
+    ("detector_efficiency", True), ("loss_ac_db", "3"), ("f_ec", None),
+    *(pytest.param(key, 10**400, id=f"{key}-10**400")
+      for key in ("clock_rate_hz", "phase_slices_M", "deadtime_s"))])
 def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
                                                capsys):
     # A visibility outside [0, 1], a negative or non-finite misalignment
     # width, a fractional phase-slice count (16.9 used to run as 16), an
     # infinite deadtime, a dark rate that is infinite or not below the
-    # 1 GHz clock (a dark count in every gate) and a value that is not a
-    # number stop every subcommand at the boundary, naming the key.
+    # 1 GHz clock (a dark count in every gate), a value that is not a
+    # number and an integer no float holds stop every subcommand at the
+    # boundary, naming the key.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"
