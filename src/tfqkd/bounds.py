@@ -25,10 +25,12 @@ def skc0(eta: float) -> float:
     """Repeaterless secret-key capacity -log2(1 - eta) in bits/use.
 
     Approximately 1.44 * eta at low transmissivity; diverges at eta = 1.
+    Written with log1p, which keeps that value where 1 - eta rounds to 1
+    (eta below 2^-53, beyond about 160 dB).
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("skc0 requires eta in [0, 1)")
-    return -math.log2(1.0 - eta)
+    return -math.log1p(-eta) / math.log(2)
 
 
 def skc1(eta_a: float, eta_b: float) -> float:
@@ -82,7 +84,7 @@ def noisy_skc0_ub(eta: float, n_bar: float) -> tuple[float, bool]:
         return skc0(eta), valid
     if eta == 0.0:
         return float("inf"), False
-    value = -math.log2(1.0 - eta) - n_bar * math.log2(eta) - hbar(n_bar)
+    value = skc0(eta) - n_bar * math.log2(eta) - hbar(n_bar)
     return value, valid
 
 

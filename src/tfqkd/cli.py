@@ -91,9 +91,12 @@ def _parse_sweep(spec: str) -> np.ndarray:
     if stop < start:
         raise SchemaError(f"--sweep-db range {spec!r} ends before it starts")
     try:
-        return np.arange(start, stop + 0.5 * step, step)
+        sweep = np.arange(start, stop + 0.5 * step, step)
     except (ValueError, MemoryError) as exc:    # more points than numpy holds
         raise SchemaError(f"--sweep-db range {spec!r}: {exc}") from exc
+    if not sweep.size:      # start + step / 2 rounds to start
+        raise SchemaError(f"--sweep-db range {spec!r} holds no point")
+    return sweep
 
 
 def _write_text(text: str, out: str | None):
@@ -107,8 +110,6 @@ def _write_text(text: str, out: str | None):
 def _write_rows(rows: list[dict], out: str | None, fmt: str):
     if fmt == "json":
         text = json.dumps(rows, indent=2)
-    elif not rows:
-        text = ""
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -207,6 +208,12 @@ def cmd_montecarlo(args) -> int:
             seed=args.seed, visibility=visibility)
     except model.PatternError as exc:
         raise SchemaError(f"--slots {args.slots} is too few: {exc}") from exc
+    except montecarlo.FeedbackDivergence as exc:
+        # As in phasestab: only a long slot drives a loop past its bound.
+        raise SchemaError(
+            f"parameter file {args.params}: a slot of 1/(clock_rate_hz * "
+            f"duty_cycle) = {1.0 / bundle['protocol'].protocol_rate_hz:g} s "
+            f"is too long for the phase loops: {exc}") from exc
     # The inputs the run saw, after --loss-db, in canonical JSON.
     inputs = {"protocol": dataclasses.asdict(bundle["protocol"]),
               "link": dataclasses.asdict(link),

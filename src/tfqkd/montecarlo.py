@@ -4,7 +4,9 @@ Pattern transmission through lossy asymmetric arms, first-order single-photon
 interference with phase noise, gated threshold detection with dark counts and
 deadtime, announcement and sifting, plus the two-stage off-band phase
 stabilisation loop (fast coarse correction sensed on the support wavelength,
-slow fine correction from reference-pulse counts).
+slow fine correction from reference-pulse counts).  The loops' drift, gains
+and fine-block period are module constants; ``PhaseConfig`` picks the
+regime and the "ideal" residual width.
 
 Detection model: coherent pulses interfering on a balanced splitter give two
 output modes with Poissonian photon numbers of means
@@ -158,6 +160,15 @@ _TRACE_POINTS = 4096
 _SETPOINT = math.pi / 2.0     # lock point (quadrature: max sensitivity)
 _INITIAL_OFFSET = 0.3         # rad, the loops' starting offset from it
 _REF_INTENSITY = 0.2          # reference-pulse intensity, photons/pulse
+# The loops' drift, gains and fine-block period, read at call time.  The
+# reference system does not publish them as numbers; these give a clearly
+# visible free-running drift at desk scale.
+_SIGMA_DRIFT = 50.0           # common-path drift, rad / sqrt(s)
+_SIGMA_DIFF = 0.5             # differential drift unseen by the coarse loop
+_COARSE_GAIN = 0.05           # proportional gain per coarse update
+_COARSE_SENSOR_NOISE = 0.02   # rad rms, fed back times the gain
+_FINE_GAIN = 0.5              # integral gain per fine block
+_FINE_BLOCK_S = 1e-3          # fine feedback update period, s
 
 # Lookup tables over the joint pair code 5a+b of Alice's and Bob's classes.
 _PAIR_A = np.repeat(np.arange(5), 5)
@@ -195,27 +206,20 @@ _TAGGED_LABELS = np.array([np.flatnonzero((_LABEL_CODE == code) & _LABEL_TAG)
 
 
 class FeedbackDivergence(RuntimeError):
-    """Raised when a feedback configuration drives the loop unstable."""
+    """Raised when a phase loop's state runs past its divergence bound."""
 
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Phase-noise and stabilisation settings.
+    """Phase-stabilisation regime.
 
-    Drift magnitudes are configurable (the reference system's values are
-    not published as numbers); defaults give a clearly visible free-running
-    drift at desk scale.  ``regime`` selects free / coarse / full
-    (coarse+fine) feedback, or "ideal" for an i.i.d. Gaussian residual of
-    width ``residual_sigma`` as assumed by the analytic forward model.
+    ``regime`` selects free / coarse / full (coarse+fine) feedback, with
+    the loops' drift, gains and fine-block period of the module constants,
+    or "ideal" for an i.i.d. Gaussian residual of width ``residual_sigma``
+    as assumed by the analytic forward model.
     """
 
     regime: str = "ideal"
-    sigma_drift: float = 50.0        # common-path drift, rad / sqrt(s)
-    sigma_diff: float = 0.5          # differential drift unseen by coarse
-    coarse_gain: float = 0.05        # proportional gain per coarse update
-    coarse_sensor_noise: float = 0.02  # rad rms, fed back times the gain
-    fine_gain: float = 0.5           # integral gain per fine block
-    fine_block_s: float = 1e-3       # fine feedback update period
     residual_sigma: float = 0.02     # rad, ideal-regime residual width
 
     def __post_init__(self):
@@ -223,20 +227,13 @@ class PhaseConfig:
             raise ValueError(f"unknown phase regime {self.regime!r}")
         if not 0.0 <= self.residual_sigma < math.inf:
             raise ValueError("residual_sigma must be finite and >= 0")
-        if not 0.0 < self.coarse_gain < 2.0:
-            raise FeedbackDivergence(
-                f"coarse gain {self.coarse_gain} outside the stable (0, 2) range"
-            )
-        if not 0.0 < self.fine_gain <= 1.0:
-            raise FeedbackDivergence(
-                f"fine gain {self.fine_gain} outside the stable (0, 1] range"
-            )
 
-    def fine_block_slots(self, dt: float) -> int:
-        """Slots B per fine block; block k ends at global slot k B - 1.
 
-        Capped at ``MAX_SLOTS``, past every run's last slot."""
-        return max(1, round(min(self.fine_block_s / dt, MAX_SLOTS)))
+def _fine_block_slots(dt: float) -> int:
+    """Slots B per fine block; block k ends at global slot k B - 1.
+
+    Capped at ``MAX_SLOTS``, past every run's last slot."""
+    return max(1, round(min(_FINE_BLOCK_S / dt, MAX_SLOTS)))
 
 
 def detector_means(mu_a, mu_b, delta, eta_a, eta_b, det_eff, visibility):
@@ -485,7 +482,7 @@ def _ar1(x0: float, rho: float, k: np.ndarray, sd: float, z: np.ndarray,
     functionals of the innovations, so B given A has mean slope A and a
     residual independent of every A and of the other intervals' residuals.
     """
-    rk = np.exp(k * math.log(rho)) if rho > 0.0 else rho ** k
+    rk = np.exp(k * math.log(rho))
     var_a = (1.0 - rk * rk) / (1.0 - rho * rho)
     a = sd * np.sqrt(var_a) * z
     x = _linear_scan(rk, a, x0)
@@ -537,14 +534,14 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     sums = None if ends is None else np.zeros((2, k.size))
     z = rng_drift.standard_normal((2, k.size))
     if cfg.regime == "free":
-        x = _random_walk(carry["x"], cfg.sigma_drift * sq, k, z[0], sums)
+        x = _random_walk(carry["x"], _SIGMA_DRIFT * sq, k, z[0], sums)
     else:
-        g = cfg.coarse_gain
+        g = _COARSE_GAIN
         x = _ar1(carry["x"], 1.0 - g, k, math.hypot(
-            cfg.sigma_drift * sq, g * cfg.coarse_sensor_noise), z[0], sums)
+            _SIGMA_DRIFT * sq, g * _COARSE_SENSOR_NOISE), z[0], sums)
         if not abs(x[-1]) <= 1e6:      # NaN included
             raise FeedbackDivergence("coarse loop diverged")
-    d = _random_walk(carry["d"], cfg.sigma_diff * sq, k, z[1], sums)
+    d = _random_walk(carry["d"], _SIGMA_DIFF * sq, k, z[1], sums)
     carry.update(pos=int(slots[-1]), x=float(x[-1]), d=float(d[-1]))
     x += d
     if sums is None:
@@ -558,16 +555,16 @@ def _phase_trajectory(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     total, var = np.add.reduceat(sums[:, :cut],
                                  np.concatenate(([0], ends[:-1] + 1)), axis=1)
     total += np.sqrt(var) * rng_drift.standard_normal(total.size)
-    return x, total / cfg.fine_block_slots(dt)
+    return x, total / _fine_block_slots(dt)
 
 
-def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
-                       means: np.ndarray, ends: np.ndarray, dt: float,
+def _apply_fine_blocks(phases: np.ndarray, means: np.ndarray,
+                       ends: np.ndarray, dt: float,
                        rng_ref: np.random.Generator, carry: dict,
                        ref_flux_per_slot: float, visibility: float) -> np.ndarray:
     """Fine feedback: per-block reference-count estimate, integral update.
 
-    Block k is global slots (k - 1) B to k B - 1 (``PhaseConfig``); entry i of
+    Block k is global slots (k - 1) B to k B - 1; entry i of
     ``ends`` is the index among the ``phases`` of the end of the i-th block
     closing here, and ``means`` its mean phase (``_phase_trajectory``).  Each
     closed block's mean is shifted by the correction ``carry["c_f"]``, which
@@ -580,7 +577,7 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
     non-empty block, in order, one scalar ``rng_ref.binomial``; nothing else
     reads ``rng_ref``.
     """
-    totals = rng_ref.poisson(cfg.fine_block_slots(dt) * ref_flux_per_slot,
+    totals = rng_ref.poisson(_fine_block_slots(dt) * ref_flux_per_slot,
                              means.size)
     binomial = rng_ref.binomial
     c_f = carry["c_f"]
@@ -588,7 +585,7 @@ def _apply_fine_blocks(cfg: PhaseConfig, phases: np.ndarray,
     for mean, n in zip(means.tolist(), totals.tolist()):
         if n:
             n1 = binomial(n, (1.0 + visibility * math.cos(mean + c_f)) / 2.0)
-            c_f -= cfg.fine_gain * (math.acos((2 * n1 - n) / n) - _SETPOINT)
+            c_f -= _FINE_GAIN * (math.acos((2 * n1 - n) / n) - _SETPOINT)
             if abs(c_f) > 1e6:
                 carry["c_f"] = c_f
                 raise FeedbackDivergence("fine loop diverged")
@@ -630,7 +627,7 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     full = cfg.regime == "full"
     request = slots
     if full:
-        block = cfg.fine_block_slots(dt)
+        block = _fine_block_slots(dt)
         k = np.arange((carry["pos"] + 1) // block, (slots.max() + 1) // block)
         request = np.concatenate([slots, (k + 1) * block - 1])
     order = request.argsort(kind="stable")   # merges the sorted runs
@@ -645,7 +642,7 @@ def _channel_phase(cfg: PhaseConfig, slots: np.ndarray, dt: float,
     ends = at[slots.size:] if full else None
     phi, means = _phase_trajectory(cfg, points, dt, rng_drift, carry, ends)
     if full:
-        phi = _apply_fine_blocks(cfg, phi, means, ends, dt, rng_ref, carry,
+        phi = _apply_fine_blocks(phi, means, ends, dt, rng_ref, carry,
                                  ref_flux_per_slot, visibility)
     return phi[at[:slots.size]] - _SETPOINT
 
@@ -662,7 +659,6 @@ class PhaseTrace:
     times_s: np.ndarray
     delta_phi_rad: np.ndarray
     regime: str
-    seed: int
 
     def residual_std(self) -> float:
         return float(np.std(self.delta_phi_rad))
@@ -685,15 +681,16 @@ def simulate_phase_trace(cfg: PhaseConfig, n_steps: int, dt: float,
     innovation (the drift step alone when free, plus the coarse loop's
     sensor noise otherwise).
     """
-    if not 0 < n_steps < MAX_SLOTS or dt <= 0:
-        raise ValueError("n_steps must lie in [1, 2^55) and dt be positive")
+    if not (0 < n_steps < MAX_SLOTS and 0.0 < dt < math.inf):
+        raise ValueError("n_steps must lie in [1, 2^55) and dt be finite "
+                         "and positive")
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(seed).spawn(2)]
     slots = np.arange(n_steps)
     phases = _channel_phase(cfg, slots, dt, rngs, {}, _REF_INTENSITY,
                             visibility=0.99)
     return PhaseTrace(times_s=slots * dt, delta_phi_rad=phases,
-                      regime=cfg.regime, seed=seed)
+                      regime=cfg.regime)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1010,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
 
     trace = PhaseTrace(times_s=np.arange(0, n_slots, trace_stride) * slot_dt,
                        delta_phi_rad=np.concatenate(trace_phi),
-                       regime=phase_cfg.regime, seed=seed)
+                       regime=phase_cfg.regime)
     lap("tally")
     return SimOutcome(counts=counts, raw_keys=raw,
                       phase_trace=trace, seed=seed, n_slots=n_slots,

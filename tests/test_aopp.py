@@ -133,6 +133,16 @@ class TestSift:
         assert out.n_t_prime == 2
         assert out.n1_prime == 1  # only pair (0,1) has both bits tagged
 
+    def test_all_zero_key_keeps_nothing(self):
+        # No 1 to pair a 0 with: no pair, so nothing survives and no
+        # survivor is tagged (the bit-level twin of the aggregate's
+        # ``test_degenerate_all_zero_key``).
+        key = np.zeros(100, dtype=np.uint8)
+        pairs = aopp_pair(key, seed=1)
+        assert pairs.shape == (0, 2)
+        out = aopp_sift(key, key, pairs, tags=np.ones(100, dtype=bool))
+        assert (out.n_t_prime, out.e_z_prime, out.n1_prime) == (0, 0.0, 0)
+
 
 def brute_force_expectation(alice: np.ndarray, bob: np.ndarray):
     """Average n_t' and E_Z' over every possible 0-to-1 pairing."""

@@ -33,6 +33,14 @@ class TestSkc0:
         with pytest.raises(ValueError):
             skc0(1.0)
 
+    @pytest.mark.parametrize("loss_db", [170.0, 400.0])
+    def test_deep_loss_keeps_the_linear_value(self, loss_db):
+        # Past about 160 dB 1 - eta rounds to 1, where -log2(1 - eta)
+        # read -0.0; the capacity is still eta / ln 2 there.
+        eta = 10.0 ** (-loss_db / 10.0)
+        assert skc0(eta) == pytest.approx(eta / math.log(2), rel=1e-12,
+                                          abs=0.0)
+
     @given(st.floats(0.0, 0.999), st.floats(1e-6, 1e-3))
     def test_monotone_increasing(self, eta, d):
         hi = min(eta + d, 0.9999)

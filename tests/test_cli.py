@@ -362,6 +362,8 @@ class TestMonteCarlo:
     (["bounds", "--sweep-db", "0:60:1e-300"], "--sweep-db"),
     (["phasestab", "--steps", str(2**62)], "--steps"),
     (["phasestab", "--steps", str(2**63)], "--steps"),
+    (["simulate", "--sweep-db", "1e20:1e20:1"], "--sweep-db"),
+    (["bounds", "--sweep-db", "1e20:1e20:1"], "--sweep-db"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"
@@ -404,6 +406,28 @@ def test_starved_class_is_a_schema_error(tmp_path, capsys):
                     "--out", str(out)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
     assert "--slots" in err and "'Xu'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("regime, slots, changed", [
+    ("coarse", 100_000, {"clock_rate_hz": 1e-9, "dark_rate_hz": 0.0}),
+    ("full", 200_000, {"duty_cycle": 1e-300})])
+def test_slot_too_long_for_the_phase_loops_is_a_schema_error(
+        regime, slots, changed, tmp_path, capsys):
+    # A slot of 1 / (clock_rate_hz * duty_cycle) = 2e9 s (or 1e291 s)
+    # drifts the coarse loop past its divergence bound at the default seed,
+    # as a long --dt does in phasestab; the message names the slot length.
+    raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+    raw.update(changed)
+    params = tmp_path / "slow.json"
+    params.write_text(json.dumps(raw))
+    out = tmp_path / "sim.json"
+    assert run_cli(["montecarlo", "--params", str(params), "--regime", regime,
+                    "--slots", str(slots), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    slot_s = 1.0 / (raw["clock_rate_hz"] * raw["duty_cycle"])
+    assert "clock_rate_hz * duty_cycle" in err and f"{slot_s:g} s" in err
+    assert "loop diverged" in err
     assert not out.exists()
 
 

@@ -489,9 +489,8 @@ class TestParamsIO:
         # infinite ratio) is capped at MAX_SLOTS and never closes; the
         # sampler reads the same constant.
         assert montecarlo.MAX_SLOTS is model.MAX_SLOTS
-        cfg = montecarlo.PhaseConfig("full")
-        assert cfg.fine_block_slots(dt) == block
-        assert isinstance(cfg.fine_block_slots(dt), int)
+        assert montecarlo._fine_block_slots(dt) == block
+        assert isinstance(montecarlo._fine_block_slots(dt), int)
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
