@@ -40,14 +40,6 @@ class SchemaError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
-    """The counts file's JSON; text not UTF-8 or not JSON is a schema error."""
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_bundle(path: str, structural: bool = True) -> dict:
     """The parameter file's bundle (``model.load_params_file``).  A file
     that holds no parameter set is a schema error, and so is one that fails
@@ -109,7 +101,10 @@ def _write_text(text: str, out: str | None):
 
 def _write_rows(rows: list[dict], out: str | None, fmt: str):
     if fmt == "json":
-        text = json.dumps(rows, indent=2)
+        # JSON has no literal for inf or NaN: a non-finite value is null.
+        text = json.dumps([{k: v if math.isfinite(v) else None
+                            for k, v in row.items()} for row in rows],
+                          indent=2)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -129,9 +124,10 @@ def cmd_validate(args) -> int:
 
 def cmd_keyrate(args) -> int:
     bundle = _load_bundle(args.params)
-    raw_counts = _load_json(args.counts)
     try:
-        counts = decoy.DecoyCounts.from_counts_dict(raw_counts, bundle["protocol"])
+        # Text not UTF-8 or not JSON raises ValueError, as a bad count does.
+        counts = decoy.DecoyCounts.from_counts_dict(
+            json.loads(Path(args.counts).read_text()), bundle["protocol"])
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"counts file {args.counts}: {exc}") from exc
     report = keyrate.analyze_counts(counts, bundle["protocol"], bundle["security"])

@@ -90,8 +90,9 @@ class DecoyCounts:
         missing = [k for k in CATEGORIES if k not in self.detected]
         if missing:
             raise ValueError(f"detected counts missing categories: {missing}")
-        if not math.isfinite(self.n_tot):
-            raise ValueError(f"n_tot must be finite, got {self.n_tot}")
+        if not 0.0 < self.n_tot < math.inf:
+            raise ValueError(
+                f"n_tot must be finite and positive, got {self.n_tot}")
         for k in CATEGORIES:
             n, big_n = self.detected[k], self.sent.get(k, 0.0)
             if not (math.isfinite(n) and math.isfinite(big_n)):

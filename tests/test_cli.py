@@ -12,6 +12,12 @@ from tfqkd import bounds, cli, keyrate, model, montecarlo
 from tfqkd.decoy import CATEGORIES
 
 
+def _no_constant(name):
+    """parse_constant for json.loads: Infinity, -Infinity and NaN are not
+    JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -74,6 +80,21 @@ class TestKeyrate:
         assert run_cli(["keyrate", "--counts", str(counts)]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["r_per_signal"] == 0.0
+
+    @pytest.mark.parametrize("n_tot", [0, -0.0])
+    def test_no_pulse_pair_sent_is_a_schema_error(self, tmp_path, capsys,
+                                                  n_tot):
+        # A rate per pulse pair needs pulse pairs: refused at the boundary,
+        # not deep in secret_key_rate.
+        raw = {f"Detected-{k}": 0 for k in CATEGORIES}
+        raw["N_total_sent"] = n_tot
+        counts = tmp_path / "empty.json"
+        counts.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert run_cli(["keyrate", "--counts", str(counts),
+                        "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert "counts file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_category_names_key(self, tmp_path, capsys):
         raw = {f"Detected-{k}": 1 for k in CATEGORIES if k != "XXvv"}
@@ -192,15 +213,30 @@ class TestBounds:
 
     def test_deep_loss_point_warns_of_nothing(self, tmp_path, bundle):
         # At 6000 dB the total transmissivity underflows to 0 and the arms'
-        # come near it: every bound still comes out without a 0 / 0.
+        # come near it: every bound still comes out without a 0 / 0.  The
+        # thermal bound is infinite there, which JSON writes as null.
         out = tmp_path / "bounds.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(["bounds", "--sweep-db", "6000:6000:1",
                             "--format", "json", "--out", str(out)]) == 0
-        row = json.loads(out.read_text())[0]
+        row = json.loads(out.read_text(), parse_constant=_no_constant)[0]
         link = keyrate.split_loss_link(6000.0, bundle["protocol"])
         assert row["skc1_asym"] == bounds.skc1(*model.transmissivities(link))
+        assert row["noisy_ub"] is None and row["valid"] == 0
+
+    def test_blind_detector_bound_is_null_in_json(self, tmp_path):
+        # detector_efficiency 0 with dark counts: the thermal bound is
+        # infinite, JSON null (CSV keeps "inf").
+        raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
+        raw["detector_efficiency"] = 0
+        params = tmp_path / "blind.json"
+        params.write_text(json.dumps(raw))
+        out = tmp_path / "bounds.json"
+        assert run_cli(["bounds", "--params", str(params), "--sweep-db",
+                        "10:10:1", "--format", "json", "--out", str(out)]) == 0
+        [row] = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert row["noisy_ub"] is None and row["valid"] == 0
 
 
 class TestSimulate:
@@ -476,15 +512,19 @@ def test_structurally_invalid_parameters_are_schema_errors(cmd, key, value,
     ("duty_cycle", "0.5"), ("phase_slices_M", "16"),
     ("detector_efficiency", True), ("loss_ac_db", "3"), ("f_ec", None),
     *(pytest.param(key, 10**400, id=f"{key}-10**400")
-      for key in ("clock_rate_hz", "phase_slices_M", "deadtime_s"))])
+      for key in ("clock_rate_hz", "phase_slices_M", "deadtime_s")),
+    ("f_ec", float("nan")), ("f_ec", float("inf")), ("eps_cor", 0),
+    ("chernoff_xi", 1), ("f_ec", 0.5)])
 def test_out_of_range_values_are_schema_errors(cmd, key, value, tmp_path,
                                                capsys):
     # A visibility outside [0, 1], a negative or non-finite misalignment
     # width, a fractional phase-slice count (16.9 used to run as 16), an
     # infinite deadtime, a dark rate that is infinite or not below the
     # 1 GHz clock (a dark count in every gate), a value that is not a
-    # number and an integer no float holds stop every subcommand at the
-    # boundary, naming the key.
+    # number, an integer no float holds, an error-correction factor below
+    # 1 or not finite (NaN ran to a silent zero rate) and a failure
+    # probability outside (0, 1) stop every subcommand at the boundary,
+    # naming the key.
     raw = json.loads(Path(cli.DEFAULT_PARAMS).read_text())
     raw[key] = value
     params = tmp_path / "bad.json"

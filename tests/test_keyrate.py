@@ -94,6 +94,12 @@ class TestSecretKeyRate:
             secret_key_rate(AoppOutput(n_t_prime=10, e_z_prime=0.0),
                             security, 1e13, 1e9, 0.5)
 
+    def test_no_pulse_pair_sent_rejected(self, security):
+        # A rate per pulse pair needs pulse pairs; DecoyCounts refuses an
+        # n_tot of 0 before analyze_counts, so only a direct call gets here.
+        with pytest.raises(ValueError, match="n_tot"):
+            secret_key_rate(self._aopp(), security, 0.0, 1e9, 0.5)
+
 
 class TestFieldPipeline:
     def test_intermediates(self, field_counts, params, security):

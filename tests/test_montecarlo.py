@@ -948,6 +948,9 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="visibility"):
             run_protocol(params, quick_link, quick_det, PhaseConfig("full"),
                          n_slots=100_000, seed=0, visibility=visibility)
+        with pytest.raises(ValueError, match="visibility"):
+            keyrate.expected_rates_model(params, quick_link, quick_det,
+                                         visibility)
 
     @pytest.mark.parametrize("sigma", [-0.3, float("nan"), float("inf")])
     def test_residual_sigma_must_be_finite_and_non_negative(self, sigma):
@@ -1077,10 +1080,10 @@ class TestRunProtocol:
 
     def test_phase_blind_codes_skip_the_thinning(self, params, quick_link,
                                                  quick_det, monkeypatch):
-        # Only XuXu and XvXv candidates reach click_probs after the one
-        # p_bar call; every other event clicks, so the events drawn but not
-        # accepted are dropped XX candidates; and the sampler's law table
-        # is phase_averaged_law to the bit.
+        # Only XuXu and XvXv candidates reach click_probs; every other
+        # event clicks, so the events drawn but not accepted are dropped XX
+        # candidates.  The sampler's law table is phase_averaged_law to the
+        # bit, and its thinning bound is that of click_probs at delta = 0.
         calls, tables = [], []
         click_probs_, law_table = montecarlo.click_probs, montecarlo._law_table
 
@@ -1098,26 +1101,27 @@ class TestRunProtocol:
                            PhaseConfig(regime="ideal"), 10_000_000, seed=3)
         assert out.batches > 1
         sent, detected = out.counts.sent, out.counts.detected
-        points = [np.size(mu_a) for mu_a, _ in calls]
-        assert points[0] == 25
-        assert sum(points) <= 25 + sent["XXuu"] + sent["XXvv"]
+        xx_candidates = sum(np.size(mu_a) for mu_a, _ in calls)
+        assert 0 < xx_candidates <= sent["XXuu"] + sent["XXvv"]
         a, b = params.alice, params.bob
         xx_pairs = {(a.u, b.u), (a.v, b.v)}
-        for mu_a, mu_b in calls[1:]:
+        for mu_a, mu_b in calls:
             assert set(zip(mu_a.tolist(), mu_b.tolist())) <= xx_pairs
         # No deadtime: XX heralds and all double clicks bound the XX
         # clicks, and so the dropped XX candidates, from both sides.
         dropped = out.candidates - out.accepted
-        xx_candidates = sum(points[1:])
         xx_heralds = detected["XXuu"] + detected["XXvv"]
         doubles = out.accepted - sum(detected.values())
         assert doubles >= 0
         assert (xx_candidates - xx_heralds - doubles <= dropped
                 <= xx_candidates - xx_heralds)
-        [(args, table)] = tables
+        [(args, (law, p_bar))] = tables
         mu_a, mu_b, *rest = args
+        p1, _ = click_probs_(mu_a, mu_b, 0.0, *rest)
+        _, p2 = click_probs_(mu_a, mu_b, np.pi, *rest)
+        assert p_bar.tolist() == (p1 + p2 - p1 * p2).tolist()
         for code in range(25):
-            assert table[code].tolist() == montecarlo.phase_averaged_law(
+            assert law[code].tolist() == montecarlo.phase_averaged_law(
                 mu_a[code], mu_b[code], *rest)
 
     def test_different_seed_differs(self, params, quick_link, quick_det):
