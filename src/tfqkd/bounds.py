@@ -77,8 +77,8 @@ def noisy_skc0_ub(eta: float, n_bar: float) -> tuple[float, bool]:
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    if n_bar < 0.0:
-        raise ValueError("n_bar must be non-negative")
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
     valid = n_bar < eta / (1.0 - eta)
     if n_bar == 0.0:
         return skc0(eta), valid

@@ -144,6 +144,10 @@ def cmd_simulate(args) -> int:
     _check("--attenuation", args.attenuation, POSITIVE)
     _check("--arm-delta-db", args.arm_delta_db, FINITE)
     sweep = _parse_sweep(args.sweep_db)
+    longest = float(sweep.max())
+    if not math.isfinite(longest / args.attenuation):
+        raise SchemaError(f"--attenuation {args.attenuation} dB/km makes the "
+                          f"{longest} dB point infinitely long")
     rows = keyrate.skr_vs_distance(
         sweep, bundle["protocol"], det, bundle["security"],
         n_tot=args.n_tot,

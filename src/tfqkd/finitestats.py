@@ -10,7 +10,7 @@ dominate the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BoundedValue",
@@ -21,22 +21,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundedValue:
-    """An observed quantity with lower/upper bounds on its expected value.
-
-    Invariant: lower <= point <= upper.
-    """
-
+class _Bounds(NamedTuple):
     lower: float
     point: float
     upper: float
 
-    def __post_init__(self):
-        if not (self.lower <= self.point <= self.upper):
+
+class BoundedValue(_Bounds):
+    """An observed quantity with lower/upper bounds on its expected value.
+
+    Invariant: lower <= point <= upper, checked once at construction.  An
+    immutable named tuple: the analysis builds one per category per call,
+    and a tuple costs less to build than a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lower: float, point: float, upper: float):
+        if not lower <= point <= upper:
             raise ValueError(
-                f"bounds out of order: {self.lower} <= {self.point} <= {self.upper}"
-            )
+                f"bounds out of order: {lower} <= {point} <= {upper}")
+        return tuple.__new__(cls, (lower, point, upper))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The named tuple's own _make (and _replace, which calls it) skips
+        # __new__ and with it the ordering check.
+        return cls(*iterable)
 
 
 def binary_entropy(x: float) -> float:
@@ -103,8 +114,6 @@ def bounded_rate(count: float, trials: float, failure_prob: float) -> BoundedVal
     """
     if trials <= 0:
         raise ValueError("trials must be positive to form a rate")
-    return BoundedValue(
-        lower=bound_expected(count, failure_prob, "lower") / trials,
-        point=count / trials,
-        upper=bound_expected(count, failure_prob, "upper") / trials,
-    )
+    return BoundedValue(bound_expected(count, failure_prob, "lower") / trials,
+                        count / trials,
+                        bound_expected(count, failure_prob, "upper") / trials)

@@ -216,6 +216,17 @@ class TestAggregateVsBitLevel:
         assert est.n_t_prime == 0.0
         assert est.n1_prime == 0.0
 
+    @pytest.mark.parametrize("counts, message", [
+        ((-1, 10, 0, 0), "non-negative"),
+        ((10, -1, 0, 0), "non-negative"),
+        ((10, 10, 11, 0), "exceed"),
+        ((10, 10, 0, 11), "exceed"),
+        ((10, 10, -1, 0), "exceed"),
+    ])
+    def test_tally_out_of_range_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ZBitTally(*counts)
+
     @given(st.integers(1, 10**6), st.integers(1, 10**6),
            st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_n1_prime_never_exceeds_n1(self, n01, n10, f0, f1):

@@ -78,6 +78,11 @@ class TestRelativeSkc0:
         assert relative_skc0(2.509e-6, 0.145) == pytest.approx(5.249e-7,
                                                                rel=1e-3)
 
+    @pytest.mark.parametrize("det_efficiency", [-0.1, 1.1, math.nan])
+    def test_efficiency_outside_the_unit_interval(self, det_efficiency):
+        with pytest.raises(ValueError, match="detector efficiency"):
+            relative_skc0(0.3, det_efficiency)
+
 
 class TestThermalMeanPhoton:
     def test_no_dark_counts(self):
@@ -90,6 +95,18 @@ class TestThermalMeanPhoton:
     def test_field_value(self):
         assert thermal_mean_photon(9e-7, 3.64e-7) == pytest.approx(9e-7,
                                                                    rel=1e-5)
+
+    @pytest.mark.parametrize("dark_prob, eta, name", [
+        (-1e-9, 0.5, "dark_prob"),
+        (1.0, 0.5, "dark_prob"),
+        (math.nan, 0.5, "dark_prob"),
+        (9e-7, 1.0, "eta"),
+        (9e-7, -0.1, "eta"),
+        (9e-7, math.nan, "eta"),
+    ])
+    def test_out_of_range_rejected(self, dark_prob, eta, name):
+        with pytest.raises(ValueError, match=name):
+            thermal_mean_photon(dark_prob, eta)
 
 
 class TestNoisyUpperBound:
@@ -134,6 +151,16 @@ class TestNoisyUpperBound:
         value30, valid30 = noisy_skc0_ub(eta_30db, n30)
         assert valid30
         assert 0.0 < value30 < skc0(eta_30db)
+
+    @pytest.mark.parametrize("eta", [1.0, -0.1, math.nan])
+    def test_eta_outside_its_domain(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            noisy_skc0_ub(eta, 1e-6)
+
+    @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -1.0])
+    def test_n_bar_outside_its_domain(self, n_bar):
+        with pytest.raises(ValueError, match="n_bar"):
+            noisy_skc0_ub(0.5, n_bar)
 
 
 class TestSweep:

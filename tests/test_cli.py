@@ -400,6 +400,7 @@ class TestMonteCarlo:
     (["phasestab", "--steps", str(2**63)], "--steps"),
     (["simulate", "--sweep-db", "1e20:1e20:1"], "--sweep-db"),
     (["bounds", "--sweep-db", "1e20:1e20:1"], "--sweep-db"),
+    (["simulate", "--attenuation", "1e-320"], "--attenuation"),
 ])
 def test_bad_flag_is_a_schema_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "out"

@@ -103,6 +103,12 @@ class TestCountingRates:
         with pytest.raises(KeyError, match="Detected-XXvv"):
             DecoyCounts.from_counts_dict(raw, params)
 
+    def test_missing_detected_category_rejected(self):
+        detected = {k: 0.0 for k in CATEGORIES if k != "XXvv"}
+        with pytest.raises(ValueError, match="XXvv"):
+            DecoyCounts(n_tot=1e9, detected=detected,
+                        sent={k: 1e6 for k in CATEGORIES})
+
 
 class TestYieldBounds:
     def test_lossless_single_photon_oracle(self):
@@ -144,6 +150,13 @@ class TestYieldBounds:
         with pytest.raises(EstimationError):
             bound_s01(rates, params)
 
+    def test_vanishing_decoy_rejected(self):
+        # Bob's v = w = 0: the v-class carries no photons to bound from.
+        params = oracle_params(u=0.1, v=0.0)
+        rates = {k: exact(0.0) for k in ("XXwv", "XXwu", "XXww")}
+        with pytest.raises(EstimationError, match="v > 0"):
+            bound_s01(rates, params)
+
     def test_clamped_to_unit_interval(self):
         params = oracle_params(u=1e-2, v=1e-3)
         rates = {
@@ -167,6 +180,11 @@ class TestS1Combination:
         s01, s10 = 1.0, 0.0
         assert bound_s1(s01, s10, params) == pytest.approx(0.13043478, rel=1e-6)
         assert bound_s1(0.0, 1.0, params) == pytest.approx(0.86956522, rel=1e-6)
+
+    def test_no_decoy_weight_rejected(self):
+        params = oracle_params(u=0.1, v=0.0)
+        with pytest.raises(EstimationError, match="v_A \\+ v_B"):
+            bound_s1(0.2, 0.4, params)
 
 
 class TestUntaggedCounts:
@@ -211,6 +229,14 @@ class TestPhaseErrorRate:
         detected = {k: 0.0 for k in CATEGORIES}
         counts = DecoyCounts.from_detected(params, 1e9, detected)
         with pytest.raises(EstimationError):
+            t_x1_upper_bound(counts, params, 1e-5)
+
+    def test_no_vv_pair_sent_raises(self, field_counts, params):
+        sent = dict(field_counts.sent, XXvv=0.0)
+        detected = dict(field_counts.detected, XXvv=0.0)
+        counts = dataclasses.replace(field_counts, detected=detected,
+                                     sent=sent)
+        with pytest.raises(EstimationError, match="vv pairs"):
             t_x1_upper_bound(counts, params, 1e-5)
 
 

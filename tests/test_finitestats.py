@@ -1,4 +1,6 @@
 import decimal
+import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +143,41 @@ class TestBoundedValue:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             BoundedValue(lower=2.0, point=1.0, upper=3.0)
+
+    @pytest.mark.parametrize("triple", [
+        (1.0, 3.0, 2.0),
+        (math.nan, 1.0, 2.0),
+        (0.0, math.nan, 2.0),
+        (0.0, 1.0, math.nan),
+    ])
+    def test_out_of_order_message(self, triple):
+        lower, point, upper = triple
+        message = f"bounds out of order: {lower} <= {point} <= {upper}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundedValue(*triple)
+
+    def test_immutable(self):
+        bv = BoundedValue(1.0, 2.0, 3.0)
+        for name in ("lower", "point", "upper"):
+            with pytest.raises(AttributeError):
+                setattr(bv, name, 0.0)
+        with pytest.raises(AttributeError):
+            bv.extra = 0.0
+        assert bv == BoundedValue(1.0, 2.0, 3.0)
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_name = BoundedValue(lower=1.0, point=2.0, upper=3.0)
+        by_position = BoundedValue(1.0, 2.0, 3.0)
+        assert by_name == by_position
+        assert (by_name.lower, by_name.point, by_name.upper) == (1.0, 2.0, 3.0)
+
+    def test_copies_keep_the_ordering_check(self):
+        bv = BoundedValue(1.0, 2.0, 3.0)
+        assert bv._replace(point=2.5) == BoundedValue(1.0, 2.5, 3.0)
+        with pytest.raises(ValueError, match="out of order"):
+            bv._replace(point=5.0)
+        with pytest.raises(ValueError, match="out of order"):
+            BoundedValue._make((3.0, 2.0, 1.0))
 
     def test_bounded_rate_needs_trials(self):
         with pytest.raises(ValueError):

@@ -500,6 +500,14 @@ class TestFeedback:
         tail = full.delta_phi_rad[full.delta_phi_rad.size // 2:]
         assert abs(np.mean(tail)) < LOCK_TOLERANCE
 
+    def test_fine_divergence_raises(self, monkeypatch):
+        # An integral gain far past stability drives the correction past
+        # its bound within the run's first blocks.
+        monkeypatch.setattr(montecarlo, "_FINE_GAIN", 1e7)
+        with pytest.raises(montecarlo.FeedbackDivergence,
+                           match="fine loop diverged"):
+            simulate_phase_trace(PhaseConfig("full"), 2000, 1e-5, 3)
+
 
 class TestGlobalSlotClock:
     """The phase loops run on the run's global slot clock."""
